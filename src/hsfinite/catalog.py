@@ -14,7 +14,9 @@ carrying one ideal onto the other, so the tester works in three layers:
    matrices are built from multiplicity-compatible matchings of the rational
    root points carried by the invariant forms, padded from a fixed point
    palette when fewer than three points are pinned.  Every candidate is
-   verified by componentwise ideal equality before being reported.
+   verified before being reported: the image has the same sequence and each
+   of its generators lies in the target's component of that degree, which
+   for ideals of one finite colength proves equality.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.

@@ -152,20 +152,59 @@ class LinearChange:
 
 def substitute(f: BinaryForm, change: LinearChange) -> BinaryForm:
     """f(a*x + b*y, c*x + d*y): same degree, exact coefficients."""
-    if f.is_zero:
-        return ZERO
-    d = f.degree
-    img_x = binary_form((change.b, change.a))
-    img_y = binary_form((change.d, change.c))
-    pow_x = [binary_form((1,))]
-    pow_y = [binary_form((1,))]
-    for _ in range(d):
-        pow_x.append(multiply(pow_x[-1], img_x))
-        pow_y.append(multiply(pow_y[-1], img_y))
-    out = ZERO
-    for i, c in enumerate(f.coeffs):
-        if c != 0:
-            out = add(out, scale(multiply(pow_x[i], pow_y[d - i]), c))
+    return substitute_forms([f], change)[0]
+
+
+def substitute_forms(forms, change: LinearChange) -> list:
+    """Images of ``forms`` under ``change``, in order.  The images of the
+    degree-d monomials are built once per degree and shared by every form of
+    that degree; each form's image is a linear combination of them.
+
+    The work is done over the integers: with ``den`` the common denominator
+    of the matrix, a degree-d monomial maps to its image under the integer
+    matrix ``den * change`` divided by den^d, and each form is scaled by the
+    common denominator of its coefficients, which is divided out at the end.
+    """
+    entries = (change.a, change.b, change.c, change.d)
+    den = math.lcm(*(v.denominator for v in entries))
+    a, b, c, d = (int(v * den) for v in entries)
+    pow_x = [[1]]
+    pow_y = [[1]]
+    bases = {}
+    out = []
+    for f in forms:
+        if f.is_zero:
+            out.append(ZERO)
+            continue
+        deg = f.degree
+        basis = bases.get(deg)
+        if basis is None:
+            while len(pow_x) <= deg:
+                pow_x.append(_int_convolve(pow_x[-1], (b, a)))
+                pow_y.append(_int_convolve(pow_y[-1], (d, c)))
+            # entry i is the image of x^i * y^(deg - i)
+            basis = bases[deg] = [_int_convolve(pow_x[i], pow_y[deg - i])
+                                  for i in range(deg + 1)]
+        scale_f = math.lcm(*(q.denominator for q in f.coeffs))
+        acc = [0] * (deg + 1)
+        for q, image in zip(f.coeffs, basis):
+            if q:
+                n = q.numerator * (scale_f // q.denominator)
+                for k, v in enumerate(image):
+                    acc[k] += n * v
+        total = scale_f * den ** deg
+        # nonzero, since an invertible change maps nonzero forms to nonzero forms
+        out.append(BinaryForm(tuple(Fraction(v, total) for v in acc)))
+    return out
+
+
+def _int_convolve(p, q):
+    """Product of two integer coefficient sequences, length kept in full."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        if u:
+            for j, v in enumerate(q):
+                out[i + j] += u * v
     return out
 
 

@@ -22,7 +22,7 @@ from .forms import (
     monomial,
     multiply,
     parse_form,
-    substitute,
+    substitute_forms,
 )
 from .rational_linalg import RowBasis, contains, rref, spaces_equal
 
@@ -62,7 +62,10 @@ class GradedComponent:
 
 class GradedIdeal:
     """Immutable by convention; the only hidden state is a memo cache whose
-    writes are idempotent, so concurrent readers need no coordination."""
+    writes are idempotent, so concurrent readers need no coordination.  The
+    components are filled by ``component``; the sequence by ``hilbert_samuel``,
+    or by ``substitute_ideal`` when it builds an image of an ideal whose
+    sequence is already known."""
 
     def __init__(self, generators, truncation: int | None = None):
         gens = tuple(generators)
@@ -220,10 +223,13 @@ def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
 
 def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:
     """Apply a linear substitution to every generator; truncation is stable
-    because (x, y)^D is preserved by any invertible change."""
-    return GradedIdeal(
-        [substitute(g, change) for g in ideal.generators], ideal.truncation
-    )
+    because (x, y)^D is preserved by any invertible change.  The image
+    inherits the source's memoized sequence, if one was computed."""
+    image = GradedIdeal(substitute_forms(ideal.generators, change),
+                        ideal.truncation)
+    # an invertible linear change is a graded automorphism of K[x, y]
+    image._sequence = ideal._sequence
+    return image
 
 
 def socle_degree(ideal: GradedIdeal) -> int:
@@ -232,15 +238,22 @@ def socle_degree(ideal: GradedIdeal) -> int:
 
 
 def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
-    """Componentwise equality up to both socle bounds; beyond them the
-    components are the full space on both sides."""
-    if hilbert_samuel(left) != hilbert_samuel(right):
+    """Equality proved by containment: the sequences agree and every
+    generator of ``left`` lies in the component of ``right`` of its degree.
+
+    Ideals of one finite colength, one inside the other, are equal.  Only
+    generators of degree below ``len(seq)`` need a test: from that degree on
+    both components are the full space, which also holds left's truncation
+    (x, y)^D.  No component of ``left`` is built, and those of ``right`` are
+    memoized, so checking many candidate images against one ``right`` builds
+    its components once.
+    """
+    seq = hilbert_samuel(left)
+    if seq != hilbert_samuel(right):
         return False
-    top = socle_degree(left)
-    for d in range(top + 1):
-        if not spaces_equal(component(left, d).basis, component(right, d).basis):
-            return False
-    return True
+    return all(contains(component(right, g.degree).basis,
+                        form_to_vector(g, g.degree))
+               for g in left.generators if g.degree < len(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,18 @@ class TestSubstituteAndEquality:
         for _ in range(200):
             base = pool[rng.randrange(len(pool))]
             m = _random_change(rng)
-            assert hilbert_samuel(substitute_ideal(base, m)) == hilbert_samuel(base)
+            expected = hilbert_samuel(base)
+            moved = substitute_ideal(base, m)
+            fresh = GradedIdeal(moved.generators, moved.truncation)
+            assert hilbert_samuel(fresh) == expected
+            assert hilbert_samuel(moved) == hilbert_samuel(fresh)
+
+    def test_image_inherits_a_computed_sequence_only(self):
+        base = ideal("x^2 + x*y", "y^3 - x^3")
+        m = LinearChange(1, 2, -1, 3)
+        assert substitute_ideal(base, m)._sequence is None
+        seq = hilbert_samuel(base)
+        assert substitute_ideal(base, m)._sequence == seq
 
     def test_rank_monotone_along_degrees(self):
         base = ideal("x^3 - y^3", "x^2*y + y^3")
