@@ -302,7 +302,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     if cached is not None:
         return cached
     seq = hilbert_samuel(ideal)
-    nc = _first_deviation(seq)
+    nc = HSSequence(seq).n  # components below it are zero
     run_data = []
     run_factors = []
     for start, end, value in _blocks(seq):
@@ -355,14 +355,6 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     analysis = _Analysis(invariant, run_factors, theta_form, pencil_lines)
     ideal._analysis = analysis
     return analysis
-
-
-def _first_deviation(seq) -> int:
-    """First index with t_i != i + 1 (components below it are zero)."""
-    for i, t in enumerate(seq):
-        if t != i + 1:
-            return i
-    return len(seq)
 
 
 def structural_invariant(ideal: GradedIdeal) -> StructuralInvariant:

@@ -510,6 +510,9 @@ def rational_root_points(f: BinaryForm) -> list:
 #     mono  := 'x' ['^' nat] ['*' 'y' ['^' nat]] | 'y' ['^' nat]
 # ---------------------------------------------------------------------------
 
+# Largest exponent the parser accepts, checked before any list is allocated.
+MAX_EXPONENT = 1000
+
 
 class _Scanner:
     def __init__(self, text):
@@ -542,12 +545,15 @@ class _Scanner:
         raise ParseError("expected %s at position %d in %r" % (what, self.pos, self.text))
 
 
-def _parse_power(sc, var):
+def _parse_power(sc):
     sc.take()
-    if sc.peek() == "^":
-        sc.take()
-        return sc.nat()
-    return 1
+    if sc.peek() != "^":
+        return 1
+    sc.take()
+    power = sc.nat()
+    if power > MAX_EXPONENT:
+        sc.fail("an exponent of at most %d" % MAX_EXPONENT)
+    return power
 
 
 def _parse_term(sc):
@@ -571,15 +577,15 @@ def _parse_term(sc):
                 sc.fail("a variable after '*'")
     xp = yp = 0
     if sc.peek() == "x":
-        xp = _parse_power(sc, "x")
+        xp = _parse_power(sc)
         if sc.peek() == "*":
             sc.take()
             if sc.peek() != "y":
                 sc.fail("'y' after '*'")
         if sc.peek() == "y":
-            yp = _parse_power(sc, "y")
+            yp = _parse_power(sc)
     elif sc.peek() == "y":
-        yp = _parse_power(sc, "y")
+        yp = _parse_power(sc)
     elif not have_coeff:
         sc.fail("a coefficient or variable")
     return coeff, xp, yp

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError
@@ -24,7 +25,7 @@ from .forms import (
     parse_form,
     substitute_forms,
 )
-from .rational_linalg import RowBasis, contains, rref, spaces_equal
+from .rational_linalg import RowBasis, contains, identity_basis, rref, spaces_equal
 
 
 def monomials(degree: int) -> list:
@@ -93,54 +94,48 @@ class GradedIdeal:
 
 
 def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
-    """RREF basis of the degree-d piece: monomial multiples of every generator
-    of degree <= d, plus the whole space once the truncation is reached."""
+    """RREF basis of the degree-d piece, memoized.  Missing degrees are built
+    upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
+    span(generators of degree d), where x times a row of degree d-1 is the
+    row with a 0 appended and y times it the row with a 0 prepended.  From
+    the truncation degree on it is the whole space, without row reduction."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    cached = ideal._components.get(degree)
-    if cached is not None:
-        return cached
-    rows = []
-    if ideal.truncation is not None and degree >= ideal.truncation:
-        rows = [form_to_vector(m, degree) for m in monomials(degree)]
-    else:
-        for g in ideal.generators:
-            if g.degree <= degree:
-                for m in monomials(degree - g.degree):
-                    rows.append(form_to_vector(multiply(m, g), degree))
-    comp = GradedComponent(degree, rref(rows, ncols=degree + 1))
-    ideal._components[degree] = comp
-    return comp
+    memo = ideal._components
+    if degree in memo:
+        return memo[degree]
+    top = ideal.truncation or degree + 1  # degrees >= top are the whole space
+    first = degree
+    while 0 < first < top and first - 1 not in memo:
+        first -= 1
+    for d in range(first, degree + 1):
+        if d >= top:
+            basis = identity_basis(d + 1)
+        else:
+            lower = memo[d - 1].basis.rows if d else ()
+            rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
+            rows += [row + (0,) for row in lower] + [(0,) + row for row in lower]
+            basis = rref(rows, ncols=d + 1)
+        memo[d] = GradedComponent(d, basis)
+    return memo[degree]
 
 
 def _artinian_bound(ideal: GradedIdeal) -> int:
-    """Degree by which the component is guaranteed full.
-
-    A coprime generator pair of degrees a, b caps the socle at a + b - 2.
-    Without such a pair the truncation is the cap; lacking both (but with a
-    constant overall GCD, which the caller has checked) a generic top-degree
-    combination of generators is coprime to a smallest-degree generator, so
-    min + max generator degree serves.
-    """
-    best = None
-    gens = ideal.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gcd_forms(gens[i], gens[j]).degree == 0:
-                cand = gens[i].degree + gens[j].degree - 1
-                if best is None or cand < best:
-                    best = cand
+    """Degree by which the component is guaranteed full: the truncation if
+    present, else 2D - 1 for D the largest generator degree.  The caller has
+    checked that the generators have no common factor, so the gcd of I_D,
+    spanned by multiples of the generators, is 1.  So I_D holds two coprime
+    forms of degree D; they generate a complete intersection of socle degree
+    2D - 2 inside I, and the socle degree of I is at most 2D - 2."""
     if ideal.truncation is not None:
-        return ideal.truncation if best is None else min(best, ideal.truncation)
-    if best is None:
-        degs = sorted(g.degree for g in gens)
-        best = degs[0] + degs[-1] - 1
-    return best
+        return ideal.truncation
+    return 2 * max(g.degree for g in ideal.generators) - 1
 
 
 def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     """The sequence t_d = dim K[x,y]_d / I_d, trailing zeros removed.
 
+    Components are built upward until the first full one (see ``component``).
     Raises NotArtinian when the generators share a nonconstant factor and no
     truncation is present (infinite colength).
     """
@@ -149,30 +144,23 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     if ideal.truncation is None:
         if not ideal.generators:
             raise NotArtinian("no generators and no truncation")
-        g = ideal.generators[0]
-        for h in ideal.generators[1:]:
-            g = gcd_forms(g, h)
+        g = reduce(gcd_forms, ideal.generators)
         if g.degree >= 1:
             raise NotArtinian("not Artinian: common factor %s" % format_form(g))
-        bound = _artinian_bound(ideal)
-    else:
-        bound = _artinian_bound(ideal) if ideal.generators else ideal.truncation
+    bound = _artinian_bound(ideal)
 
     ts = []
-    d = 0
     prev_rank = 0
-    while True:
+    for d in range(bound + 2):
         r = component(ideal, d).rank
         if prev_rank > 0 and r < prev_rank + 1:
             raise AssertionError("component ranks stalled at degree %d" % d)
         prev_rank = r
-        t = d + 1 - r
-        if t == 0:
+        if r == d + 1:
             break
-        ts.append(t)
-        d += 1
-        if d > bound + 1:
-            raise AssertionError("exceeded termination bound %d" % bound)
+        ts.append(d + 1 - r)
+    else:
+        raise AssertionError("exceeded termination bound %d" % bound)
     seq = tuple(ts)
     ideal._sequence = seq
     return seq

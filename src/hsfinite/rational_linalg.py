@@ -1,19 +1,28 @@
 """Exact rational row spaces in reduced row-echelon form.
 
-Scalars are ``fractions.Fraction`` throughout: always in lowest terms with a
-positive denominator, and no operation ever rounds.  A subspace is stored as
-its RREF grid, which is a canonical representative, so span equality is a
-literal grid comparison instead of a pair of containment checks.
+Scalars are ``fractions.Fraction`` at the interface, and no operation ever
+rounds.  Inside, ``rref`` eliminates over the integers: rows are scaled to
+integers, combined fraction-free (Gauss-Jordan, each updated row divided by
+its content; cf. Bareiss, *Math. Comp.* 1968) and made unit-pivot
+``Fraction`` rows only at the end.  A subspace is stored as its RREF grid,
+which is a canonical representative, so span equality is a literal grid
+comparison instead of a pair of containment checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _as_row(vec):
-    return tuple(Fraction(c) for c in vec)
+def _integer_row(vec):
+    """A positive integer multiple of a row of ints and Fractions."""
+    scale = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (scale // c.denominator) for c in vec]
 
 
 @dataclass(frozen=True)
@@ -38,13 +47,19 @@ class RowBasis:
         return tuple(cols)
 
 
+def identity_basis(ncols: int) -> RowBasis:
+    """The whole space, whose RREF grid is the identity."""
+    return RowBasis(ncols, tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (ncols - 1 - i)
+                                 for i in range(ncols)))
+
+
 def rref(rows, ncols: int | None = None) -> RowBasis:
-    """Reduced row-echelon basis of the span of ``rows``.
+    """Reduced row-echelon basis of the span of ``rows`` (ints or Fractions).
 
     ``ncols`` is only needed when ``rows`` is empty; otherwise it is inferred
     and every row must have that length.
     """
-    mat = [list(_as_row(r)) for r in rows]
+    mat = [_integer_row(r) for r in rows]
     if not mat:
         if ncols is None:
             raise ValueError("rref of no rows needs an explicit column count")
@@ -54,38 +69,36 @@ def rref(rows, ncols: int | None = None) -> RowBasis:
         raise ValueError("declared column count %d != row length %d" % (ncols, width))
     if width < 1:
         raise ValueError("rows must have length >= 1")
-    for r in mat:
-        if len(r) != width:
-            raise ValueError("ragged input: row lengths differ")
+    if any(len(r) != width for r in mat):
+        raise ValueError("ragged input: row lengths differ")
 
-    pivot_row = 0
+    pivots = []
     for col in range(width):
-        src = None
-        for i in range(pivot_row, len(mat)):
-            if mat[i][col] != 0:
-                src = i
-                break
+        rank = len(pivots)
+        src = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if src is None:
             continue
-        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        inv = 1 / mat[pivot_row][col]
-        mat[pivot_row] = [c * inv for c in mat[pivot_row]]
-        for i in range(len(mat)):
-            if i != pivot_row and mat[i][col] != 0:
-                f = mat[i][col]
-                row_p = mat[pivot_row]
-                mat[i] = [a - f * b for a, b in zip(mat[i], row_p)]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    kept = tuple(tuple(r) for r in mat[:pivot_row] if any(c != 0 for c in r))
-    return RowBasis(width, kept)
+        mat[rank], mat[src] = mat[src], mat[rank]
+        row_p = mat[rank]
+        p = row_p[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != rank:
+                row = [p * a - f * b for a, b in zip(row, row_p)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    # rows past the rank were reduced to zero; divide the rest by their pivot
+    return RowBasis(width, tuple(
+        tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
+              for a in row)
+        for row, col in zip(mat, pivots)))
 
 
 def contains(basis: RowBasis, vec) -> bool:
     """True iff ``vec`` lies in the row span: the residual after eliminating
     against every pivot is zero."""
-    v = list(_as_row(vec))
+    v = [Fraction(c) for c in vec]
     if len(v) != basis.ncols:
         raise ValueError("vector length %d != column count %d" % (len(v), basis.ncols))
     for row, col in zip(basis.rows, basis.pivot_columns()):

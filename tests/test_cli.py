@@ -66,6 +66,12 @@ class TestHs:
         path = write(tmp_path, "bad.ideal", "x^2 + y\n")
         assert run(capsys, "hs", path)[0] == 2
 
+    def test_oversized_exponent(self, capsys, tmp_path):
+        path = write(tmp_path, "big.ideal", "x^100000000\ny^2\n")
+        code, out, err = run(capsys, "hs", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected an exponent of at most 1000")
+
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "hs", str(tmp_path / "nope.ideal"))[0] == 2
 

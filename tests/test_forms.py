@@ -23,6 +23,7 @@ from hsfinite import (
     scale,
     substitute,
 )
+from hsfinite.forms import MAX_EXPONENT
 
 
 def F(text):
@@ -62,6 +63,12 @@ class TestParsing:
     def test_syntax_errors(self):
         for bad in ("x^", "3/0*x", "x**y", "x +", "", "x^2 % y"):
             with pytest.raises(ParseError):
+                F(bad)
+
+    def test_exponent_limit(self):
+        assert F("x^%d*y" % MAX_EXPONENT).degree == MAX_EXPONENT + 1
+        for bad in ("x^%d" % (MAX_EXPONENT + 1), "y^100000000", "3*x^2*y^100000000"):
+            with pytest.raises(ParseError, match="exponent of at most %d" % MAX_EXPONENT):
                 F(bad)
 
     def test_whitespace_insensitive(self):

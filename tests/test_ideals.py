@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from componentwise import reference_component
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -13,9 +14,11 @@ from hsfinite import (
     PairingUndefined,
     ParseError,
     binary_form,
+    classify,
     common_factor,
     component,
     contains,
+    enumerate_sequences,
     equal_ideals,
     form_to_vector,
     format_ideal,
@@ -23,10 +26,13 @@ from hsfinite import (
     monomial,
     multiplicity_partition,
     multiply,
+    normal_forms,
     parse_form,
     parse_ideal_text,
     power_pairing,
+    sample_ideal,
     substitute_ideal,
+    validate,
     verify_factor_structure,
 )
 
@@ -71,6 +77,34 @@ class TestComponent:
         assert comp.rank == 4
         assert component(GradedIdeal([], truncation=3), 2).rank == 0
 
+    def test_matches_all_multiples_reference(self):
+        """``component`` against the all-multiples reference at every degree
+        up to one past the first full one, on every normal form up to
+        colength 12 and on sampled ideals and their images.  Degrees are
+        asked in a shuffled order, so some are filled from a memoized degree
+        in the middle, and some above the truncation come first."""
+        rng = random.Random(7)
+        cases = []
+        for colength in range(3, 13):
+            for entries in enumerate_sequences(colength):
+                label = classify(validate(entries))
+                if label.finite:
+                    cases.extend(e.ideal for e in normal_forms(label))
+                for seed in range(2 if colength <= 9 else 0):
+                    sample = sample_ideal(entries, seed)
+                    cases += [sample, substitute_ideal(sample, _random_change(rng))]
+        assert len(cases) == 114 + 4 * 23
+        for case in cases:
+            refs = []
+            while not refs or refs[-1].rank < len(refs):
+                refs.append(reference_component(case, len(refs)))
+            refs.append(reference_component(case, len(refs)))
+            fresh = GradedIdeal(case.generators, case.truncation)
+            order = list(range(len(refs)))
+            rng.shuffle(order)
+            for d in order:
+                assert component(fresh, d).basis == refs[d], (case, d)
+
 
 class TestHilbertSamuel:
     def test_power_ideal(self):
@@ -89,12 +123,17 @@ class TestHilbertSamuel:
         assert hilbert_samuel(ideal("x*y", truncate=4)) == (1, 2, 2, 2)
 
     def test_no_coprime_pair_but_artinian(self):
-        # pairwise gcds are x, y, x+y, yet the三 generators are jointly coprime
+        # pairwise gcds are x, y, x+y, yet the three generators are jointly coprime
         seq = hilbert_samuel(ideal("x*y", "x^2 + x*y", "x*y + y^2"))
         assert seq == (1, 2)
 
     def test_mixed_degrees(self):
         assert hilbert_samuel(ideal("x^2", "x*y", "y^5")) == (1, 2, 1, 1, 1)
+
+    def test_guard_from_largest_generator_degree(self):
+        # the guard is 2 * 5 - 1 = 9, above the degree 5 + 2 - 1 = 6 that
+        # the coprime pair gives and where the walk stops
+        assert hilbert_samuel(ideal("x^5", "y^2")) == (1, 2, 2, 2, 2, 1)
 
 
 class TestFactorStructure:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsfinite import RowBasis, contains, rref, spaces_equal
 
@@ -103,3 +105,63 @@ def test_spaces_equal_is_equivalence_on_shuffled_spans():
             factor = Fraction(rng.randint(-3, 3))
             mixed[0] = [a + factor * b for a, b in zip(mixed[0], mixed[1])]
         assert spaces_equal(rref(mat), rref(mixed))
+
+
+def _reference_rref(rows, width):
+    """Gauss-Jordan elimination in Fraction arithmetic, the algorithm the
+    integer kernel replaced: unit pivot first, then clear its column."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    pivot_row = 0
+    for col in range(width):
+        src = next((i for i in range(pivot_row, len(mat)) if mat[i][col] != 0), None)
+        if src is None:
+            continue
+        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
+        inv = 1 / mat[pivot_row][col]
+        mat[pivot_row] = [c * inv for c in mat[pivot_row]]
+        for i in range(len(mat)):
+            if i != pivot_row and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:pivot_row] if any(c != 0 for c in r))
+
+
+_BIG = 10 ** 40
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Width and rows of ints and Fractions, with zero rows, repeated rows
+    and combinations of rows mixed in so that the rank drops."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                         max_size=6))
+    for kind in draw(st.lists(st.sampled_from(("zero", "copy", "combination")),
+                              max_size=4)):
+        if kind == "zero" or not rows:
+            rows.append(draw(st.sampled_from(([0] * width, [Fraction(0)] * width))))
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(_ENTRIES)
+            rows.append([u + c * v for u, v in zip(a, b)])
+    return width, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_matrices())
+def test_rref_matches_fraction_gauss_jordan(case):
+    width, rows = case
+    basis = rref(rows, ncols=width)
+    assert basis.rows == _reference_rref(rows, width)
+    assert all(type(c) is Fraction for row in basis.rows for c in row)
