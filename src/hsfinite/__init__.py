@@ -21,10 +21,7 @@ from .rational_linalg import RowBasis, contains, rref, spaces_equal
 from .forms import (
     BinaryForm,
     LinearChange,
-    X,
-    Y,
     ZERO,
-    add,
     binary_form,
     divides,
     form_divide,
@@ -51,7 +48,6 @@ from .ideals import (
     monomials,
     parse_ideal_text,
     power_pairing,
-    socle_degree,
     substitute_ideal,
     vector_to_form,
     verify_factor_structure,

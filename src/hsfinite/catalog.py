@@ -27,13 +27,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
 from .forms import (
     BinaryForm,
     LinearChange,
+    _adjugate,
+    _maps_point,
+    _normalize_point,
+    _point_map_matrix,
+    _primitive_change,
     binary_form,
     form_divide,
     gcd_forms,
@@ -52,12 +55,13 @@ from .ideals import (
     format_ideal,
     hilbert_samuel,
     monomials,
+    multiples,
     power_pairing,
+    shifted_rows,
     substitute_ideal,
-    vector_to_form,
 )
 from .rational_linalg import contains, rref
-from .sequences import HSSequence, TypeLabel, sequence_for_label, validate
+from .sequences import HSSequence, TypeLabel, sequence_for_label, tail_runs, validate
 
 
 @dataclass(frozen=True)
@@ -71,17 +75,10 @@ def _f(text):
     return parse_form(text)
 
 
-def _multiples(form, degree_of_cofactors):
-    return [multiply(m, form) for m in monomials(degree_of_cofactors)]
-
-
 def _completion_cubics(quadric_pair):
     """Monomial cubics missing from the span of (x, y) * the quadric pair."""
-    rows = []
-    for q in quadric_pair:
-        for m in monomials(1):
-            rows.append(form_to_vector(multiply(m, q), 3))
-    basis = rref(rows, ncols=4)
+    basis = rref([form_to_vector(g, 3) for q in quadric_pair for g in multiples(q, 1)],
+                 ncols=4)
     pivots = set(basis.pivot_columns())
     missing = [j for j in range(4) if j not in pivots]
     return [monomials(3)[j] for j in missing]
@@ -137,11 +134,11 @@ def normal_forms(label: TypeLabel) -> list:
             gens += [multiply(x, c) for c in _completion_cubics(pair)]
             entry(GradedIdeal(gens, 5 + k), "pencil <%s, %s> times x" % (a, b))
     elif kind == "T5":
-        entry(GradedIdeal(_multiples(_f("x"), n - 1), n + k + 1), "factor x")
+        entry(GradedIdeal(multiples(_f("x"), n - 1), n + k + 1), "factor x")
     elif kind == "T6":
         nc = max(n, 2)
         for h in ("x*y", "x^2"):
-            entry(GradedIdeal(_multiples(_f(h), nc - 2), n + k + 1), "factor " + h)
+            entry(GradedIdeal(multiples(_f(h), nc - 2), n + k + 1), "factor " + h)
     elif kind == "T7":
         nc = max(n, 2)
         big = n + k + 1
@@ -160,13 +157,13 @@ def normal_forms(label: TypeLabel) -> list:
                 ("x^2", "x*y^%d" % (big - 1)),
             ]
         for f_text, h_text in pairs:
-            gens = _multiples(_f(f_text), nc - 2) + [_f(h_text)]
+            gens = multiples(_f(f_text), nc - 2) + [_f(h_text)]
             entry(GradedIdeal(gens, big + l), "pair (%s, %s)" % (f_text, h_text))
     elif kind == "T8":
         nc = max(n, 3)
         cubics = [("x^2*y + x*y^2", "x*y*(x+y)"), ("x^2*y", "x^2*y"), ("x^3", "x^3")]
         for text, name in cubics:
-            entry(GradedIdeal(_multiples(_f(text), nc - 3), n + k + 1),
+            entry(GradedIdeal(multiples(_f(text), nc - 3), n + k + 1),
                   "factor " + name)
     elif kind == "T9":
         nc = max(n, 3)
@@ -175,8 +172,8 @@ def normal_forms(label: TypeLabel) -> list:
                   ("x^2*y", "y", "y | x^2*y"),
                   ("x^3", "x", "x | x^3")]
         for f_text, h_text, name in chains:
-            gens = _multiples(_f(f_text), nc - 3)
-            gens += _multiples(_f(h_text), n + k)
+            gens = multiples(_f(f_text), nc - 3)
+            gens += multiples(_f(h_text), n + k)
             entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
     elif kind == "T10":
         nc = max(n, 3)
@@ -185,8 +182,8 @@ def normal_forms(label: TypeLabel) -> list:
                   ("x^2*y", "x*y", "x*y | x^2*y"),
                   ("x^3", "x^2", "x^2 | x^3")]
         for f_text, g_text, name in chains:
-            gens = _multiples(_f(f_text), nc - 3)
-            gens += _multiples(_f(g_text), n + k - 1)
+            gens = multiples(_f(f_text), nc - 3)
+            gens += multiples(_f(g_text), n + k - 1)
             entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
     elif kind == "T11":
         nc = max(n, 3)
@@ -198,9 +195,9 @@ def normal_forms(label: TypeLabel) -> list:
             ("x^3", "x^2", "x", "x | x^2 | x^3"),
         ]
         for f_text, g_text, h_text, name in chains:
-            gens = _multiples(_f(f_text), nc - 3)
-            gens += _multiples(_f(g_text), n + k - 1)
-            gens += _multiples(_f(h_text), n + k + l)
+            gens = multiples(_f(f_text), nc - 3)
+            gens += multiples(_f(g_text), n + k - 1)
+            gens += multiples(_f(h_text), n + k + l)
             entry(GradedIdeal(gens, n + k + l + s + 1), "chain " + name)
     else:
         raise InvalidParameters("unknown label kind %r" % kind)
@@ -252,14 +249,14 @@ class StructuralInvariant:
         return None
 
 
+@dataclass(frozen=True)
 class _Analysis:
     """Invariant plus the exact rational root data behind it."""
 
-    def __init__(self, invariant, run_factors, theta_form, pencil_lines):
-        self.invariant = invariant
-        self.run_factors = run_factors      # list of BinaryForm
-        self.theta_form = theta_form        # BinaryForm or None
-        self.pencil_lines = pencil_lines    # {degree: [(point, mult), ...]}
+    invariant: StructuralInvariant
+    run_factors: list               # of BinaryForm
+    theta_form: BinaryForm | None
+    pencil_lines: dict              # {degree: [(point, mult), ...]}
 
     def marked_roles(self):
         """Ordered (tag, {point: multiplicity}) pairs of rational root data."""
@@ -278,37 +275,14 @@ class _Analysis:
         return roles
 
 
-def _normalize_point(uv):
-    u, v = Fraction(uv[0]), Fraction(uv[1])
-    if u != 0:
-        return (Fraction(1), v / u)
-    if v == 0:
-        raise ValueError("(0, 0) is not a projective point")
-    return (Fraction(0), Fraction(1))
-
-
-def _blocks(entries):
-    out = []
-    for i, t in enumerate(entries):
-        if out and out[-1][2] == t:
-            out[-1][1] = i
-        else:
-            out.append([i, i, t])
-    return [(a, b, v) for a, b, v in out]
-
-
 def _analyze(ideal: GradedIdeal) -> _Analysis:
-    cached = getattr(ideal, "_analysis", None)
-    if cached is not None:
-        return cached
+    if ideal._analysis is not None:
+        return ideal._analysis
     seq = hilbert_samuel(ideal)
     nc = HSSequence(seq).n  # components below it are zero
     run_data = []
     run_factors = []
-    for start, end, value in _blocks(seq):
-        start = max(start, nc)
-        if start > end:
-            continue
+    for start, end, value in tail_runs(seq, nc):
         factor = common_factor(ideal, start)
         run_factors.append(factor)
         part = multiplicity_partition(factor) if factor.degree > 0 else ()
@@ -352,9 +326,8 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         theta_pattern=theta_pattern,
         pencil_patterns=tuple(pencil_patterns),
     )
-    analysis = _Analysis(invariant, run_factors, theta_form, pencil_lines)
-    ideal._analysis = analysis
-    return analysis
+    ideal._analysis = _Analysis(invariant, run_factors, theta_form, pencil_lines)
+    return ideal._analysis
 
 
 def structural_invariant(ideal: GradedIdeal) -> StructuralInvariant:
@@ -374,74 +347,20 @@ class IsoVerdict:
             return "Distinguished(%s)" % self.field
         return "Unknown"
 
+    def to_dict(self) -> dict:
+        """The verdict, witness and field of the ``iso`` and catalog JSON."""
+        witness = None if self.witness is None else \
+            [[str(c) for c in row] for row in self.witness.matrix()]
+        return {"verdict": self.kind, "witness": witness, "field": self.field}
+
 
 def format_change(change: LinearChange) -> str:
-    def fmt(q):
-        return str(q.numerator) if q.denominator == 1 else str(q)
-
     (a, b), (c, d) = change.matrix()
-    return "[[%s, %s], [%s, %s]]" % (fmt(a), fmt(b), fmt(c), fmt(d))
+    return "[[%s, %s], [%s, %s]]" % (a, b, c, d)
 
 
 _PALETTE = tuple(_normalize_point(p) for p in (
     (0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1)))
-
-
-def _mat_mul(m1, m2):
-    return (
-        (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
-         m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-        (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
-         m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
-    )
-
-
-def _mat_inv(m):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det == 0:
-        return None
-    return ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
-
-
-def _basis_matrix(p1, p2, p3):
-    det = p1[0] * p2[1] - p1[1] * p2[0]
-    if det == 0:
-        return None
-    lam = (p3[0] * p2[1] - p3[1] * p2[0]) / det
-    mu = (p1[0] * p3[1] - p1[1] * p3[0]) / det
-    if lam == 0 or mu == 0:
-        return None
-    return ((lam * p1[0], mu * p2[0]), (lam * p1[1], mu * p2[1]))
-
-
-def _point_map_matrix(ps, qs):
-    """The projective map sending three points to three points, or None."""
-    P = _basis_matrix(*ps)
-    Q = _basis_matrix(*qs)
-    if P is None or Q is None:
-        return None
-    P_inv = _mat_inv(P)
-    if P_inv is None:
-        return None
-    return _mat_mul(Q, P_inv)
-
-
-def _maps_point(m, p, q):
-    iu = m[0][0] * p[0] + m[0][1] * p[1]
-    iv = m[1][0] * p[0] + m[1][1] * p[1]
-    return iu * q[1] - iv * q[0] == 0 and (iu != 0 or iv != 0)
-
-
-def _primitive_change(matrix) -> LinearChange:
-    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
-    denom = _int_lcm(*[q.denominator for q in flat])
-    ints = [int(q * denom) for q in flat]
-    g = _int_gcd(*[abs(v) for v in ints if v] or [1])
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return LinearChange(*ints)
 
 
 def _role_matchings(roles_left, roles_right):
@@ -497,18 +416,18 @@ def _candidate_changes(analysis_left, analysis_right):
     yield LinearChange.identity()
     yield LinearChange.swap()
     seen = {LinearChange.identity().matrix(), LinearChange.swap().matrix()}
+    budget = 800
 
     def emit(matrix):
-        for m in (matrix, _mat_inv(matrix)):
-            if m is None:
-                continue
+        nonlocal budget
+        for m in (matrix, _adjugate(matrix)):
             change = _primitive_change(m)
             key = change.matrix()
             if key not in seen:
                 seen.add(key)
+                budget -= 1
                 yield change
 
-    budget = 800
     for pins in _role_matchings(analysis_left.marked_roles(),
                                 analysis_right.marked_roles()):
         ps = [p for p, _ in pins]
@@ -516,9 +435,7 @@ def _candidate_changes(analysis_left, analysis_right):
         if len(pins) >= 3:
             m = _point_map_matrix(tuple(ps[:3]), tuple(qs[:3]))
             if m is not None and all(_maps_point(m, p, q) for p, q in pins):
-                for change in emit(m):
-                    yield change
-                    budget -= 1
+                yield from emit(m)
             continue
         free_left = [p for p in _PALETTE if p not in ps]
         free_right = [q for q in _PALETTE if q not in qs]
@@ -535,9 +452,7 @@ def _candidate_changes(analysis_left, analysis_right):
                 continue
             if not all(_maps_point(m, p, q) for p, q in pins):
                 continue
-            for change in emit(m):
-                yield change
-                budget -= 1
+            yield from emit(m)
         if budget <= 0:
             return
 
@@ -556,7 +471,7 @@ def are_isomorphic(left: GradedIdeal, right: GradedIdeal) -> IsoVerdict:
     return IsoVerdict("unknown")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogReport:
     label: TypeLabel
     entries: list
@@ -583,17 +498,7 @@ class CatalogReport:
                 }
                 for i, e in enumerate(self.entries)
             ],
-            "pairwise": [
-                {
-                    "left": i,
-                    "right": j,
-                    "verdict": v.kind,
-                    "witness": None if v.witness is None
-                    else [[str(c) for c in row] for row in v.witness.matrix()],
-                    "field": v.field,
-                }
-                for i, j, v in self.pairwise
-            ],
+            "pairwise": [dict(v.to_dict(), left=i, right=j) for i, j, v in self.pairwise],
             "classes": self.classes,
             "class_count": self.class_count,
             "unknown_pairs": self.unknown_pairs,
@@ -656,21 +561,12 @@ def _random_form(rng, degree):
             return binary_form(cs)
 
 
-def _structured_runs(entries, nc):
-    """(start, end, value) for maximal constant blocks of length >= 2,
-    clipped to degrees >= nc where components are nonzero."""
-    runs = []
-    for start, end, value in _blocks(entries):
-        if end - start + 1 >= 2 and end >= nc:
-            runs.append((max(start, nc), end, value))
-    return runs
-
-
 def _try_sample(seq: HSSequence, rng):
     entries = seq.entries
     nc = seq.n
     last = len(entries) - 1
-    runs = _structured_runs(entries, nc)
+    # the runs of length >= 2; one of value nc also holds degree nc - 1
+    runs = [r for r in tail_runs(entries, nc) if r[1] > r[0] or r[2] == nc]
 
     factors = {}
     nxt = None
@@ -695,25 +591,21 @@ def _try_sample(seq: HSSequence, rng):
         return None
 
     generators = []
-    prev_forms = []
+    prev_rows = ()
     for d in range(nc, last + 1):
         target_rank = d + 1 - entries[d]
-        carried = []
-        for b in prev_forms:
-            for m in monomials(1):
-                carried.append(form_to_vector(multiply(m, b), d))
+        carried = shifted_rows(prev_rows)
         here = run_at(d)
         if here is not None:
             h = factors[(here[0], here[1])]
-            required = rref(
-                [form_to_vector(multiply(m, h), d) for m in monomials(d - h.degree)],
-                ncols=d + 1)
+            run_forms = multiples(h, d - h.degree)
+            required = rref([form_to_vector(g, d) for g in run_forms], ncols=d + 1)
             if required.rank != target_rank:
                 return None
             if not all(contains(required, row) for row in carried):
                 return None
             if d == here[0]:
-                generators.extend(multiply(m, h) for m in monomials(d - h.degree))
+                generators.extend(run_forms)
             basis = required
         else:
             basis = rref(carried, ncols=d + 1)
@@ -734,7 +626,7 @@ def _try_sample(seq: HSSequence, rng):
                     continue
                 generators.append(cand)
                 basis = rref(list(basis.rows) + [vec], ncols=d + 1)
-        prev_forms = [vector_to_form(row) for row in basis.rows]
+        prev_rows = basis.rows
     return GradedIdeal(generators, truncation=last + 1)
 
 
@@ -757,7 +649,7 @@ def _principal_chain_sample(seq: HSSequence, rng):
     generators = []
     for d in range(nc, last + 1):
         c = chain[d]
-        generators.extend(multiply(m, c) for m in monomials(d - c.degree))
+        generators.extend(multiples(c, d - c.degree))
     return GradedIdeal(generators, truncation=last + 1)
 
 

@@ -152,12 +152,7 @@ def cmd_iso(args):
     right = _read_ideal(args.right)
     verdict = are_isomorphic(left, right)
     if args.json:
-        _emit_json({
-            "verdict": verdict.kind,
-            "witness": None if verdict.witness is None
-            else [[str(c) for c in row] for row in verdict.witness.matrix()],
-            "field": verdict.field,
-        })
+        _emit_json(verdict.to_dict())
     else:
         print(str(verdict))
     return EXIT_OK

@@ -2,12 +2,24 @@
 
 DomainError subclasses signal mathematically meaningful refusals (the CLI maps
 them to exit code 3), ParseError covers malformed text input (exit code 2) and
-SamplingFailed is the one retry-budget failure (exit code 4).
+SamplingFailed is the one retry-budget failure (exit code 4).  Every parser
+reads its digit runs through ``parse_natural``, so none leaks a ValueError.
 """
 
 
 class ParseError(ValueError):
     """Malformed polynomial, ideal file or sequence text."""
+
+
+def parse_natural(digits: str, what: str) -> int:
+    """int(digits) for text that passed ``str.isdigit``, raising ParseError
+    where int() refuses it: more digits than the interpreter converts
+    (``sys.get_int_max_str_digits``), or digits outside 0-9."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("cannot read %s as an integer (%d characters)"
+                         % (what, len(digits))) from None
 
 
 class InhomogeneousInput(ParseError):

@@ -9,6 +9,9 @@ Root data over the algebraic closure is computed without ever materializing a
 root: squarefree decomposition (Yun's algorithm, valid in characteristic 0)
 delivers the multiplicity structure, and only *rational* roots are ever
 extracted as points, via divisor candidates of the outer integer coefficients.
+
+The form operations are thin wrappers over one kernel of coefficient-list
+operations; the 2x2 matrices of linear changes live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InhomogeneousInput, ParseError, SingularChange
+from .errors import InhomogeneousInput, ParseError, SingularChange, parse_natural
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, x_power: int) -> Fraction:
-        return self.coeffs[x_power]
-
     def __str__(self):
         return format_form(self)
 
@@ -45,7 +45,7 @@ ZERO = BinaryForm(())
 def binary_form(coeffs) -> BinaryForm:
     """Build a form from ascending x-power coefficients, normalizing the
     all-zero vector to the canonical zero form."""
-    cs = tuple(Fraction(c) for c in coeffs)
+    cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
     if all(c == 0 for c in cs):
         return ZERO
     return BinaryForm(cs)
@@ -55,20 +55,6 @@ def monomial(x_power: int, y_power: int) -> BinaryForm:
     cs = [Fraction(0)] * (x_power + y_power + 1)
     cs[x_power] = Fraction(1)
     return BinaryForm(tuple(cs))
-
-
-X = monomial(1, 0)
-Y = monomial(0, 1)
-
-
-def add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
-    if f.degree != g.degree:
-        raise ValueError("cannot add forms of degrees %d and %d" % (f.degree, g.degree))
-    return binary_form(a + b for a, b in zip(f.coeffs, g.coeffs))
 
 
 def scale(f: BinaryForm, c) -> BinaryForm:
@@ -82,30 +68,14 @@ def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Product form; degrees add and coefficients convolve exactly."""
     if f.is_zero or g.is_zero:
         return ZERO
-    out = [Fraction(0)] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if b != 0:
-                out[i + j] += a * b
-    return BinaryForm(tuple(out))
+    return BinaryForm(tuple(_convolve(f.coeffs, g.coeffs)))
 
 
 def monic(f: BinaryForm) -> BinaryForm:
     """Scale so the first nonzero coefficient from the x^d end equals 1."""
     if f.is_zero:
         raise ValueError("the zero form has no monic normalization")
-    for i in range(f.degree, -1, -1):
-        if f.coeffs[i] != 0:
-            return scale(f, 1 / f.coeffs[i])
-    raise AssertionError("unreachable: nonzero form with no nonzero coefficient")
-
-
-def x_valuation(f: BinaryForm) -> int:
-    if f.is_zero:
-        raise ValueError("zero form has no valuation")
-    return next(i for i, c in enumerate(f.coeffs) if c != 0)
+    return BinaryForm(tuple(_monic(f.coeffs)))
 
 
 def y_valuation(f: BinaryForm) -> int:
@@ -150,6 +120,82 @@ class LinearChange:
         return cls(0, 1, 1, 0)
 
 
+# ---------------------------------------------------------------------------
+# 2x2 matrices as nested tuples.  A projective map matters only up to a
+# nonzero scalar, so no entry is divided: inverses are adjugates, and
+# ``_primitive_change`` fixes the scale when it builds the LinearChange.
+# ---------------------------------------------------------------------------
+
+
+def _mat_mul(m1, m2):
+    return (
+        (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
+         m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
+        (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
+         m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
+    )
+
+
+def _adjugate(m):
+    """The inverse of m times its determinant."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def _basis_matrix(p1, p2, p3):
+    """Columns on p1 and p2 that sum to a point on p3, or None unless the
+    three points are distinct.  The columns are scaled by the Cramer
+    numerators of p3 in the basis p1, p2."""
+    det = p1[0] * p2[1] - p1[1] * p2[0]
+    if det == 0:
+        return None
+    lam = p3[0] * p2[1] - p3[1] * p2[0]
+    mu = p1[0] * p3[1] - p1[1] * p3[0]
+    if lam == 0 or mu == 0:
+        return None
+    return ((lam * p1[0], mu * p2[0]), (lam * p1[1], mu * p2[1]))
+
+
+def _point_map_matrix(ps, qs):
+    """The projective map sending three points to three points, up to a
+    nonzero scalar, or None."""
+    P = _basis_matrix(*ps)
+    Q = _basis_matrix(*qs)
+    if P is None or Q is None:
+        return None
+    return _mat_mul(Q, _adjugate(P))
+
+
+def _normalize_point(uv):
+    """The projective point of a nonzero pair, as (1, t) or (0, 1)."""
+    u, v = Fraction(uv[0]), Fraction(uv[1])
+    if u != 0:
+        return (Fraction(1), v / u)
+    if v == 0:
+        raise ValueError("(0, 0) is not a projective point")
+    return (Fraction(0), Fraction(1))
+
+
+def _maps_point(m, p, q):
+    iu = m[0][0] * p[0] + m[0][1] * p[1]
+    iv = m[1][0] * p[0] + m[1][1] * p[1]
+    return iu * q[1] - iv * q[0] == 0 and (iu != 0 or iv != 0)
+
+
+def _primitive_change(matrix) -> LinearChange:
+    """The change with coprime integer entries, first nonzero one positive,
+    on the line of a nonzero rational matrix."""
+    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
+    denom = math.lcm(*[q.denominator for q in flat])
+    ints = [int(q * denom) for q in flat]
+    g = math.gcd(*[abs(v) for v in ints if v] or [1])
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return LinearChange(*ints)
+
+
 def substitute(f: BinaryForm, change: LinearChange) -> BinaryForm:
     """f(a*x + b*y, c*x + d*y): same degree, exact coefficients."""
     return substitute_forms([f], change)[0]
@@ -180,54 +226,59 @@ def substitute_forms(forms, change: LinearChange) -> list:
         basis = bases.get(deg)
         if basis is None:
             while len(pow_x) <= deg:
-                pow_x.append(_int_convolve(pow_x[-1], (b, a)))
-                pow_y.append(_int_convolve(pow_y[-1], (d, c)))
+                pow_x.append(_convolve(pow_x[-1], (b, a)))
+                pow_y.append(_convolve(pow_y[-1], (d, c)))
             # entry i is the image of x^i * y^(deg - i)
-            basis = bases[deg] = [_int_convolve(pow_x[i], pow_y[deg - i])
+            basis = bases[deg] = [_convolve(pow_x[i], pow_y[deg - i])
                                   for i in range(deg + 1)]
         scale_f = math.lcm(*(q.denominator for q in f.coeffs))
         acc = [0] * (deg + 1)
         for q, image in zip(f.coeffs, basis):
             if q:
-                n = q.numerator * (scale_f // q.denominator)
-                for k, v in enumerate(image):
-                    acc[k] += n * v
+                _addmul(acc, q.numerator * (scale_f // q.denominator), image)
         total = scale_f * den ** deg
         # nonzero, since an invertible change maps nonzero forms to nonzero forms
         out.append(BinaryForm(tuple(Fraction(v, total) for v in acc)))
     return out
 
 
-def _int_convolve(p, q):
-    """Product of two integer coefficient sequences, length kept in full."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, u in enumerate(p):
-        if u:
-            for j, v in enumerate(q):
-                out[i + j] += u * v
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Univariate helpers over Fraction (coefficient lists, ascending powers).
-# A form dehomogenizes to f(x, 1) whose ascending coefficient list is exactly
-# f.coeffs, which keeps the two worlds in lockstep.
+# The polynomial kernel over coefficient lists, ascending powers.  A form
+# dehomogenizes to f(x, 1), whose list is exactly f.coeffs.  ``_convolve``
+# and ``_addmul`` also serve the integer lists of ``substitute_forms``.
 # ---------------------------------------------------------------------------
 
 
-def _utrim(p):
+def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _udeg(p):
+def _deg(p):
     return len(p) - 1
 
 
-def _udivmod(num, den):
-    num = _utrim(list(num))
-    den = _utrim(list(den))
+def _addmul(acc, c, p, shift=0):
+    """acc[shift + k] += c * p[k] in place, skipping the zero entries of p."""
+    for k, v in enumerate(p, shift):
+        if v:
+            acc[k] += c * v
+
+
+def _convolve(p, q):
+    """Product of two coefficient lists, length kept in full, with entries of
+    the type of p's: a Fraction zero keeps Fraction sums on their fast path."""
+    out = [p[0] * 0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        if u:
+            _addmul(out, u, q, i)
+    return out
+
+
+def _divmod(num, den):
+    num = _trim(list(num))
+    den = _trim(list(den))
     if not den:
         raise ZeroDivisionError("univariate division by zero")
     if len(num) < len(den):
@@ -240,69 +291,73 @@ def _udivmod(num, den):
         quo[shift] = c
         for i, dc in enumerate(den):
             num[shift + i] -= c * dc
-        _utrim(num)
-    return _utrim(quo), num
+        _trim(num)
+    return _trim(quo), num
 
 
-def _umul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _utrim(out)
+def _monic(p):
+    """p divided by its last nonzero entry."""
+    lead = next(c for c in reversed(p) if c)
+    return [c / lead for c in p]
 
 
-def _umonic(p):
-    return [c / p[-1] for c in p]
-
-
-def _ugcd(p, q):
-    p = _utrim(list(p))
-    q = _utrim(list(q))
+def _gcd(p, q):
+    p = _trim(list(p))
+    q = _trim(list(q))
     while q:
-        _, r = _udivmod(p, q)
+        _, r = _divmod(p, q)
         p, q = q, r
     if not p:
         raise ValueError("gcd of two zero polynomials")
-    return _umonic(p)
+    return _monic(p)
 
 
-def _uderiv(p):
-    return _utrim([i * c for i, c in enumerate(p)][1:])
+def _deriv(p):
+    return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _usub(p, q):
+def _sub(p, q):
     width = max(len(p), len(q))
-    return _utrim([(p[j] if j < len(p) else Fraction(0)) -
-                   (q[j] if j < len(q) else Fraction(0)) for j in range(width)])
+    return _trim([(p[j] if j < len(p) else Fraction(0)) -
+                  (q[j] if j < len(q) else Fraction(0)) for j in range(width)])
 
 
-def _usquarefree(p):
+def _squarefree(p):
     """Yun's squarefree decomposition: list of (monic squarefree factor, mult)
     with p = const * prod factor^mult."""
-    p = _umonic(_utrim(list(p)))
-    if _udeg(p) < 1:
+    p = _monic(_trim(list(p)))
+    if _deg(p) < 1:
         return []
-    dp = _uderiv(p)
-    g = _ugcd(p, dp)
-    c, _ = _udivmod(p, g)
-    dq, _ = _udivmod(dp, g)
-    d = _usub(dq, _uderiv(c))
+    dp = _deriv(p)
+    g = _gcd(p, dp)
+    c, _ = _divmod(p, g)
+    dq, _ = _divmod(dp, g)
+    d = _sub(dq, _deriv(c))
     out = []
     i = 1
-    while _udeg(c) > 0:
-        s = _ugcd(c, d) if d else _umonic(list(c))
-        if _udeg(s) > 0:
+    while _deg(c) > 0:
+        s = _gcd(c, d) if d else _monic(c)
+        if _deg(s) > 0:
             out.append((s, i))
-        c, _ = _udivmod(c, s)
-        ds, _ = _udivmod(d, s) if d else ([], [])
-        d = _usub(ds, _uderiv(c))
+        c, _ = _divmod(c, s)
+        ds, _ = _divmod(d, s) if d else ([], [])
+        d = _sub(ds, _deriv(c))
         i += 1
     return out
+
+
+def _padded(p, degree) -> BinaryForm:
+    """The form of ``degree`` with coefficient list p: p times a y-power."""
+    return binary_form(list(p) + [0] * (degree + 1 - len(p)))
+
+
+def _quotient(f, h):
+    """Coefficient list of f / h for nonzero forms, or None when h does not
+    divide f."""
+    if h.degree > f.degree or y_valuation(h) > y_valuation(f):
+        return None
+    quo, rem = _divmod(f.coeffs, h.coeffs)
+    return None if rem else quo
 
 
 def multiplicity_partition(f: BinaryForm) -> tuple:
@@ -318,9 +373,8 @@ def multiplicity_partition(f: BinaryForm) -> tuple:
     yv = y_valuation(f)
     if yv > 0:
         parts.append(yv)
-    p = _utrim(list(f.coeffs))
-    for factor, mult in _usquarefree(p):
-        parts.extend([mult] * _udeg(factor))
+    for factor, mult in _squarefree(f.coeffs):
+        parts.extend([mult] * _deg(factor))
     parts.sort(reverse=True)
     assert sum(parts) == f.degree
     return tuple(parts)
@@ -330,14 +384,7 @@ def divides(h: BinaryForm, f: BinaryForm) -> bool:
     """Exact polynomial division test: is f = h * q for some form q?"""
     if h.is_zero:
         raise ValueError("division test by the zero form")
-    if f.is_zero:
-        return True
-    if h.degree > f.degree:
-        return False
-    if y_valuation(h) > y_valuation(f):
-        return False
-    _, rem = _udivmod(list(f.coeffs), _utrim(list(h.coeffs)))
-    return not rem
+    return f.is_zero or _quotient(f, h) is not None
 
 
 def form_divide(f: BinaryForm, h: BinaryForm) -> BinaryForm:
@@ -346,14 +393,10 @@ def form_divide(f: BinaryForm, h: BinaryForm) -> BinaryForm:
         raise ZeroDivisionError("division by the zero form")
     if f.is_zero:
         return ZERO
-    if h.degree > f.degree or y_valuation(h) > y_valuation(f):
+    quo = _quotient(f, h)
+    if quo is None:
         raise ValueError("%s does not divide %s" % (format_form(h), format_form(f)))
-    quo, rem = _udivmod(list(f.coeffs), _utrim(list(h.coeffs)))
-    if rem:
-        raise ValueError("%s does not divide %s" % (format_form(h), format_form(f)))
-    d = f.degree - h.degree
-    cs = list(quo) + [Fraction(0)] * (d + 1 - len(quo))
-    return binary_form(cs)
+    return _padded(quo, f.degree - h.degree)
 
 
 def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -366,10 +409,8 @@ def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         return monic(f)
     yv = min(y_valuation(f), y_valuation(g))
-    core = _ugcd(_utrim(list(f.coeffs)), _utrim(list(g.coeffs)))
-    d = _udeg(core) + yv
-    cs = list(core) + [Fraction(0)] * (d + 1 - len(core))
-    return monic(binary_form(cs))
+    core = _gcd(f.coeffs, g.coeffs)
+    return _padded(core, _deg(core) + yv)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +489,9 @@ def _divisors(n):
     return sorted(divs)
 
 
-def _urational_roots(p):
+def _rational_roots(p):
     """Rational roots with multiplicities of a nonzero Fraction polynomial."""
-    p = _utrim(list(p))
+    p = _trim(list(p))
     roots = []
     v = 0
     while p and p[0] == 0:
@@ -458,7 +499,7 @@ def _urational_roots(p):
         v += 1
     if v:
         roots.append((Fraction(0), v))
-    if _udeg(p) < 1:
+    if _deg(p) < 1:
         return roots
     den_lcm = math.lcm(*[c.denominator for c in p])
     ip = [int(c * den_lcm) for c in p]
@@ -471,13 +512,13 @@ def _urational_roots(p):
             cands.add(Fraction(-num, den))
     for r in sorted(cands):
         mult = 0
-        while _udeg(p) >= 1:
+        while _deg(p) >= 1:
             val = Fraction(0)
             for c in reversed(p):
                 val = val * r + c
             if val != 0:
                 break
-            p, rem = _udivmod(p, [-r, Fraction(1)])
+            p, rem = _divmod(p, [-r, Fraction(1)])
             assert not rem
             mult += 1
         if mult:
@@ -494,11 +535,8 @@ def rational_root_points(f: BinaryForm) -> list:
     yv = y_valuation(f)
     if yv > 0:
         pts.append(((Fraction(1), Fraction(0)), yv))
-    for r, mult in _urational_roots(list(f.coeffs)):
-        if r == 0:
-            pts.append(((Fraction(0), Fraction(1)), mult))
-        else:
-            pts.append(((Fraction(1), Fraction(1) / r), mult))
+    for r, mult in _rational_roots(f.coeffs):
+        pts.append((_normalize_point((r, 1)), mult))
     return sorted(pts)
 
 
@@ -539,7 +577,7 @@ class _Scanner:
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected a number at position %d in %r" % (start, self.text))
-        return int(self.text[start:self.pos])
+        return parse_natural(self.text[start:self.pos], "the number at position %d" % start)
 
     def fail(self, what):
         raise ParseError("expected %s at position %d in %r" % (what, self.pos, self.text))

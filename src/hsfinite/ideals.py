@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb
 
-from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError
+from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError, parse_natural
 from .forms import (
     BinaryForm,
     binary_form,
@@ -31,6 +31,17 @@ from .rational_linalg import RowBasis, contains, identity_basis, rref, spaces_eq
 def monomials(degree: int) -> list:
     """All monomials of a degree, highest x-power first."""
     return [monomial(i, degree - i) for i in range(degree, -1, -1)]
+
+
+def multiples(form: BinaryForm, cofactor_degree: int) -> list:
+    """The products m * form over ``monomials(cofactor_degree)``, in order."""
+    return [multiply(m, form) for m in monomials(cofactor_degree)]
+
+
+def shifted_rows(rows) -> list:
+    """x * rows, then y * rows, for coefficient rows of one degree: x times a
+    row is the row with a 0 appended, y times it the row with a 0 prepended."""
+    return [row + (0,) for row in rows] + [(0,) + row for row in rows]
 
 
 def form_to_vector(f: BinaryForm, degree: int) -> tuple:
@@ -66,7 +77,8 @@ class GradedIdeal:
     writes are idempotent, so concurrent readers need no coordination.  The
     components are filled by ``component``; the sequence by ``hilbert_samuel``,
     or by ``substitute_ideal`` when it builds an image of an ideal whose
-    sequence is already known."""
+    sequence is already known; the structural analysis by the isomorphism
+    tester in ``catalog``."""
 
     def __init__(self, generators, truncation: int | None = None):
         gens = tuple(generators)
@@ -85,6 +97,7 @@ class GradedIdeal:
         self.truncation = truncation
         self._components: dict = {}
         self._sequence = None
+        self._analysis = None
 
     def __repr__(self):
         gens = ", ".join(format_form(g) for g in self.generators)
@@ -96,9 +109,8 @@ class GradedIdeal:
 def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     """RREF basis of the degree-d piece, memoized.  Missing degrees are built
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
-    span(generators of degree d), where x times a row of degree d-1 is the
-    row with a 0 appended and y times it the row with a 0 prepended.  From
-    the truncation degree on it is the whole space, without row reduction."""
+    span(generators of degree d), see ``shifted_rows``.  From the truncation
+    degree on it is the whole space, without row reduction."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -114,7 +126,7 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
         else:
             lower = memo[d - 1].basis.rows if d else ()
             rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
-            rows += [row + (0,) for row in lower] + [(0,) + row for row in lower]
+            rows += shifted_rows(lower)
             basis = rref(rows, ncols=d + 1)
         memo[d] = GradedComponent(d, basis)
     return memo[degree]
@@ -168,20 +180,16 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
     """Monic GCD of a basis of the degree-d component."""
-    comp = component(ideal, degree)
-    forms = comp.basis_forms()
+    forms = component(ideal, degree).basis_forms()
     if not forms:
         raise EmptyComponent("component of degree %d is zero" % degree)
-    g = forms[0]
-    for f in forms[1:]:
-        g = gcd_forms(g, f)
-    return monic(g)
+    return monic(reduce(gcd_forms, forms))
 
 
 def verify_factor_structure(ideal: GradedIdeal, degree: int) -> bool:
     """Does the component equal every degree-d multiple of its own GCD?"""
     h = common_factor(ideal, degree)
-    rows = [form_to_vector(multiply(m, h), degree) for m in monomials(degree - h.degree)]
+    rows = [form_to_vector(g, degree) for g in multiples(h, degree - h.degree)]
     return spaces_equal(rref(rows, ncols=degree + 1), component(ideal, degree).basis)
 
 
@@ -218,11 +226,6 @@ def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:
     # an invertible linear change is a graded automorphism of K[x, y]
     image._sequence = ideal._sequence
     return image
-
-
-def socle_degree(ideal: GradedIdeal) -> int:
-    """Last degree with t_d > 0 (-1 for the zero sequence, which cannot occur)."""
-    return len(hilbert_samuel(ideal)) - 1
 
 
 def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
@@ -267,7 +270,7 @@ def parse_ideal_text(text: str) -> GradedIdeal:
             if not body.isdigit():
                 raise ParseError("line %d: truncation degree must be a positive integer"
                                  % lineno)
-            truncation = int(body)
+            truncation = parse_natural(body, "the truncation degree on line %d" % lineno)
             if truncation < 1:
                 raise ParseError("line %d: truncation degree must be >= 1" % lineno)
             continue

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidColength, InvalidParameters, InvalidSequence, ParseError
+from .errors import (InvalidColength, InvalidParameters, InvalidSequence, ParseError,
+                     parse_natural)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def parse_sequence_text(text: str) -> tuple:
     for p in parts:
         if not p.isdigit():
             raise ParseError("bad sequence entry %r in %r" % (p, text))
-        entries.append(int(p))
+        entries.append(parse_natural(p, "sequence entry %d" % len(entries)))
     return tuple(entries)
 
 
@@ -114,12 +115,6 @@ class TypeLabel:
     def finite(self) -> bool:
         return self.kind != "infinite"
 
-    def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def param_dict(self) -> dict:
         return dict(self.params)
 
@@ -132,15 +127,17 @@ class TypeLabel:
         return "%s(%s)" % (self.kind, inner)
 
 
-def _tail_runs(entries, n):
-    """Maximal constant runs of the tail as (value, length) pairs."""
+def tail_runs(entries, n) -> list:
+    """Maximal constant blocks of the entries from index n on, as (start,
+    end, value) with inclusive indices into ``entries``; a block that starts
+    before n is clipped to start at n."""
     runs = []
-    for t in entries[n:]:
-        if runs and runs[-1][0] == t:
-            runs[-1][1] += 1
+    for i in range(n, len(entries)):
+        if runs and runs[-1][2] == entries[i]:
+            runs[-1][1] = i
         else:
-            runs.append([t, 1])
-    return [(v, m) for v, m in runs]
+            runs.append([i, i, entries[i]])
+    return [tuple(run) for run in runs]
 
 
 def match_pattern(seq: HSSequence):
@@ -152,18 +149,19 @@ def match_pattern(seq: HSSequence):
     """
     entries = seq.entries
     nc = seq.n
-    runs = _tail_runs(entries, nc)
+    runs = tail_runs(entries, nc)
 
     if not runs:
         return TypeLabel("T1", 0, (("n", nc),), nc)
 
-    absorbed = runs[0][0] == nc
+    lengths = [end - start + 1 for start, end, _ in runs]
+    values = [v for _, _, v in runs]
+    absorbed = values[0] == nc
     table_n = nc - 1 if absorbed else nc
-    first_len = runs[0][1] + 1 if absorbed else runs[0][1]
-    values = [v for v, _ in runs]
+    first_len = lengths[0] + 1 if absorbed else lengths[0]
 
     if values == [1]:
-        m = runs[0][1]
+        m = lengths[0]
         if m == 1:
             if nc == 2:
                 return TypeLabel("T2", 2, (), nc)
@@ -178,13 +176,13 @@ def match_pattern(seq: HSSequence):
         return None
 
     if values == [2, 1]:
-        ones = runs[1][1]
+        ones = lengths[1]
         if first_len >= 2:
             dim = 3 if ones == 1 else 2
             return TypeLabel(
                 "T7", dim,
                 (("n", table_n), ("k", first_len - 1), ("l", ones)), nc)
-        if nc == 3 and runs[0][1] == 1 and ones >= 2:
+        if nc == 3 and lengths[0] == 1 and ones >= 2:
             return TypeLabel("T4", 3, (("k", ones - 1),), nc)
         return None
 
@@ -194,7 +192,7 @@ def match_pattern(seq: HSSequence):
         return None
 
     if values == [3, 1]:
-        ones = runs[1][1]
+        ones = lengths[1]
         if first_len >= 2 and ones >= 2:
             return TypeLabel(
                 "T9", 3,
@@ -202,7 +200,7 @@ def match_pattern(seq: HSSequence):
         return None
 
     if values == [3, 2]:
-        twos = runs[1][1]
+        twos = lengths[1]
         if first_len >= 2 and twos >= 2:
             return TypeLabel(
                 "T10", 3,
@@ -210,7 +208,7 @@ def match_pattern(seq: HSSequence):
         return None
 
     if values == [3, 2, 1]:
-        twos, ones = runs[1][1], runs[2][1]
+        twos, ones = lengths[1], lengths[2]
         if first_len >= 2 and twos >= 2 and ones >= 2:
             return TypeLabel(
                 "T11", 3,
@@ -253,10 +251,6 @@ _ROW_RESTRICTIONS = {
     "T10": {"n": 2, "k": 1, "l": 2},
     "T11": {"n": 2, "k": 1, "l": 2, "s": 2},
 }
-
-
-def row_parameter_names(kind: str) -> tuple:
-    return tuple(_ROW_RESTRICTIONS[kind])
 
 
 def check_row_parameters(kind: str, params: dict):

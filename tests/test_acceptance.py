@@ -37,7 +37,7 @@ from hsfinite import (
     verify_catalog,
     verify_factor_structure,
 )
-from hsfinite.sequences import row_dimension, sequence_for_row
+from hsfinite.sequences import row_dimension, sequence_for_row, tail_runs
 from hsfinite.cli import main
 
 
@@ -206,18 +206,6 @@ def test_criterion_06_theta_patterns():
     _report(6, "power-pairing patterns match on both catalogs")
 
 
-def _runs_of_length_two_or_more(entries, nc):
-    blocks = []
-    for i, t in enumerate(entries):
-        if blocks and blocks[-1][2] == t:
-            blocks[-1][1] = i
-        else:
-            blocks.append([i, i, t])
-    for start, end, value in blocks:
-        if end - start + 1 >= 2 and end >= nc:
-            yield max(start, nc), end, value
-
-
 def test_criterion_07_factor_structure_on_samples():
     shapes = [
         (1, 2, 2, 2),
@@ -237,7 +225,9 @@ def test_criterion_07_factor_structure_on_samples():
         seq = validate(entries)
         ideal = sample_ideal(seq, seed)
         assert hilbert_samuel(ideal) == entries
-        for start, end, value in _runs_of_length_two_or_more(entries, seq.n):
+        for start, end, value in tail_runs(entries, seq.n):
+            if start == end and value != seq.n:
+                continue  # one degree only; a run of value n also holds degree n - 1
             for degree in range(start, end + 1):
                 assert common_factor(ideal, degree).degree == value, (entries, seed)
                 assert verify_factor_structure(ideal, degree), (entries, seed)

@@ -1,5 +1,6 @@
 """Normal-form catalogs, invariants, the isomorphism tester and the sampler."""
 
+import dataclasses
 import itertools
 import random
 
@@ -296,6 +297,11 @@ class TestVerifyCatalog:
                 assert componentwise_equal(
                     substitute_ideal(report.entries[i].ideal, v.witness),
                     report.entries[j].ideal)
+
+    def test_report_is_frozen(self):
+        report = verify_catalog(label_for((1, 2, 1)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.classes = []
 
     def test_report_dict_is_stable(self):
         import json

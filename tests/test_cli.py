@@ -75,8 +75,19 @@ class TestHs:
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "hs", str(tmp_path / "nope.ideal"))[0] == 2
 
+    def test_number_over_the_digit_limit(self, capsys, tmp_path):
+        path = write(tmp_path, "long.ideal", "%s*x\ny\n" % ("1" * 5000))
+        code, out, err = run(capsys, "hs", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read the number at position 0")
+
 
 class TestClassify:
+    def test_entry_over_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "classify", "1,2," + "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read sequence entry 2")
+
     def test_finite(self, capsys):
         assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
 

@@ -1,9 +1,12 @@
 """Binary form arithmetic, parsing and root analysis."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsfinite import (
     InhomogeneousInput,
@@ -23,7 +26,13 @@ from hsfinite import (
     scale,
     substitute,
 )
-from hsfinite.forms import MAX_EXPONENT
+from hsfinite.forms import (
+    MAX_EXPONENT,
+    _adjugate,
+    _normalize_point,
+    _point_map_matrix,
+    _primitive_change,
+)
 
 
 def F(text):
@@ -69,6 +78,13 @@ class TestParsing:
         assert F("x^%d*y" % MAX_EXPONENT).degree == MAX_EXPONENT + 1
         for bad in ("x^%d" % (MAX_EXPONENT + 1), "y^100000000", "3*x^2*y^100000000"):
             with pytest.raises(ParseError, match="exponent of at most %d" % MAX_EXPONENT):
+                F(bad)
+
+    def test_unreadable_number_is_a_parse_error(self):
+        # int() refuses more digits than sys.get_int_max_str_digits() (4300
+        # by default) and non-ASCII digits that str.isdigit() admits
+        for bad in ("1" * 5000 + "*x", "x^" + "1" * 5000, "3/" + "7" * 5000 + "*y", "x^\u00b2"):
+            with pytest.raises(ParseError, match="cannot read"):
                 F(bad)
 
     def test_whitespace_insensitive(self):
@@ -210,3 +226,40 @@ class TestDivision:
             h = _random_form(rng, rng.randint(1, 3))
             assert divides(h, multiply(f, h))
             assert form_divide(multiply(f, h), h) == f
+
+
+points = st.tuples(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)).filter(
+    lambda uv: uv != (0, 0)).map(_normalize_point)
+matrices = st.tuples(*[st.fractions(-6, 6, max_denominator=5)] * 4).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: ((e[0], e[1]), (e[2], e[3])))
+PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestPointMaps:
+    @PROPERTIES
+    @given(st.lists(points, min_size=3, max_size=3, unique=True),
+           st.lists(points, min_size=3, max_size=3, unique=True))
+    def test_point_map_sends_each_point_to_its_image(self, ps, qs):
+        m = _point_map_matrix(tuple(ps), tuple(qs))
+        assert m[0][0] * m[1][1] != m[0][1] * m[1][0]
+        for (u, v), q in zip(ps, qs):
+            image = (m[0][0] * u + m[0][1] * v, m[1][0] * u + m[1][1] * v)
+            assert _normalize_point(image) == q
+
+    @PROPERTIES
+    @given(matrices, st.fractions(-7, 7, max_denominator=5).filter(bool))
+    def test_primitive_change_ignores_the_scale(self, m, c):
+        change = _primitive_change(m)
+        entries = [change.a, change.b, change.c, change.d]
+        assert all(e.denominator == 1 for e in entries)
+        assert next(e for e in entries if e) > 0
+        assert math.gcd(*(e.numerator for e in entries)) == 1
+        for factor in (c, -c):
+            scaled = tuple(tuple(factor * e for e in row) for row in m)
+            assert _primitive_change(scaled) == change
+
+    @PROPERTIES
+    @given(matrices)
+    def test_adjugate_gives_the_primitive_inverse(self, m):
+        inverse = LinearChange(m[0][0], m[0][1], m[1][0], m[1][1]).inverse()
+        assert _primitive_change(_adjugate(m)) == _primitive_change(inverse.matrix())

@@ -296,6 +296,10 @@ class TestIdealText:
             with pytest.raises(ParseError):
                 parse_ideal_text(bad)
 
+    def test_unreadable_truncation_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="truncation degree on line 2"):
+            parse_ideal_text("x^2\ntruncate: %s\ny^2\n" % ("1" * 5000))
+
     def test_zero_generator_rejected_directly(self):
         with pytest.raises(ValueError):
             GradedIdeal([binary_form((0,))])

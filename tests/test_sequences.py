@@ -16,7 +16,7 @@ from hsfinite import (
     sequence_for_row,
     validate,
 )
-from hsfinite.sequences import check_row_parameters, row_dimension
+from hsfinite.sequences import check_row_parameters, row_dimension, tail_runs
 from hsfinite.errors import InvalidParameters
 
 
@@ -184,5 +184,27 @@ class TestSequenceText:
             with pytest.raises(ParseError):
                 parse_sequence_text(bad)
 
+    def test_unreadable_entry_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="sequence entry 2"):
+            parse_sequence_text("1,2," + "1" * 5000)
+
     def test_format(self):
         assert format_sequence((1, 2, 1)) == "(1, 2, 1)"
+
+
+class TestTailRuns:
+    def test_empty_tail(self):
+        assert tail_runs((1, 2, 3), 3) == []
+
+    def test_one_run(self):
+        assert tail_runs((1, 2, 3, 2, 2), 3) == [(3, 4, 2)]
+
+    def test_all_equal_entries(self):
+        assert tail_runs((1, 1, 1, 1), 0) == [(0, 3, 1)]
+        assert tail_runs((1, 1, 1, 1), 2) == [(2, 3, 1)]
+
+    def test_run_clipped_at_n(self):
+        # the block of 3s spans indices 2..3; the tail starts at n = 3
+        entries = (1, 2, 3, 3, 2, 2, 1)
+        assert validate(entries).n == 3
+        assert tail_runs(entries, 3) == [(3, 3, 3), (4, 5, 2), (6, 6, 1)]
