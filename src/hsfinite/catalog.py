@@ -24,6 +24,7 @@ carrying one ideal onto the other, so the tester works in three layers:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .forms import (
     _normalize_point,
     _point_map_matrix,
     _primitive_change,
+    _RootData,
     binary_form,
     form_divide,
     gcd_forms,
@@ -44,7 +46,6 @@ from .forms import (
     multiplicity_partition,
     multiply,
     parse_form,
-    rational_root_points,
 )
 from .ideals import (
     GradedIdeal,
@@ -254,19 +255,17 @@ class _Analysis:
     """Invariant plus the exact rational root data behind it."""
 
     invariant: StructuralInvariant
-    run_factors: list               # of BinaryForm
-    theta_form: BinaryForm | None
+    run_roots: list                 # [(run index, _RootData), ...]
+    theta_roots: _RootData | None
     pencil_lines: dict              # {degree: [(point, mult), ...]}
 
+    @functools.cached_property
     def marked_roles(self):
         """Ordered (tag, {point: multiplicity}) pairs of rational root data."""
-        roles = []
-        for i, h in enumerate(self.run_factors):
-            if h.degree >= 1:
-                roles.append((("run", i), dict(rational_root_points(h))))
-        if self.theta_form is not None:
+        roles = [(("run", i), dict(roots.points)) for i, roots in self.run_roots]
+        if self.theta_roots is not None:
             pts = {}
-            for (a0, b0), mult in rational_root_points(self.theta_form):
+            for (a0, b0), mult in self.theta_roots.points:
                 line_root = _normalize_point((-b0, a0))
                 pts[line_root] = pts.get(line_root, 0) + mult
             roles.append((("theta",), pts))
@@ -282,22 +281,27 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     nc = HSSequence(seq).n  # components below it are zero
     run_data = []
     run_factors = []
+    run_roots = []
     for start, end, value in tail_runs(seq, nc):
         factor = common_factor(ideal, start)
+        part = ()
+        if factor.degree > 0:
+            roots = _RootData(factor)
+            run_roots.append((len(run_factors), roots))
+            part = roots.partition
         run_factors.append(factor)
-        part = multiplicity_partition(factor) if factor.degree > 0 else ()
         run_data.append((start, end, value, part))
     pair_gcds = []
     for i in range(len(run_factors)):
         for j in range(i + 1, len(run_factors)):
             g = gcd_forms(run_factors[i], run_factors[j])
             pair_gcds.append(multiplicity_partition(g) if g.degree > 0 else ())
-    theta_form = None
+    theta_roots = None
     theta_pattern = None
     for m in range(1, len(seq)):
         if seq[m] == 1:
-            theta_form = power_pairing(ideal, m)
-            theta_pattern = multiplicity_partition(theta_form)
+            theta_roots = _RootData(power_pairing(ideal, m))
+            theta_pattern = theta_roots.partition
             break
     pencil_patterns = []
     pencil_lines = {}
@@ -309,14 +313,15 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         reduced = [form_divide(b, h) for b in comp.basis_forms()]
         if reduced[0].degree != 2:
             continue
-        disc = pencil_discriminant(reduced[0], reduced[1])
-        pencil_patterns.append((d, multiplicity_partition(disc)))
+        disc = _RootData(pencil_discriminant(reduced[0], reduced[1]))
+        pencil_patterns.append((d, disc.partition))
         lines = {}
-        for (a0, b0), mult in rational_root_points(disc):
-            member = binary_form(
-                a0 * c1 + b0 * c2
-                for c1, c2 in zip(reduced[0].coeffs, reduced[1].coeffs))
-            (pt, _two), = rational_root_points(member)
+        for (a0, b0), mult in disc.points:
+            # the member at a root of disc is (u*x + v*y)^2 up to scale: its
+            # coefficients are v^2, 2uv, u^2 and its point is (-v : u)
+            c0, c1, c2 = (a0 * p + b0 * q
+                          for p, q in zip(reduced[0].coeffs, reduced[1].coeffs))
+            pt = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
             lines[pt] = lines.get(pt, 0) + mult
         pencil_lines[d] = sorted(lines.items())
     invariant = StructuralInvariant(
@@ -326,7 +331,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         theta_pattern=theta_pattern,
         pencil_patterns=tuple(pencil_patterns),
     )
-    ideal._analysis = _Analysis(invariant, run_factors, theta_form, pencil_lines)
+    ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_lines)
     return ideal._analysis
 
 
@@ -428,8 +433,8 @@ def _candidate_changes(analysis_left, analysis_right):
                 budget -= 1
                 yield change
 
-    for pins in _role_matchings(analysis_left.marked_roles(),
-                                analysis_right.marked_roles()):
+    for pins in _role_matchings(analysis_left.marked_roles,
+                                analysis_right.marked_roles):
         ps = [p for p, _ in pins]
         qs = [q for _, q in pins]
         if len(pins) >= 3:

@@ -20,7 +20,6 @@ from .sequences import (
     classify,
     enumerate_sequences,
     format_sequence,
-    gt_dimension,
     parse_sequence_text,
     validate,
 )

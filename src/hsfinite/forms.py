@@ -8,7 +8,7 @@ y).  The zero form is the empty tuple, project-wide.
 Root data over the algebraic closure is computed without ever materializing a
 root: squarefree decomposition (Yun's algorithm, valid in characteristic 0)
 delivers the multiplicity structure, and only *rational* roots are ever
-extracted as points, via divisor candidates of the outer integer coefficients.
+extracted as points, from the same squarefree layers.
 
 The form operations are thin wrappers over one kernel of coefficient-list
 operations; the 2x2 matrices of linear changes live here too.
@@ -16,6 +16,7 @@ operations; the 2x2 matrices of linear changes live here too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,6 +329,13 @@ def _squarefree(p):
     p = _monic(_trim(list(p)))
     if _deg(p) < 1:
         return []
+    # the common linear and quadratic inputs need no gcd: a monic
+    # x^2 + b*x + c is a square exactly when (b/2)^2 = c
+    if _deg(p) == 1:
+        return [(p, 1)]
+    if _deg(p) == 2:
+        half = p[1] / 2
+        return [([half, Fraction(1)], 2)] if half * half == p[0] else [(p, 1)]
     dp = _deriv(p)
     g = _gcd(p, dp)
     c, _ = _divmod(p, g)
@@ -358,26 +366,6 @@ def _quotient(f, h):
         return None
     quo, rem = _divmod(f.coeffs, h.coeffs)
     return None if rem else quo
-
-
-def multiplicity_partition(f: BinaryForm) -> tuple:
-    """Multiplicities of the roots of f on the projective line over the
-    algebraic closure, as a nonincreasing tuple summing to the degree.
-
-    The point [1:0] contributes the y-adic valuation; the rest is read off the
-    squarefree decomposition of f(x, 1).  No root is ever computed.
-    """
-    if f.is_zero:
-        raise ValueError("zero form has no root partition")
-    parts = []
-    yv = y_valuation(f)
-    if yv > 0:
-        parts.append(yv)
-    for factor, mult in _squarefree(f.coeffs):
-        parts.extend([mult] * _deg(factor))
-    parts.sort(reverse=True)
-    assert sum(parts) == f.degree
-    return tuple(parts)
 
 
 def divides(h: BinaryForm, f: BinaryForm) -> bool:
@@ -414,130 +402,136 @@ def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 # ---------------------------------------------------------------------------
-# Rational root extraction.  Candidates p/q come from divisors of the first
-# and last nonzero integer coefficients; integers are factored with
-# Miller-Rabin + Pollard-Brent so large products of small roots stay cheap.
+# Root data from one squarefree decomposition.  A Yun layer is squarefree,
+# so its rational roots are simple: a linear layer is read off, a quadratic
+# one takes an integer square root of its discriminant, and a higher one is
+# solved modulo a small prime, Newton-lifted p-adically and checked exactly
+# (Loos, SIAM J. Comput. 12, 1983).  No integer is ever factored.
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n):
-    if n % 2 == 0:
-        return 2
-    c = 1
+def _primes():
+    """2, 3, 5, 7, ... by trial division, generated on demand."""
+    n = 2
     while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            yield n
+        n += 1
 
 
-def _factorint(n):
-    n = abs(n)
-    out = {}
-    if n <= 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n):
-    divs = [1]
-    for p, e in sorted(_factorint(n).items()):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _rational_roots(p):
-    """Rational roots with multiplicities of a nonzero Fraction polynomial."""
-    p = _trim(list(p))
-    roots = []
+def _horner(q, r, m):
+    """q(r) mod m."""
     v = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        v += 1
-    if v:
-        roots.append((Fraction(0), v))
-    if _deg(p) < 1:
-        return roots
-    den_lcm = math.lcm(*[c.denominator for c in p])
-    ip = [int(c * den_lcm) for c in p]
-    content = math.gcd(*[abs(c) for c in ip if c])
-    ip = [c // content for c in ip]
-    cands = set()
-    for num in _divisors(ip[0]):
-        for den in _divisors(ip[-1]):
-            cands.add(Fraction(num, den))
-            cands.add(Fraction(-num, den))
-    for r in sorted(cands):
-        mult = 0
-        while _deg(p) >= 1:
-            val = Fraction(0)
-            for c in reversed(p):
-                val = val * r + c
-            if val != 0:
+    for c in reversed(q):
+        v = (v * r + c) % m
+    return v
+
+
+def _lifted_roots(q):
+    """Rational roots of a squarefree primitive integer list q of degree at
+    least 3 with q[0] != 0.
+
+    A root a/b in lowest terms has b | q[-1] and a | q[0], so t = q[-1]*a/b
+    is an integer with |t| <= |q[0]*q[-1]|.  Modulo a prime p not dividing
+    q[-1] it reduces to a root r of q; when every such r is simple, r lifts
+    uniquely to each modulus p^k, so t is q[-1]*r mod M in the symmetric
+    range once M > 2|q[0]*q[-1]|.  Each candidate is kept only if it is an
+    exact root.
+    """
+    lead = q[-1]
+    dq = _deriv(q)
+    for p in _primes():
+        if lead % p:
+            reduced = [c % p for c in q]
+            residues = [r for r in range(p) if _horner(reduced, r, p) == 0]
+            if all(_horner(dq, r, p) for r in residues):
                 break
-            p, rem = _divmod(p, [-r, Fraction(1)])
-            assert not rem
-            mult += 1
-        if mult:
-            roots.append((r, mult))
+    bound = 2 * abs(q[0] * lead)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(q, r, m) * pow(_horner(dq, r, m), -1, m)) % m
+        t = lead * r % m
+        if t > m // 2:
+            t -= m
+        # lead^n * q(t / lead), in integers
+        acc, power = lead, 1
+        for c in reversed(q[:-1]):
+            power *= lead
+            acc = acc * t + c * power
+        if acc == 0:
+            roots.append(Fraction(t, lead))
     return roots
 
 
+def _layer_roots(layer):
+    """Rational roots of a squarefree Fraction list of positive degree."""
+    den = math.lcm(*(c.denominator for c in layer))
+    q = [c.numerator * (den // c.denominator) for c in layer]
+    content = math.gcd(*q)
+    q = [c // content for c in q]
+    roots = []
+    if q[0] == 0:  # x divides a squarefree layer at most once
+        roots.append(Fraction(0))
+        q = q[1:]
+    if len(q) == 2:
+        roots.append(Fraction(-q[0], q[1]))
+    elif len(q) == 3:
+        c, b, a = q
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc > 0 else 0
+        if s and s * s == disc:
+            roots += [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    elif len(q) > 3:
+        roots += _lifted_roots(q)
+    return roots
+
+
+class _RootData:
+    """The roots of a nonzero form from one squarefree decomposition of
+    f(x, 1): the multiplicity partition at once, the rational points when
+    first asked for.
+
+    ``partition`` lists the multiplicities of the roots on the projective
+    line over the algebraic closure, nonincreasing and summing to the
+    degree; the point [1:0] contributes the y-adic valuation.  ``points``
+    holds ((u, v), multiplicity) pairs, sorted, with points normalized to
+    (1, t) or (0, 1); irrational roots are counted in the partition but
+    never computed.
+    """
+
+    def __init__(self, f: BinaryForm):
+        if f.is_zero:
+            raise ValueError("zero form has no roots")
+        self.y_valuation = y_valuation(f)
+        self.layers = _squarefree(f.coeffs)
+        parts = [mult for layer, mult in self.layers for _ in range(_deg(layer))]
+        if self.y_valuation:
+            parts.append(self.y_valuation)
+        parts.sort(reverse=True)
+        assert sum(parts) == f.degree
+        self.partition = tuple(parts)
+
+    @functools.cached_property
+    def points(self) -> list:
+        pts = []
+        if self.y_valuation:
+            pts.append(((Fraction(1), Fraction(0)), self.y_valuation))
+        for layer, mult in self.layers:
+            pts.extend((_normalize_point((t, 1)), mult) for t in _layer_roots(layer))
+        return sorted(pts)
+
+
+def multiplicity_partition(f: BinaryForm) -> tuple:
+    """Root multiplicities of f over the algebraic closure; see _RootData."""
+    return _RootData(f).partition
+
+
 def rational_root_points(f: BinaryForm) -> list:
-    """Rational projective roots of f as ((u, v), multiplicity) pairs, with
-    points normalized to (1, t) or (0, 1).  Irrational roots are left out."""
-    if f.is_zero:
-        raise ValueError("zero form has no roots")
-    pts = []
-    yv = y_valuation(f)
-    if yv > 0:
-        pts.append(((Fraction(1), Fraction(0)), yv))
-    for r, mult in _rational_roots(f.coeffs):
-        pts.append((_normalize_point((r, 1)), mult))
-    return sorted(pts)
+    """Rational projective roots of f with multiplicities; see _RootData."""
+    return _RootData(f).points
 
 
 # ---------------------------------------------------------------------------

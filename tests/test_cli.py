@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +15,8 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
-                          "src", "hsfinite", "schemas")
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+SCHEMA_DIR = os.path.join(SRC_DIR, "hsfinite", "schemas")
 
 
 def run(capsys, *argv):
@@ -193,6 +195,20 @@ class TestIso:
         a = write(tmp_path, "a.ideal", "x^2\ny^2\ntruncate: 3\n")
         b = write(tmp_path, "b.ideal", "x*y\nx^2 - y^2\ntruncate: 3\n")
         assert run(capsys, "iso", a, b) == (0, "Unknown\n", "")
+
+    def test_semiprime_coefficient_finishes(self, tmp_path):
+        # x^2 - P*y^2 has no rational root, and P = (2^61 - 1)(2^89 - 1) is
+        # a product of two large primes: finding that out must not factor P
+        prime_product = (2 ** 61 - 1) * (2 ** 89 - 1)
+        a = write(tmp_path, "a.ideal", "x^2 - %d*y^2\nx*y\ntruncate: 3\n" % prime_product)
+        b = write(tmp_path, "b.ideal", "x^2 - y^2\nx*y\ntruncate: 3\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "hsfinite.cli", "iso", a, b],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 0
+        assert done.stdout == "Unknown\n"
+        assert "Traceback" not in done.stderr
 
     def test_json(self, capsys, tmp_path):
         a = write(tmp_path, "a.ideal", "x^2\ny^2\ntruncate: 3\n")

@@ -1,7 +1,6 @@
 """Graded components, Hilbert-Samuel sequences and the factor structure."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,6 @@ from hsfinite import (
     hilbert_samuel,
     monomial,
     multiplicity_partition,
-    multiply,
     normal_forms,
     parse_form,
     parse_ideal_text,

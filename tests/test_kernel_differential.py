@@ -4,6 +4,9 @@ Each wrapper over the coefficient-list kernel is compared with an
 independent computation in sympy: products with ``expand``, root
 multiplicities with ``sqf_list``, gcds with ``gcd`` (up to a scalar),
 rational roots with ``roots(filter='Q')`` and exact division with ``div``.
+Root data is also compared on forms with coefficients up to 10^40 over
+10^20, and on products of rational linear factors with an irreducible
+cubic, whose squarefree layers of degree 3 or more are solved p-adically.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from hsfinite import (
     gcd_forms,
     multiplicity_partition,
     multiply,
+    parse_form,
     rational_root_points,
 )
 
@@ -70,14 +74,72 @@ def test_multiply_matches_expand(f, g):
     assert sympy.expand(sym(product) - sym(f) * sym(g)) == 0
 
 
+@st.composite
+def large_factored_forms(draw):
+    """Products of powers of forms with coefficients up to 10^40 over
+    denominators up to 10^20."""
+    big = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40),
+                    st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                                 max_denominator=10 ** 20))
+    product = binary_form([draw(big.filter(bool))])
+    for degree, power in draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                                       min_size=1, max_size=3)):
+        cs = draw(st.lists(big, min_size=degree + 1, max_size=degree + 1).filter(any))
+        for _ in range(power):
+            product = multiply(product, binary_form(cs))
+    return product
+
+
+@st.composite
+def split_times_cubic(draw):
+    """At least three distinct rational linear factors, some squared, times
+    an irreducible cubic: every squarefree layer holding the cubic has
+    degree 3 or more and may have rational roots."""
+    roots = draw(st.lists(st.one_of(st.none(),
+                                    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                                 max_denominator=10 ** 3)),
+                          min_size=3, max_size=5, unique=True))
+    # Eisenstein at p: p divides every coefficient but the leading one, and
+    # p^2 does not divide the constant term
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    cubic = [p * draw(st.integers(-6, 6).filter(lambda c: c % p)),
+             p * draw(st.integers(-6, 6)), p * draw(st.integers(-6, 6)),
+             draw(st.integers(-20, 20).filter(lambda c: c % p))]
+    product = multiply(binary_form([draw(coefficients.filter(bool))]), binary_form(cubic))
+    for t in roots:
+        # None is the root (1 : 0) of y; t is the root (t : 1) of den*x - num*y
+        linear = binary_form([1, 0] if t is None else [-t.numerator, t.denominator])
+        for _ in range(draw(st.integers(1, 2))):
+            product = multiply(product, linear)
+    return product
+
+
+def sqf_partition(f):
+    _, factors = sympy.sqf_list(sym(f), x, y)
+    return tuple(sorted((mult for factor, mult in factors
+                         for _ in range(sympy.Poly(factor, x, y).total_degree())),
+                        reverse=True))
+
+
+def rational_points(f):
+    # a root t of f(x, 1) is the point (t : 1); the rest of the degree sits
+    # at (1 : 0), that is, at the y-adic valuation
+    dehomogenized = sympy.Poly(sym(f).subs(y, 1), x)
+    expected = []
+    at_infinity = f.degree - dehomogenized.degree()
+    if at_infinity:
+        expected.append(((Fraction(1), Fraction(0)), at_infinity))
+    for root, mult in sympy.roots(dehomogenized, filter="Q").items():
+        t = fraction(root)
+        point = (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / t)
+        expected.append((point, mult))
+    return sorted(expected)
+
+
 @EXAMPLES
 @given(factored_forms())
 def test_multiplicity_partition_matches_sqf_list(f):
-    _, factors = sympy.sqf_list(sym(f), x, y)
-    expected = sorted((mult for factor, mult in factors
-                       for _ in range(sympy.Poly(factor, x, y).total_degree())),
-                      reverse=True)
-    assert multiplicity_partition(f) == tuple(expected)
+    assert multiplicity_partition(f) == sqf_partition(f)
 
 
 @EXAMPLES
@@ -91,18 +153,49 @@ def test_gcd_forms_matches_sympy_up_to_scalar(a, b, c):
 @EXAMPLES
 @given(factored_forms())
 def test_rational_root_points_match_roots(f):
-    # a root t of f(x, 1) is the point (t : 1); the rest of the degree sits
-    # at (1 : 0), that is, at the y-adic valuation
-    dehomogenized = sympy.Poly(sym(f).subs(y, 1), x)
-    expected = []
-    at_infinity = f.degree - dehomogenized.degree()
-    if at_infinity:
-        expected.append(((Fraction(1), Fraction(0)), at_infinity))
-    for root, mult in sympy.roots(dehomogenized, filter="Q").items():
-        t = fraction(root)
-        point = (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / t)
-        expected.append((point, mult))
-    assert rational_root_points(f) == sorted(expected)
+    assert rational_root_points(f) == rational_points(f)
+
+
+@EXAMPLES
+@given(large_factored_forms())
+def test_large_coefficient_root_data_matches_sympy(f):
+    assert multiplicity_partition(f) == sqf_partition(f)
+    assert rational_root_points(f) == rational_points(f)
+
+
+@EXAMPLES
+@given(split_times_cubic())
+def test_cubic_product_root_data_matches_sympy(f):
+    assert multiplicity_partition(f) == sqf_partition(f)
+    assert rational_root_points(f) == rational_points(f)
+
+
+def point(t):
+    return (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / Fraction(t))
+
+
+def test_roots_colliding_modulo_small_primes():
+    # 1, 106 and 211 agree modulo 2, 3, 5 and 7, so the first prime at
+    # which all roots of the layer are simple is 11
+    f = multiply(multiply(parse_form("x - y"), parse_form("x - 106*y")),
+                 parse_form("x - 211*y"))
+    assert rational_root_points(f) == sorted((point(t), 1) for t in (1, 106, 211))
+
+
+@pytest.mark.parametrize("t", [200, -200])
+def test_root_near_the_lifting_bound(t):
+    # (x - t*y)(x^2 + x*y + y^2) is lifted modulo powers of 2; the root is
+    # recovered only once the modulus exceeds 2|t| = 2|q_0 * q_n|
+    f = multiply(parse_form("x - %d*y" % t if t > 0 else "x + %d*y" % -t),
+                 parse_form("x^2 + x*y + y^2"))
+    assert rational_root_points(f) == [(point(t), 1)]
+
+
+def test_lifted_residue_that_is_no_root():
+    # x^3 - 2 has the simple root 3 modulo 5, whose 5-adic lift is not
+    # rational; the exact check must reject it
+    assert rational_root_points(parse_form("x^3 - 2*y^3")) == []
+    assert multiplicity_partition(parse_form("x^3 - 2*y^3")) == (1, 1, 1)
 
 
 @EXAMPLES
