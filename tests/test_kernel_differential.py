@@ -121,6 +121,11 @@ def sqf_partition(f):
                         reverse=True))
 
 
+def point(t):
+    """The normalized projective point (t : 1)."""
+    return (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / Fraction(t))
+
+
 def rational_points(f):
     # a root t of f(x, 1) is the point (t : 1); the rest of the degree sits
     # at (1 : 0), that is, at the y-adic valuation
@@ -130,9 +135,7 @@ def rational_points(f):
     if at_infinity:
         expected.append(((Fraction(1), Fraction(0)), at_infinity))
     for root, mult in sympy.roots(dehomogenized, filter="Q").items():
-        t = fraction(root)
-        point = (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / t)
-        expected.append((point, mult))
+        expected.append((point(fraction(root)), mult))
     return sorted(expected)
 
 
@@ -168,10 +171,6 @@ def test_large_coefficient_root_data_matches_sympy(f):
 def test_cubic_product_root_data_matches_sympy(f):
     assert multiplicity_partition(f) == sqf_partition(f)
     assert rational_root_points(f) == rational_points(f)
-
-
-def point(t):
-    return (Fraction(0), Fraction(1)) if t == 0 else (Fraction(1), 1 / Fraction(t))
 
 
 def test_roots_colliding_modulo_small_primes():
