@@ -630,8 +630,8 @@ def _try_sample(seq: HSSequence, rng):
                 if contains(basis, vec):
                     continue
                 generators.append(cand)
-                basis = rref(list(basis.rows) + [vec], ncols=d + 1)
-        prev_rows = basis.rows
+                basis = rref(list(basis.integer_rows) + [vec], ncols=d + 1)
+        prev_rows = basis.integer_rows
     return GradedIdeal(generators, truncation=last + 1)
 
 

@@ -14,9 +14,10 @@ import os
 import sys
 
 from .catalog import normal_forms, are_isomorphic, sample_ideal, verify_catalog
-from .errors import DomainError, InvalidColength, ParseError, SamplingFailed
+from .errors import DomainError, InvalidParameters, ParseError, SamplingFailed
 from .ideals import format_ideal, hilbert_samuel, parse_ideal_text
 from .sequences import (
+    check_colength,
     classify,
     enumerate_sequences,
     format_sequence,
@@ -29,6 +30,10 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_SAMPLING = 4
+
+# Largest ``sample --count``, checked before any ideal is sampled: each
+# sample is one file in the output directory.
+MAX_SAMPLE_COUNT = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +92,7 @@ def cmd_enumerate(args):
     if args.colength is not None:
         colengths = [args.colength]
     else:
-        if args.max_colength < 3:
-            raise InvalidColength("colength must be >= 3")
+        check_colength(args.max_colength)
         colengths = list(range(3, args.max_colength + 1))
     rows = []
     for n_total in colengths:
@@ -167,6 +171,9 @@ def cmd_diagram(args):
 
 
 def cmd_sample(args):
+    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
+        raise InvalidParameters("--count must be between 1 and %d, got %d"
+                                % (MAX_SAMPLE_COUNT, args.count))
     seq = validate(parse_sequence_text(args.sequence))
     os.makedirs(args.out, exist_ok=True)
     paths = []

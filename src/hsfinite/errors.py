@@ -51,7 +51,7 @@ class InvalidSequence(DomainError):
 
 
 class InvalidColength(DomainError):
-    """Enumeration requested below the smallest admissible colength."""
+    """Enumeration requested outside the admissible colengths."""
 
 
 class NoCatalog(DomainError):
@@ -59,7 +59,8 @@ class NoCatalog(DomainError):
 
 
 class InvalidParameters(DomainError):
-    """Catalog label with missing or out-of-range parameters."""
+    """Catalog label or sample count with missing or out-of-range
+    parameters."""
 
 
 class InvalidPencil(DomainError):

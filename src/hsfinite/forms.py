@@ -11,7 +11,10 @@ delivers the multiplicity structure, and only *rational* roots are ever
 extracted as points, from the same squarefree layers.
 
 The form operations are thin wrappers over one kernel of coefficient-list
-operations; the 2x2 matrices of linear changes live here too.
+operations; the 2x2 matrices of linear changes live here too.  Division,
+gcds and squarefree decomposition run on primitive integer lists (Euclid as
+Brown's primitive remainder sequence), and ``Fraction`` returns only in the
+forms they hand back.
 """
 
 from __future__ import annotations
@@ -247,6 +250,17 @@ def substitute_forms(forms, change: LinearChange) -> list:
 # The polynomial kernel over coefficient lists, ascending powers.  A form
 # dehomogenizes to f(x, 1), whose list is exactly f.coeffs.  ``_convolve``
 # and ``_addmul`` also serve the integer lists of ``substitute_forms``.
+#
+# Division, Euclid and Yun run on integer lists.  A rational list is scaled
+# to its primitive part (content 1, positive lead), which has the same
+# roots and the same divisors up to constants.  Gauss's lemma makes a
+# product of primitive lists primitive, so a primitive q that divides an
+# integer list p over Q leaves an integer quotient: ``_divide`` then meets
+# only exact integer divisions.  Euclid is the primitive polynomial
+# remainder sequence (Brown, J. ACM 18, 1971): the pseudo-remainder of
+# lead(q)^(deg p - deg q + 1) * p by q is an integer list, and dividing it
+# by its content keeps the coefficients from growing along the sequence.
+# Rationals return only at the boundary, in the monic results.
 # ---------------------------------------------------------------------------
 
 
@@ -277,79 +291,106 @@ def _convolve(p, q):
     return out
 
 
-def _divmod(num, den):
-    num = _trim(list(num))
-    den = _trim(list(den))
-    if not den:
-        raise ZeroDivisionError("univariate division by zero")
-    if len(num) < len(den):
-        return [], num
-    quo = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    while num and len(num) >= len(den):
-        shift = len(num) - len(den)
-        c = num[-1] / lead
-        quo[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-        _trim(num)
-    return _trim(quo), num
+def _primitive(p):
+    """A nonzero integer list divided by its content, with positive lead."""
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return p if g == 1 else [c // g for c in p]
+
+
+def _integer_list(coeffs):
+    """The primitive integer list of a nonzero rational list, trimmed."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive(_trim([c.numerator * (den // c.denominator) for c in coeffs]))
+
+
+def _divide(p, q):
+    """(quotient, remainder) of integer lists p by q, trimmed q, or None when
+    a quotient coefficient is not an integer."""
+    r = list(p)
+    n = len(q)
+    lead = q[-1]
+    quo = [0] * max(len(r) - n + 1, 0)
+    for shift in range(len(r) - n, -1, -1):
+        c, m = divmod(r[shift + n - 1], lead)
+        if m:
+            return None
+        if c:
+            quo[shift] = c
+            _addmul(r, -c, q, shift)
+    return quo, _trim(r[:n - 1])
+
+
+def _exact_quotient(p, q):
+    """p / q for integer lists when q divides p over the integers, else
+    None.  For a primitive q this is division over Q (Gauss's lemma)."""
+    result = _divide(p, q)
+    if result is None or result[1]:
+        return None
+    return result[0]
 
 
 def _monic(p):
-    """p divided by its last nonzero entry."""
+    """p divided by its last nonzero entry, as Fractions."""
     lead = next(c for c in reversed(p) if c)
-    return [c / lead for c in p]
+    return [Fraction(c, lead) for c in p]
 
 
 def _gcd(p, q):
-    p = _trim(list(p))
-    q = _trim(list(q))
-    while q:
-        _, r = _divmod(p, q)
+    """Primitive gcd of two nonzero trimmed integer lists, by the primitive
+    remainder sequence: each member is divided by its content."""
+    if len(p) < len(q):
+        p, q = q, p
+    while True:
+        q = _primitive(q)
+        if len(q) == 1:
+            return q
+        power = q[-1] ** (len(p) - len(q) + 1)
+        _, r = _divide([power * c for c in p], q)
+        if not r:
+            return q
         p, q = q, r
-    if not p:
-        raise ValueError("gcd of two zero polynomials")
-    return _monic(p)
 
 
 def _deriv(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _sub(p, q):
-    width = max(len(p), len(q))
-    return _trim([(p[j] if j < len(p) else Fraction(0)) -
-                  (q[j] if j < len(q) else Fraction(0)) for j in range(width)])
+def _minus_deriv(d, c):
+    """d - c' for integer lists."""
+    out = list(d) + [0] * (len(c) - 1 - len(d))
+    for i in range(1, len(c)):
+        out[i - 1] -= i * c[i]
+    return _trim(out)
 
 
 def _squarefree(p):
-    """Yun's squarefree decomposition: list of (monic squarefree factor, mult)
-    with p = const * prod factor^mult."""
-    p = _monic(_trim(list(p)))
+    """Yun's squarefree decomposition of a primitive integer list: list of
+    (primitive squarefree layer, mult) with p = prod layer^mult.  Every gcd
+    is primitive and divides exactly, so every quotient stays an integer
+    list."""
     if _deg(p) < 1:
         return []
-    # the common linear and quadratic inputs need no gcd: a monic
-    # x^2 + b*x + c is a square exactly when (b/2)^2 = c
+    # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
+    # is a square exactly when b^2 = 4ac, the square of 2a*x + b up to scale
     if _deg(p) == 1:
         return [(p, 1)]
     if _deg(p) == 2:
-        half = p[1] / 2
-        return [([half, Fraction(1)], 2)] if half * half == p[0] else [(p, 1)]
+        c, b, a = p
+        return [(_primitive([b, 2 * a]), 2)] if b * b == 4 * a * c else [(p, 1)]
     dp = _deriv(p)
     g = _gcd(p, dp)
-    c, _ = _divmod(p, g)
-    dq, _ = _divmod(dp, g)
-    d = _sub(dq, _deriv(c))
+    c = _exact_quotient(p, g)
+    d = _minus_deriv(_exact_quotient(dp, g), c)
     out = []
     i = 1
     while _deg(c) > 0:
-        s = _gcd(c, d) if d else _monic(c)
+        s = _gcd(c, d) if d else c
         if _deg(s) > 0:
             out.append((s, i))
-        c, _ = _divmod(c, s)
-        ds, _ = _divmod(d, s) if d else ([], [])
-        d = _sub(ds, _deriv(c))
+        c = _exact_quotient(c, s)
+        d = _minus_deriv(_exact_quotient(d, s) if d else [], c)
         i += 1
     return out
 
@@ -364,8 +405,13 @@ def _quotient(f, h):
     divide f."""
     if h.degree > f.degree or y_valuation(h) > y_valuation(f):
         return None
-    quo, rem = _divmod(f.coeffs, h.coeffs)
-    return None if rem else quo
+    quo = _exact_quotient(_integer_list(f.coeffs), _integer_list(h.coeffs))
+    if quo is None:
+        return None
+    # quo is a scalar multiple of f / h, whose lead is lead(f) / lead(h)
+    scale = (next(c for c in reversed(f.coeffs) if c)
+             / (next(c for c in reversed(h.coeffs) if c) * quo[-1]))
+    return [scale * c for c in quo]
 
 
 def divides(h: BinaryForm, f: BinaryForm) -> bool:
@@ -397,8 +443,8 @@ def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         return monic(f)
     yv = min(y_valuation(f), y_valuation(g))
-    core = _gcd(f.coeffs, g.coeffs)
-    return _padded(core, _deg(core) + yv)
+    core = _gcd(_integer_list(f.coeffs), _integer_list(g.coeffs))
+    return _padded(_monic(core), _deg(core) + yv)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +512,9 @@ def _lifted_roots(q):
     return roots
 
 
-def _layer_roots(layer):
-    """Rational roots of a squarefree Fraction list of positive degree."""
-    den = math.lcm(*(c.denominator for c in layer))
-    q = [c.numerator * (den // c.denominator) for c in layer]
-    content = math.gcd(*q)
-    q = [c // content for c in q]
+def _layer_roots(q):
+    """Rational roots of a squarefree primitive integer list of positive
+    degree."""
     roots = []
     if q[0] == 0:  # x divides a squarefree layer at most once
         roots.append(Fraction(0))
@@ -506,7 +549,7 @@ class _RootData:
         if f.is_zero:
             raise ValueError("zero form has no roots")
         self.y_valuation = y_valuation(f)
-        self.layers = _squarefree(f.coeffs)
+        self.layers = _squarefree(_integer_list(f.coeffs))
         parts = [mult for layer, mult in self.layers for _ in range(_deg(layer))]
         if self.y_valuation:
             parts.append(self.y_valuation)

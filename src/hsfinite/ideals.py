@@ -16,6 +16,10 @@ from math import comb
 from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError, parse_natural
 from .forms import (
     BinaryForm,
+    _gcd,
+    _monic,
+    _padded,
+    _trim,
     binary_form,
     format_form,
     gcd_forms,
@@ -109,8 +113,9 @@ class GradedIdeal:
 def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     """RREF basis of the degree-d piece, memoized.  Missing degrees are built
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
-    span(generators of degree d), see ``shifted_rows``.  From the truncation
-    degree on it is the whole space, without row reduction."""
+    span(generators of degree d), see ``shifted_rows``, which shifts the
+    integer rows of I_(d-1).  From the truncation degree on it is the whole
+    space, without row reduction."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -124,7 +129,7 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
         if d >= top:
             basis = identity_basis(d + 1)
         else:
-            lower = memo[d - 1].basis.rows if d else ()
+            lower = memo[d - 1].basis.integer_rows if d else ()
             rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
             rows += shifted_rows(lower)
             basis = rref(rows, ncols=d + 1)
@@ -179,11 +184,23 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
 
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
-    """Monic GCD of a basis of the degree-d component."""
-    forms = component(ideal, degree).basis_forms()
-    if not forms:
+    """Monic GCD of a basis of the degree-d component.
+
+    Euclid runs on the integer rows.  Column j of a row is the coefficient
+    of x^(d-j) y^j, so the reversed row is the form at y = 1, and the y-adic
+    valuation of a row is its pivot column: the valuation shared by the
+    component is the pivot of the first row.  The gcd is final once it is
+    constant."""
+    rows = component(ideal, degree).basis.integer_rows
+    if not rows:
         raise EmptyComponent("component of degree %d is zero" % degree)
-    return monic(reduce(gcd_forms, forms))
+    shared_y = next(j for j, c in enumerate(rows[0]) if c)
+    core = _trim(list(rows[0][::-1]))
+    for row in rows[1:]:
+        if len(core) == 1:
+            break
+        core = _gcd(core, _trim(list(row[::-1])))
+    return _padded(_monic(core), len(core) - 1 + shared_y)
 
 
 def verify_factor_structure(ideal: GradedIdeal, degree: int) -> bool:

@@ -7,11 +7,17 @@ its content; cf. Bareiss, *Math. Comp.* 1968) and made unit-pivot
 ``Fraction`` rows only at the end.  A subspace is stored as its RREF grid,
 which is a canonical representative, so span equality is a literal grid
 comparison instead of a pair of containment checks.
+
+A ``RowBasis`` also keeps the integer rows of that grid: each RREF row
+scaled to the primitive integer row with a positive pivot.  That scaling is
+unique, so the integer rows are as canonical as the grid.  Callers that
+continue the arithmetic (the next graded component, membership tests, the
+common factor of a component) read them and never leave the integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,18 +26,41 @@ _ONE = Fraction(1)
 
 
 def _integer_row(vec):
-    """A positive integer multiple of a row of ints and Fractions."""
+    """A positive integer multiple of a row of ints and Fractions; a row of
+    ints is returned as it is."""
+    if all(type(c) is int for c in vec):
+        return vec
     scale = lcm(*(c.denominator for c in vec))
     return [c.numerator * (scale // c.denominator) for c in vec]
+
+
+def _primitive_row(row, col):
+    """A nonzero integer row divided by its content, signed so that the
+    entry in column ``col`` is positive."""
+    g = gcd(*row)
+    if row[col] < 0:
+        g = -g
+    return tuple(a // g for a in row)
 
 
 @dataclass(frozen=True)
 class RowBasis:
     """RREF basis of a row space: nonzero rows, unit pivots strictly moving
-    right, pivot columns cleared above and below.  Row count equals rank."""
+    right, pivot columns cleared above and below.  Row count equals rank.
+
+    ``integer_rows`` holds each row as the primitive integer row with a
+    positive pivot.  It is not compared, since ``rows`` determines it, and a
+    basis built without it derives it from ``rows``."""
 
     ncols: int
     rows: tuple
+    integer_rows: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.integer_rows is None:
+            object.__setattr__(self, "integer_rows", tuple(
+                _primitive_row(_integer_row(row), col)
+                for row, col in zip(self.rows, self.pivot_columns())))
 
     @property
     def rank(self) -> int:
@@ -49,8 +78,9 @@ class RowBasis:
 
 def identity_basis(ncols: int) -> RowBasis:
     """The whole space, whose RREF grid is the identity."""
-    return RowBasis(ncols, tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (ncols - 1 - i)
-                                 for i in range(ncols)))
+    ints = tuple((0,) * i + (1,) + (0,) * (ncols - 1 - i) for i in range(ncols))
+    return RowBasis(ncols, tuple(tuple(_ONE if a else _ZERO for a in row) for row in ints),
+                    ints)
 
 
 def rref(rows, ncols: int | None = None) -> RowBasis:
@@ -89,23 +119,27 @@ def rref(rows, ncols: int | None = None) -> RowBasis:
                 mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
     # rows past the rank were reduced to zero; divide the rest by their pivot
+    ints = tuple(_primitive_row(row, col) for row, col in zip(mat, pivots))
     return RowBasis(width, tuple(
         tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
               for a in row)
-        for row, col in zip(mat, pivots)))
+        for row, col in zip(ints, pivots)), ints)
 
 
 def contains(basis: RowBasis, vec) -> bool:
     """True iff ``vec`` lies in the row span: the residual after eliminating
-    against every pivot is zero."""
-    v = [Fraction(c) for c in vec]
+    fraction-free against every integer row is zero."""
+    v = _integer_row(vec)
     if len(v) != basis.ncols:
         raise ValueError("vector length %d != column count %d" % (len(v), basis.ncols))
-    for row, col in zip(basis.rows, basis.pivot_columns()):
+    for row, col in zip(basis.integer_rows, basis.pivot_columns()):
         f = v[col]
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(c == 0 for c in v)
+        if f:
+            p = row[col]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            v = [p * a - f * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def spaces_equal(a: RowBasis, b: RowBasis) -> bool:

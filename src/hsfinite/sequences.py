@@ -316,10 +316,17 @@ def sequence_for_label(label: TypeLabel) -> tuple:
     return sequence_for_row(label.kind, **label.param_dict())
 
 
+# Largest colength ``enumerate_sequences`` accepts, checked before any work.
+# The count of sequences grows faster than any polynomial: the whole range
+# 3..50 is 31532 sequences, which ``hsfinite enumerate --max-colength 50
+# --json`` prints in about 2.9 s and 128 MB; at 60 it is 101922 sequences,
+# about 10 s and 393 MB.
+MAX_COLENGTH = 50
+
+
 def enumerate_sequences(colength: int) -> list:
     """All valid sequences with t_1 = 2 summing to the colength, lex order."""
-    if colength < 3:
-        raise InvalidColength("colength must be >= 3, got %d" % colength)
+    check_colength(colength)
     out = []
 
     def extend(prefix, remaining, staircase):
@@ -335,3 +342,12 @@ def enumerate_sequences(colength: int) -> list:
 
     extend([1, 2], colength - 3, True)
     return [validate(e).entries for e in out]
+
+
+def check_colength(colength: int):
+    """Raise InvalidColength unless 3 <= colength <= MAX_COLENGTH."""
+    if colength < 3:
+        raise InvalidColength("colength must be >= 3, got %d" % colength)
+    if colength > MAX_COLENGTH:
+        raise InvalidColength("colength must be at most %d, got %d"
+                              % (MAX_COLENGTH, colength))

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from hsfinite import parse_ideal_text
-from hsfinite.cli import main
+from hsfinite.cli import MAX_SAMPLE_COUNT, main
+from hsfinite.sequences import MAX_COLENGTH
 
 try:
     import jsonschema
@@ -26,6 +27,14 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=10):
+    """``python -m hsfinite.cli`` in a child process, with a time limit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hsfinite.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def write(tmp_path, name, text):
@@ -138,6 +147,16 @@ class TestEnumerate:
     def test_too_small(self, capsys):
         assert run(capsys, "enumerate", "--colength", "2")[0] == 3
 
+    @pytest.mark.parametrize("flag", ["--colength", "--max-colength"])
+    def test_colength_limit(self, flag):
+        # refused before any sequence is enumerated, even for a huge value
+        for value in (MAX_COLENGTH + 1, 10 ** 12):
+            done = run_process("enumerate", flag, str(value))
+            assert done.returncode == 3
+            assert done.stdout == ""
+            assert "at most %d" % MAX_COLENGTH in done.stderr
+            assert "Traceback" not in done.stderr
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--colength", "7", "--json")
         payload = json.loads(out)
@@ -202,10 +221,7 @@ class TestIso:
         prime_product = (2 ** 61 - 1) * (2 ** 89 - 1)
         a = write(tmp_path, "a.ideal", "x^2 - %d*y^2\nx*y\ntruncate: 3\n" % prime_product)
         b = write(tmp_path, "b.ideal", "x^2 - y^2\nx*y\ntruncate: 3\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "hsfinite.cli", "iso", a, b],
-                              capture_output=True, text=True, env=env, timeout=10)
+        done = run_process("iso", a, b)
         assert done.returncode == 0
         assert done.stdout == "Unknown\n"
         assert "Traceback" not in done.stderr
@@ -258,6 +274,16 @@ class TestSample:
 
     def test_invalid_sequence(self, capsys, tmp_path):
         assert run(capsys, "sample", "1,2,4", "--out", str(tmp_path))[0] == 3
+
+    @pytest.mark.parametrize("count", [0, MAX_SAMPLE_COUNT + 1, 10 ** 12])
+    def test_count_limit(self, tmp_path, count):
+        out_dir = tmp_path / "none"
+        done = run_process("sample", "1,2,1", "--count", str(count),
+                           "--out", str(out_dir))
+        assert done.returncode == 3
+        assert "between 1 and %d" % MAX_SAMPLE_COUNT in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out_dir.exists()
 
     def test_sampling_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         from hsfinite.errors import SamplingFailed

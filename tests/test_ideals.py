@@ -1,6 +1,7 @@
 """Graded components, Hilbert-Samuel sequences and the factor structure."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -21,7 +22,9 @@ from hsfinite import (
     equal_ideals,
     form_to_vector,
     format_ideal,
+    gcd_forms,
     hilbert_samuel,
+    monic,
     monomial,
     multiplicity_partition,
     normal_forms,
@@ -141,6 +144,29 @@ class TestFactorStructure:
         assert common_factor(ideal("x^2*y", "x*y^2", truncate=5), 3) == F("x*y")
         with pytest.raises(EmptyComponent):
             common_factor(ideal("x^2"), 1)
+
+    def test_common_factor_is_gcd_of_basis_forms(self):
+        # normal forms, samples and a transform of each, in every degree
+        # with a nonzero component up to the first full one
+        rng = random.Random(7)
+        ideals = []
+        for colength in range(3, 13):
+            for entries in enumerate_sequences(colength):
+                seq = validate(entries)
+                label = classify(seq)
+                if label.finite:
+                    ideals += [e.ideal for e in normal_forms(label)]
+                if colength <= 9:
+                    ideals += [sample_ideal(seq, seed) for seed in (0, 1)]
+        ideals += [substitute_ideal(i, _random_change(rng)) for i in ideals]
+        checked = 0
+        for i in ideals:
+            for d in range(len(hilbert_samuel(i)) + 1):
+                forms = component(i, d).basis_forms()
+                if forms:
+                    assert common_factor(i, d) == monic(reduce(gcd_forms, forms)), (i, d)
+                    checked += 1
+        assert checked > 1000
 
     def test_verify_factor_structure(self):
         assert verify_factor_structure(ideal("x^2", truncate=5), 3)

@@ -7,8 +7,11 @@ rational roots with ``roots(filter='Q')`` and exact division with ``div``.
 Root data is also compared on forms with coefficients up to 10^40 over
 10^20, and on products of rational linear factors with an irreducible
 cubic, whose squarefree layers of degree 3 or more are solved p-adically.
+The integer Euclid is compared with the ``Fraction`` Euclid it replaced,
+kept here as the reference, and with sympy.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from hsfinite import (
     parse_form,
     rational_root_points,
 )
+from hsfinite.forms import _gcd, _integer_list, _monic
 
 sympy = pytest.importorskip("sympy")
 x, y = sympy.symbols("x y")
@@ -74,13 +78,17 @@ def test_multiply_matches_expand(f, g):
     assert sympy.expand(sym(product) - sym(f) * sym(g)) == 0
 
 
+# coefficients up to 10^40 over denominators up to 10^20
+big_coefficients = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40),
+                             st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                                          max_denominator=10 ** 20))
+
+
 @st.composite
 def large_factored_forms(draw):
     """Products of powers of forms with coefficients up to 10^40 over
     denominators up to 10^20."""
-    big = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40),
-                    st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
-                                 max_denominator=10 ** 20))
+    big = big_coefficients
     product = binary_form([draw(big.filter(bool))])
     for degree, power in draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
                                        min_size=1, max_size=3)):
@@ -210,3 +218,58 @@ def test_division_matches_sympy_div(g, h, q, exact):
     else:
         with pytest.raises(ValueError):
             form_divide(f, h)
+
+
+def _reference_divmod(num, den):
+    """Long division of Fraction lists, ascending powers."""
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    while num and len(num) >= len(den):
+        shift = len(num) - len(den)
+        c = num[-1] / den[-1]
+        quo[shift] = c
+        for i, dc in enumerate(den):
+            num[shift + i] -= c * dc
+        while num and num[-1] == 0:
+            num.pop()
+    return quo, num
+
+
+def _reference_gcd(p, q):
+    """Euclid in Fraction arithmetic, the algorithm the primitive remainder
+    sequence replaced, normalized monic."""
+    p = [Fraction(c) for c in p]
+    q = [Fraction(c) for c in q]
+    for r in (p, q):
+        while r and r[-1] == 0:
+            r.pop()
+    while q:
+        p, q = q, _reference_divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+@st.composite
+def large_gcd_pairs(draw):
+    """Two forms with coefficients up to 10^40 over 10^20 that share a
+    factor of degree up to 3."""
+    def big_form(max_degree):
+        degree = draw(st.integers(0, max_degree))
+        return binary_form(draw(st.lists(big_coefficients, min_size=degree + 1,
+                                         max_size=degree + 1).filter(any)))
+    common = big_form(3)
+    return multiply(big_form(4), common), multiply(big_form(4), common)
+
+
+@EXAMPLES
+@given(large_gcd_pairs())
+def test_integer_gcd_matches_fraction_euclid_and_sympy(pair):
+    f, g = pair
+    core = _gcd(_integer_list(f.coeffs), _integer_list(g.coeffs))
+    assert math.gcd(*core) == 1 and core[-1] > 0
+    assert _monic(core) == _reference_gcd(f.coeffs, g.coeffs)
+    # the gcd of the forms at y = 1, up to a scalar
+    expected = sympy.gcd(sym(f).subs(y, 1), sym(g).subs(y, 1))
+    ratio = sympy.cancel(sum(c * x ** i for i, c in enumerate(core)) / expected)
+    assert ratio != 0 and not ratio.free_symbols

@@ -1,5 +1,6 @@
 """Row reduction over exact rationals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -165,3 +166,38 @@ def test_rref_matches_fraction_gauss_jordan(case):
     basis = rref(rows, ncols=width)
     assert basis.rows == _reference_rref(rows, width)
     assert all(type(c) is Fraction for row in basis.rows for c in row)
+    # each integer row is primitive, has a positive pivot and is the
+    # Fraction row times that pivot
+    assert len(basis.integer_rows) == basis.rank
+    for ints, row, col in zip(basis.integer_rows, basis.rows, basis.pivot_columns()):
+        assert all(type(a) is int for a in ints)
+        assert math.gcd(*ints) == 1
+        assert ints[col] > 0
+        assert [ints[col] * c for c in row] == list(ints)
+    # a basis built from the Fraction rows alone derives the same integer rows
+    assert RowBasis(width, basis.rows).integer_rows == basis.integer_rows
+
+
+def _reference_contains(basis, vec):
+    """Elimination of a Fraction vector against the unit-pivot rows."""
+    v = [Fraction(c) for c in vec]
+    for row, col in zip(basis.rows, basis.pivot_columns()):
+        f = v[col]
+        if f != 0:
+            v = [a - f * b for a, b in zip(v, row)]
+    return all(c == 0 for c in v)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_matrices(), st.data())
+def test_contains_matches_fraction_elimination(case, data):
+    width, rows = case
+    basis = rref(rows, ncols=width)
+    # a combination of the rows, often nudged off the span in one column
+    vec = [0] * width
+    for row in rows:
+        c = data.draw(_ENTRIES)
+        vec = [a + c * b for a, b in zip(vec, row)]
+    if data.draw(st.booleans()):
+        vec[data.draw(st.integers(0, width - 1))] += data.draw(_ENTRIES)
+    assert contains(basis, vec) == _reference_contains(basis, vec)

@@ -16,7 +16,7 @@ from hsfinite import (
     sequence_for_row,
     validate,
 )
-from hsfinite.sequences import check_row_parameters, row_dimension, tail_runs
+from hsfinite.sequences import MAX_COLENGTH, check_row_parameters, row_dimension, tail_runs
 from hsfinite.errors import InvalidParameters
 
 
@@ -163,6 +163,11 @@ class TestEnumeration:
     def test_rejects_tiny_colength(self):
         with pytest.raises(InvalidColength):
             enumerate_sequences(2)
+
+    def test_rejects_colength_above_the_limit(self):
+        assert enumerate_sequences(MAX_COLENGTH)
+        with pytest.raises(InvalidColength):
+            enumerate_sequences(MAX_COLENGTH + 1)
 
     def test_outputs_distinct_valid_and_ordered(self):
         for n_total in (8, 13, 20):
