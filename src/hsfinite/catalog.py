@@ -10,13 +10,15 @@ carrying one ideal onto the other, so the tester works in three layers:
    discriminant patterns where a component is 2-dimensional after factor
    removal.  Any difference is a certified non-isomorphism.
 
-2. A bounded witness search over exact rational substitutions: candidate
-   matrices are built from multiplicity-compatible matchings of the rational
-   root points carried by the invariant forms, padded from a fixed point
-   palette when fewer than three points are pinned.  Every candidate is
-   verified before being reported: the image has the same sequence and each
-   of its generators lies in the target's component of that degree, which
-   for ideals of one finite colength proves equality.
+2. A bounded witness search over exact substitutions: candidates are
+   integer matrices, built from multiplicity-compatible matchings of the
+   rational root points carried by the invariant forms (as primitive
+   integer pairs), padded from a fixed point palette when fewer than three
+   points are pinned.  Matrices equal up to scale share one primitive key
+   and are tried once.  Every candidate is verified before being reported:
+   the image has the same sequence and each of its generators lies in the
+   target's component of that degree, which for ideals of one finite
+   colength proves equality.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.
@@ -34,10 +36,11 @@ from .forms import (
     BinaryForm,
     LinearChange,
     _adjugate,
+    _integer_point,
     _maps_point,
     _normalize_point,
     _point_map_matrix,
-    _primitive_change,
+    _primitive_key,
     _RootData,
     binary_form,
     form_divide,
@@ -80,7 +83,7 @@ def _completion_cubics(quadric_pair):
     """Monomial cubics missing from the span of (x, y) * the quadric pair."""
     basis = rref([form_to_vector(g, 3) for q in quadric_pair for g in multiples(q, 1)],
                  ncols=4)
-    pivots = set(basis.pivot_columns())
+    pivots = set(basis.pivots)
     missing = [j for j in range(4) if j not in pivots]
     return [monomials(3)[j] for j in missing]
 
@@ -364,8 +367,8 @@ def format_change(change: LinearChange) -> str:
     return "[[%s, %s], [%s, %s]]" % (a, b, c, d)
 
 
-_PALETTE = tuple(_normalize_point(p) for p in (
-    (0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1)))
+# padding points, primitive integer pairs with the first nonzero entry positive
+_PALETTE = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1))
 
 
 def _role_matchings(roles_left, roles_right):
@@ -417,24 +420,26 @@ def _role_matchings(roles_left, roles_right):
 
 
 def _candidate_changes(analysis_left, analysis_right):
-    """Deterministic, bounded stream of substitution candidates."""
+    """Deterministic, bounded stream of substitution candidates.  Matrices
+    are built on integer points and deduplicated by their primitive keys;
+    a LinearChange is made only for a candidate that is yielded."""
     yield LinearChange.identity()
     yield LinearChange.swap()
-    seen = {LinearChange.identity().matrix(), LinearChange.swap().matrix()}
+    seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     budget = 800
 
     def emit(matrix):
         nonlocal budget
         for m in (matrix, _adjugate(matrix)):
-            change = _primitive_change(m)
-            key = change.matrix()
+            key = _primitive_key(m)
             if key not in seen:
                 seen.add(key)
                 budget -= 1
-                yield change
+                yield LinearChange(*key)
 
     for pins in _role_matchings(analysis_left.marked_roles,
                                 analysis_right.marked_roles):
+        pins = [(_integer_point(p), _integer_point(q)) for p, q in pins]
         ps = [p for p, _ in pins]
         qs = [q for _, q in pins]
         if len(pins) >= 3:

@@ -136,11 +136,11 @@ def cmd_catalog(args):
         paths.append(path)
     report = verify_catalog(label)
     report_path = os.path.join(args.out, "report.json")
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     with open(report_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        handle.write("\n")
+        handle.write(text + "\n")
     if args.json:
-        _emit_json(report.to_dict())
+        print(text)
         return EXIT_OK
     for path in paths:
         print("wrote %s" % path)

@@ -125,9 +125,9 @@ class LinearChange:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices as nested tuples.  A projective map matters only up to a
-# nonzero scalar, so no entry is divided: inverses are adjugates, and
-# ``_primitive_change`` fixes the scale when it builds the LinearChange.
+# 2x2 matrices as nested tuples of ints.  A projective map matters only up
+# to a nonzero scalar, so no entry is divided: points are primitive integer
+# pairs, inverses are adjugates, and ``_primitive_key`` fixes the scale.
 # ---------------------------------------------------------------------------
 
 
@@ -180,24 +180,27 @@ def _normalize_point(uv):
     return (Fraction(0), Fraction(1))
 
 
+def _integer_point(point):
+    """A point of ``_normalize_point`` as the primitive integer pair with
+    its first nonzero entry positive."""
+    u, v = point
+    return (v.denominator, v.numerator) if u else (0, 1)
+
+
 def _maps_point(m, p, q):
     iu = m[0][0] * p[0] + m[0][1] * p[1]
     iv = m[1][0] * p[0] + m[1][1] * p[1]
     return iu * q[1] - iv * q[0] == 0 and (iu != 0 or iv != 0)
 
 
-def _primitive_change(matrix) -> LinearChange:
-    """The change with coprime integer entries, first nonzero one positive,
-    on the line of a nonzero rational matrix."""
-    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
-    denom = math.lcm(*[q.denominator for q in flat])
-    ints = [int(q * denom) for q in flat]
-    g = math.gcd(*[abs(v) for v in ints if v] or [1])
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return LinearChange(*ints)
+def _primitive_key(matrix) -> tuple:
+    """The entries (a, b, c, d) of a nonzero integer matrix divided by their
+    gcd, first nonzero one positive: equal for matrices equal up to scale."""
+    (a, b), (c, d) = matrix
+    g = math.gcd(a, b, c, d)
+    if (a or b or c or d) < 0:
+        g = -g
+    return (a // g, b // g, c // g, d // g)
 
 
 def substitute(f: BinaryForm, change: LinearChange) -> BinaryForm:

@@ -220,7 +220,7 @@ def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
     comp = component(ideal, m)
     if comp.rank != m:
         raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - comp.rank))
-    pivots = comp.basis.pivot_columns()
+    pivots = comp.basis.pivots
     free_col = next(j for j in range(m + 1) if j not in pivots)
     lam = [Fraction(0)] * (m + 1)
     lam[free_col] = Fraction(1)

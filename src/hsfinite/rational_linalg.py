@@ -2,22 +2,21 @@
 
 Scalars are ``fractions.Fraction`` at the interface, and no operation ever
 rounds.  Inside, ``rref`` eliminates over the integers: rows are scaled to
-integers, combined fraction-free (Gauss-Jordan, each updated row divided by
-its content; cf. Bareiss, *Math. Comp.* 1968) and made unit-pivot
-``Fraction`` rows only at the end.  A subspace is stored as its RREF grid,
-which is a canonical representative, so span equality is a literal grid
-comparison instead of a pair of containment checks.
+integers and combined fraction-free (Gauss-Jordan, each updated row divided
+by its content; cf. Bareiss, *Math. Comp.* 1968).
 
-A ``RowBasis`` also keeps the integer rows of that grid: each RREF row
-scaled to the primitive integer row with a positive pivot.  That scaling is
-unique, so the integer rows are as canonical as the grid.  Callers that
-continue the arithmetic (the next graded component, membership tests, the
-common factor of a component) read them and never leave the integers.
+A ``RowBasis`` keeps each row of the RREF grid as the primitive integer row
+with a positive pivot.  That scaling is unique, so the integer rows are as
+canonical as the grid: span equality is a literal comparison of them
+instead of a pair of containment checks.  Callers that continue the
+arithmetic (the next graded component, membership tests, the common factor
+of a component) read them and never leave the integers; the unit-pivot
+``Fraction`` grid is built only for a caller that reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,44 +42,53 @@ def _primitive_row(row, col):
     return tuple(a // g for a in row)
 
 
-@dataclass(frozen=True)
 class RowBasis:
     """RREF basis of a row space: nonzero rows, unit pivots strictly moving
     right, pivot columns cleared above and below.  Row count equals rank.
 
-    ``integer_rows`` holds each row as the primitive integer row with a
-    positive pivot.  It is not compared, since ``rows`` determines it, and a
-    basis built without it derives it from ``rows``."""
+    The basis is stored as ``integer_rows``, each row as the primitive
+    integer row with a positive pivot, and ``pivots``, their pivot columns.
+    ``rows``, the unit-pivot ``Fraction`` grid, is built on first read.  A
+    basis built from ``rows`` alone derives the rest from them.  Two bases
+    are equal when their column counts and integer rows are."""
 
-    ncols: int
-    rows: tuple
-    integer_rows: tuple = field(default=None, compare=False, repr=False)
+    def __init__(self, ncols: int, rows=None, integer_rows=None, pivots=None):
+        self.ncols = ncols
+        if integer_rows is None:
+            self.rows = tuple(rows)
+            pivots = tuple(next(j for j, c in enumerate(row) if c) for row in self.rows)
+            integer_rows = tuple(_primitive_row(_integer_row(row), col)
+                                 for row, col in zip(self.rows, pivots))
+        self.integer_rows = integer_rows
+        self.pivots = pivots
 
-    def __post_init__(self):
-        if self.integer_rows is None:
-            object.__setattr__(self, "integer_rows", tuple(
-                _primitive_row(_integer_row(row), col)
-                for row, col in zip(self.rows, self.pivot_columns())))
+    @functools.cached_property
+    def rows(self) -> tuple:
+        return tuple(
+            tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
+                  for a in row)
+            for row, col in zip(self.integer_rows, self.pivots))
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.integer_rows)
 
-    def pivot_columns(self) -> tuple:
-        cols = []
-        for row in self.rows:
-            for j, c in enumerate(row):
-                if c != 0:
-                    cols.append(j)
-                    break
-        return tuple(cols)
+    def __eq__(self, other):
+        if not isinstance(other, RowBasis):
+            return NotImplemented
+        return self.ncols == other.ncols and self.integer_rows == other.integer_rows
+
+    def __hash__(self):
+        return hash((self.ncols, self.integer_rows))
+
+    def __repr__(self):
+        return "RowBasis(ncols=%d, integer_rows=%r)" % (self.ncols, self.integer_rows)
 
 
 def identity_basis(ncols: int) -> RowBasis:
     """The whole space, whose RREF grid is the identity."""
     ints = tuple((0,) * i + (1,) + (0,) * (ncols - 1 - i) for i in range(ncols))
-    return RowBasis(ncols, tuple(tuple(_ONE if a else _ZERO for a in row) for row in ints),
-                    ints)
+    return RowBasis(ncols, integer_rows=ints, pivots=tuple(range(ncols)))
 
 
 def rref(rows, ncols: int | None = None) -> RowBasis:
@@ -93,7 +101,7 @@ def rref(rows, ncols: int | None = None) -> RowBasis:
     if not mat:
         if ncols is None:
             raise ValueError("rref of no rows needs an explicit column count")
-        return RowBasis(ncols, ())
+        return RowBasis(ncols, integer_rows=(), pivots=())
     width = len(mat[0])
     if ncols is not None and ncols != width:
         raise ValueError("declared column count %d != row length %d" % (ncols, width))
@@ -118,12 +126,9 @@ def rref(rows, ncols: int | None = None) -> RowBasis:
                 g = gcd(*row)
                 mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
-    # rows past the rank were reduced to zero; divide the rest by their pivot
+    # rows past the rank were reduced to zero
     ints = tuple(_primitive_row(row, col) for row, col in zip(mat, pivots))
-    return RowBasis(width, tuple(
-        tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
-              for a in row)
-        for row, col in zip(ints, pivots)), ints)
+    return RowBasis(width, integer_rows=ints, pivots=tuple(pivots))
 
 
 def contains(basis: RowBasis, vec) -> bool:
@@ -132,7 +137,7 @@ def contains(basis: RowBasis, vec) -> bool:
     v = _integer_row(vec)
     if len(v) != basis.ncols:
         raise ValueError("vector length %d != column count %d" % (len(v), basis.ncols))
-    for row, col in zip(basis.integer_rows, basis.pivot_columns()):
+    for row, col in zip(basis.integer_rows, basis.pivots):
         f = v[col]
         if f:
             p = row[col]
@@ -143,7 +148,8 @@ def contains(basis: RowBasis, vec) -> bool:
 
 
 def spaces_equal(a: RowBasis, b: RowBasis) -> bool:
-    """Span equality, exact because RREF is canonical."""
+    """Span equality, exact because the integer rows of the RREF are
+    canonical."""
     if a.ncols != b.ncols:
         raise ValueError("column counts differ: %d vs %d" % (a.ncols, b.ncols))
-    return a.rows == b.rows
+    return a.integer_rows == b.integer_rows

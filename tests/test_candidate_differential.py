@@ -1,0 +1,133 @@
+"""Differential check of the witness candidate stream: ``_candidate_changes``
+builds its matrices on primitive integer points and deduplicates them by
+integer keys; the reference below is the ``Fraction`` stream it replaced.
+Both must yield the same changes in the same order, so that the same
+witness is found first."""
+
+import itertools
+import math
+import random
+
+from hsfinite import (
+    LinearChange,
+    SingularChange,
+    classify,
+    enumerate_sequences,
+    normal_forms,
+    sample_ideal,
+    substitute_ideal,
+    validate,
+)
+from hsfinite.catalog import _analyze, _candidate_changes, _role_matchings
+from hsfinite.forms import _adjugate, _maps_point, _normalize_point, _point_map_matrix
+
+_REFERENCE_PALETTE = tuple(_normalize_point(p) for p in (
+    (0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1)))
+
+
+def _reference_primitive_change(matrix):
+    """The change with coprime integer entries, first nonzero one positive,
+    on the line of a nonzero rational matrix."""
+    flat = [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]]
+    denom = math.lcm(*[q.denominator for q in flat])
+    ints = [int(q * denom) for q in flat]
+    g = math.gcd(*[abs(v) for v in ints if v] or [1])
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return LinearChange(*ints)
+
+
+def _reference_candidate_changes(analysis_left, analysis_right):
+    """The candidate stream on the normalized ``Fraction`` points."""
+    yield LinearChange.identity()
+    yield LinearChange.swap()
+    seen = {LinearChange.identity().matrix(), LinearChange.swap().matrix()}
+    budget = 800
+
+    def emit(matrix):
+        nonlocal budget
+        for m in (matrix, _adjugate(matrix)):
+            change = _reference_primitive_change(m)
+            key = change.matrix()
+            if key not in seen:
+                seen.add(key)
+                budget -= 1
+                yield change
+
+    for pins in _role_matchings(analysis_left.marked_roles,
+                                analysis_right.marked_roles):
+        ps = [p for p, _ in pins]
+        qs = [q for _, q in pins]
+        if len(pins) >= 3:
+            m = _point_map_matrix(tuple(ps[:3]), tuple(qs[:3]))
+            if m is not None and all(_maps_point(m, p, q) for p, q in pins):
+                yield from emit(m)
+            continue
+        free_left = [p for p in _REFERENCE_PALETTE if p not in ps]
+        free_right = [q for q in _REFERENCE_PALETTE if q not in qs]
+        need = 3 - len(pins)
+        combos = itertools.product(
+            itertools.permutations(free_left, need),
+            itertools.permutations(free_right, need))
+        for count, (extra_l, extra_r) in enumerate(combos):
+            if count >= 64 or budget <= 0:
+                break
+            m = _point_map_matrix(tuple(ps + list(extra_l))[:3],
+                                  tuple(qs + list(extra_r))[:3])
+            if m is None:
+                continue
+            if not all(_maps_point(m, p, q) for p, q in pins):
+                continue
+            yield from emit(m)
+        if budget <= 0:
+            return
+
+
+def _assert_same_stream(left, right):
+    a_left, a_right = _analyze(left), _analyze(right)
+    got = list(_candidate_changes(a_left, a_right))
+    assert got == list(_reference_candidate_changes(a_left, a_right)), (left, right)
+    return len(got)
+
+
+def test_catalog_pairs_with_equal_invariants():
+    pairs = 0
+    candidates = 0
+    for colength in range(3, 13):
+        for entries in enumerate_sequences(colength):
+            label = classify(validate(entries))
+            if not label.finite:
+                continue
+            ideals = [e.ideal for e in normal_forms(label)]
+            for left, right in itertools.combinations(ideals, 2):
+                if _analyze(left).invariant != _analyze(right).invariant:
+                    continue
+                pairs += 1
+                candidates += _assert_same_stream(left, right)
+    # more than the identity and the swap reach the stream
+    assert pairs > 0 and candidates > 2 * pairs
+
+
+def _integer_change(rng):
+    while True:
+        try:
+            return LinearChange(*(rng.randint(-5, 5) for _ in range(4)))
+        except SingularChange:
+            continue
+
+
+def test_samples_against_integer_transforms():
+    rng = random.Random(8)
+    streams = 0
+    candidates = 0
+    for colength in range(5, 9):
+        for entries in enumerate_sequences(colength):
+            for seed in range(3):
+                sample = sample_ideal(entries, seed)
+                image = substitute_ideal(sample, _integer_change(rng))
+                for left, right in ((sample, image), (image, sample)):
+                    streams += 1
+                    candidates += _assert_same_stream(left, right)
+    assert candidates > 2 * streams

@@ -29,9 +29,11 @@ from hsfinite import (
 from hsfinite.forms import (
     MAX_EXPONENT,
     _adjugate,
+    _integer_point,
+    _mat_mul,
     _normalize_point,
     _point_map_matrix,
-    _primitive_change,
+    _primitive_key,
 )
 
 
@@ -229,37 +231,56 @@ class TestDivision:
 
 
 points = st.tuples(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)).filter(
-    lambda uv: uv != (0, 0)).map(_normalize_point)
-matrices = st.tuples(*[st.fractions(-6, 6, max_denominator=5)] * 4).filter(
+    lambda uv: uv != (0, 0)).map(_normalize_point).map(_integer_point)
+matrices = st.tuples(*[st.integers(-30, 30)] * 4).filter(
     lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: ((e[0], e[1]), (e[2], e[3])))
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True)
 
 
+def _cleared(matrix):
+    """A rational matrix times the lcm of its denominators."""
+    den = math.lcm(*(Fraction(e).denominator for row in matrix for e in row))
+    return tuple(tuple(int(e * den) for e in row) for row in matrix)
+
+
 class TestPointMaps:
+    @PROPERTIES
+    @given(points)
+    def test_integer_point_is_primitive_on_the_same_line(self, p):
+        u, v = p
+        assert type(u) is int and type(v) is int
+        assert math.gcd(u, v) == 1 and (u or v) > 0
+        assert _normalize_point(p) == _normalize_point((u, v))
+
     @PROPERTIES
     @given(st.lists(points, min_size=3, max_size=3, unique=True),
            st.lists(points, min_size=3, max_size=3, unique=True))
     def test_point_map_sends_each_point_to_its_image(self, ps, qs):
         m = _point_map_matrix(tuple(ps), tuple(qs))
+        assert all(type(e) is int for row in m for e in row)
         assert m[0][0] * m[1][1] != m[0][1] * m[1][0]
         for (u, v), q in zip(ps, qs):
             image = (m[0][0] * u + m[0][1] * v, m[1][0] * u + m[1][1] * v)
-            assert _normalize_point(image) == q
+            assert _integer_point(_normalize_point(image)) == q
 
     @PROPERTIES
-    @given(matrices, st.fractions(-7, 7, max_denominator=5).filter(bool))
-    def test_primitive_change_ignores_the_scale(self, m, c):
-        change = _primitive_change(m)
-        entries = [change.a, change.b, change.c, change.d]
-        assert all(e.denominator == 1 for e in entries)
-        assert next(e for e in entries if e) > 0
-        assert math.gcd(*(e.numerator for e in entries)) == 1
+    @given(matrices, st.integers(-7, 7).filter(bool))
+    def test_primitive_key_ignores_the_scale(self, m, c):
+        key = _primitive_key(m)
+        assert all(type(e) is int for e in key)
+        assert next(e for e in key if e) > 0
+        assert math.gcd(*key) == 1
+        flat = [e for row in m for e in row]
+        # the key lies on the line of m
+        assert all(k * e2 == k2 * e for k, e in zip(key, flat) for k2, e2 in zip(key, flat))
         for factor in (c, -c):
             scaled = tuple(tuple(factor * e for e in row) for row in m)
-            assert _primitive_change(scaled) == change
+            assert _primitive_key(scaled) == key
 
     @PROPERTIES
     @given(matrices)
     def test_adjugate_gives_the_primitive_inverse(self, m):
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        assert _mat_mul(m, _adjugate(m)) == ((det, 0), (0, det))
         inverse = LinearChange(m[0][0], m[0][1], m[1][0], m[1][1]).inverse()
-        assert _primitive_change(_adjugate(m)) == _primitive_change(inverse.matrix())
+        assert _primitive_key(_adjugate(m)) == _primitive_key(_cleared(inverse.matrix()))

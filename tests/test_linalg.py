@@ -169,7 +169,7 @@ def test_rref_matches_fraction_gauss_jordan(case):
     # each integer row is primitive, has a positive pivot and is the
     # Fraction row times that pivot
     assert len(basis.integer_rows) == basis.rank
-    for ints, row, col in zip(basis.integer_rows, basis.rows, basis.pivot_columns()):
+    for ints, row, col in zip(basis.integer_rows, basis.rows, basis.pivots):
         assert all(type(a) is int for a in ints)
         assert math.gcd(*ints) == 1
         assert ints[col] > 0
@@ -181,7 +181,7 @@ def test_rref_matches_fraction_gauss_jordan(case):
 def _reference_contains(basis, vec):
     """Elimination of a Fraction vector against the unit-pivot rows."""
     v = [Fraction(c) for c in vec]
-    for row, col in zip(basis.rows, basis.pivot_columns()):
+    for row, col in zip(basis.rows, basis.pivots):
         f = v[col]
         if f != 0:
             v = [a - f * b for a, b in zip(v, row)]
