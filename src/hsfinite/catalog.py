@@ -75,10 +75,6 @@ class CatalogEntry:
     provenance: str
 
 
-def _f(text):
-    return parse_form(text)
-
-
 def _completion_cubics(quadric_pair):
     """Monomial cubics missing from the span of (x, y) * the quadric pair."""
     basis = rref([form_to_vector(g, 3) for q in quadric_pair for g in multiples(q, 1)],
@@ -113,8 +109,9 @@ def normal_forms(label: TypeLabel) -> list:
     if kind == "T1":
         entry(GradedIdeal([], truncation=n), "power of the maximal ideal")
     elif kind == "T2":
-        entry(GradedIdeal([_f("x^2"), _f("y^2")], 3), "square pattern [1,1]")
-        entry(GradedIdeal([_f("x*y"), _f("y^2")], 3), "square pattern [2]")
+        for texts, why in ((("x^2", "y^2"), "square pattern [1,1]"),
+                           (("x*y", "y^2"), "square pattern [2]")):
+            entry(GradedIdeal([parse_form(t) for t in texts], 3), why)
     elif kind == "T3":
         spans = [
             (["x^3", "y^3", "x^2*y - x*y^2"], "cube pattern [1,1,1]"),
@@ -122,7 +119,7 @@ def normal_forms(label: TypeLabel) -> list:
             (["x^2*y", "x*y^2", "y^3"], "cube pattern [3]"),
         ]
         for texts, why in spans:
-            entry(GradedIdeal([_f(t) for t in texts], 4), why)
+            entry(GradedIdeal([parse_form(t) for t in texts], 4), why)
     elif kind == "T4":
         pencils = [
             ("x*y", "y^2"),
@@ -131,18 +128,19 @@ def normal_forms(label: TypeLabel) -> list:
             ("x^2", "x*y"),
             ("x^2", "y^2"),
         ]
-        x = _f("x")
+        x = parse_form("x")
         for a, b in pencils:
-            pair = (_f(a), _f(b))
+            pair = (parse_form(a), parse_form(b))
             gens = [multiply(x, q) for q in pair]
             gens += [multiply(x, c) for c in _completion_cubics(pair)]
             entry(GradedIdeal(gens, 5 + k), "pencil <%s, %s> times x" % (a, b))
     elif kind == "T5":
-        entry(GradedIdeal(multiples(_f("x"), n - 1), n + k + 1), "factor x")
+        entry(GradedIdeal(multiples(parse_form("x"), n - 1), n + k + 1), "factor x")
     elif kind == "T6":
         nc = max(n, 2)
         for h in ("x*y", "x^2"):
-            entry(GradedIdeal(multiples(_f(h), nc - 2), n + k + 1), "factor " + h)
+            entry(GradedIdeal(multiples(parse_form(h), nc - 2), n + k + 1),
+                  "factor " + h)
     elif kind == "T7":
         nc = max(n, 2)
         big = n + k + 1
@@ -161,13 +159,13 @@ def normal_forms(label: TypeLabel) -> list:
                 ("x^2", "x*y^%d" % (big - 1)),
             ]
         for f_text, h_text in pairs:
-            gens = multiples(_f(f_text), nc - 2) + [_f(h_text)]
+            gens = multiples(parse_form(f_text), nc - 2) + [parse_form(h_text)]
             entry(GradedIdeal(gens, big + l), "pair (%s, %s)" % (f_text, h_text))
     elif kind == "T8":
         nc = max(n, 3)
         cubics = [("x^2*y + x*y^2", "x*y*(x+y)"), ("x^2*y", "x^2*y"), ("x^3", "x^3")]
         for text, name in cubics:
-            entry(GradedIdeal(multiples(_f(text), nc - 3), n + k + 1),
+            entry(GradedIdeal(multiples(parse_form(text), nc - 3), n + k + 1),
                   "factor " + name)
     elif kind == "T9":
         nc = max(n, 3)
@@ -176,8 +174,8 @@ def normal_forms(label: TypeLabel) -> list:
                   ("x^2*y", "y", "y | x^2*y"),
                   ("x^3", "x", "x | x^3")]
         for f_text, h_text, name in chains:
-            gens = multiples(_f(f_text), nc - 3)
-            gens += multiples(_f(h_text), n + k)
+            gens = multiples(parse_form(f_text), nc - 3)
+            gens += multiples(parse_form(h_text), n + k)
             entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
     elif kind == "T10":
         nc = max(n, 3)
@@ -186,8 +184,8 @@ def normal_forms(label: TypeLabel) -> list:
                   ("x^2*y", "x*y", "x*y | x^2*y"),
                   ("x^3", "x^2", "x^2 | x^3")]
         for f_text, g_text, name in chains:
-            gens = multiples(_f(f_text), nc - 3)
-            gens += multiples(_f(g_text), n + k - 1)
+            gens = multiples(parse_form(f_text), nc - 3)
+            gens += multiples(parse_form(g_text), n + k - 1)
             entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
     elif kind == "T11":
         nc = max(n, 3)
@@ -199,9 +197,9 @@ def normal_forms(label: TypeLabel) -> list:
             ("x^3", "x^2", "x", "x | x^2 | x^3"),
         ]
         for f_text, g_text, h_text, name in chains:
-            gens = multiples(_f(f_text), nc - 3)
-            gens += multiples(_f(g_text), n + k - 1)
-            gens += multiples(_f(h_text), n + k + l)
+            gens = multiples(parse_form(f_text), nc - 3)
+            gens += multiples(parse_form(g_text), n + k - 1)
+            gens += multiples(parse_form(h_text), n + k + l)
             entry(GradedIdeal(gens, n + k + l + s + 1), "chain " + name)
     else:
         raise InvalidParameters("unknown label kind %r" % kind)

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .catalog import normal_forms, are_isomorphic, sample_ideal, verify_catalog
+from .catalog import are_isomorphic, sample_ideal, verify_catalog
 from .errors import DomainError, InvalidParameters, ParseError, SamplingFailed
 from .ideals import format_ideal, hilbert_samuel, parse_ideal_text
 from .sequences import (
@@ -49,7 +49,11 @@ def _emit_json(payload):
 
 def _read_ideal(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_ideal_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("cannot read %s as UTF-8 text: %s" % (path, exc)) from None
+    return parse_ideal_text(text)
 
 
 def _label_payload(label):
@@ -124,17 +128,15 @@ def cmd_enumerate(args):
 
 def cmd_catalog(args):
     seq = validate(parse_sequence_text(args.sequence))
-    label = classify(seq)
-    entries = normal_forms(label)  # raises NoCatalog on infinite labels
+    report = verify_catalog(classify(seq))  # raises NoCatalog on infinite labels
     os.makedirs(args.out, exist_ok=True)
     paths = []
-    for i, entry in enumerate(entries, start=1):
+    for i, entry in enumerate(report.entries, start=1):
         path = os.path.join(args.out, "entry_%d.ideal" % i)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("# %s\n" % entry.provenance)
             handle.write(format_ideal(entry.ideal))
         paths.append(path)
-    report = verify_catalog(label)
     report_path = os.path.join(args.out, "report.json")
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     with open(report_path, "w", encoding="utf-8") as handle:

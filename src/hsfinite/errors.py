@@ -3,7 +3,8 @@
 DomainError subclasses signal mathematically meaningful refusals (the CLI maps
 them to exit code 3), ParseError covers malformed text input (exit code 2) and
 SamplingFailed is the one retry-budget failure (exit code 4).  Every parser
-reads its digit runs through ``parse_natural``, so none leaks a ValueError.
+reads its digit runs through ``parse_natural``, so only the ASCII digits 0-9
+count and none leaks a ValueError.
 """
 
 
@@ -12,14 +13,17 @@ class ParseError(ValueError):
 
 
 def parse_natural(digits: str, what: str) -> int:
-    """int(digits) for text that passed ``str.isdigit``, raising ParseError
-    where int() refuses it: more digits than the interpreter converts
-    (``sys.get_int_max_str_digits``), or digits outside 0-9."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError("cannot read %s as an integer (%d characters)"
-                         % (what, len(digits))) from None
+    """int(digits) for a run of the ASCII digits 0-9, raising ParseError for
+    any other text (signs, spaces, '_' and non-ASCII digits, all of which
+    int() would take) and where int() refuses it: more digits than the
+    interpreter converts (``sys.get_int_max_str_digits``)."""
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:
+            pass
+    raise ParseError("cannot read %s as an integer (%d characters)"
+                     % (what, len(digits)))
 
 
 class InhomogeneousInput(ParseError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -581,115 +582,61 @@ def rational_root_points(f: BinaryForm) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Text format.  Grammar (whitespace-insensitive, '*' optional):
+# Text format.  Grammar (whitespace between tokens is ignored, '*' is
+# optional, and nat is a run of the ASCII digits 0-9):
 #     poly  := ['-'] term (('+'|'-') term)*
 #     term  := coeff ['*' mono] | mono
 #     coeff := nat ['/' nat]
 #     mono  := 'x' ['^' nat] ['*' 'y' ['^' nat]] | 'y' ['^' nat]
+# ``_TERM`` reads one signed term.  Its parts are all optional and taken
+# greedily, so it reads what one token of lookahead would: a '*' is read
+# only before a variable the grammar allows next, and any token left unread
+# fails the next term, which must start with its sign.
 # ---------------------------------------------------------------------------
 
 # Largest exponent the parser accepts, checked before any list is allocated.
 MAX_EXPONENT = 1000
 
-
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def nat(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected a number at position %d in %r" % (start, self.text))
-        return parse_natural(self.text[start:self.pos], "the number at position %d" % start)
-
-    def fail(self, what):
-        raise ParseError("expected %s at position %d in %r" % (what, self.pos, self.text))
+_TERM = re.compile(r"""\s*(?P<sign>[-+]?)\s*
+    (?:(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?\s*(?:\*(?=\s*[xy]))?\s*)?
+    (?:(?P<x>x)(?:\s*\^\s*(?P<xp>[0-9]+))?\s*(?:\*(?=\s*y))?\s*)?
+    (?:(?P<y>y)(?:\s*\^\s*(?P<yp>[0-9]+))?)?\s*""", re.VERBOSE)
 
 
-def _parse_power(sc):
-    sc.take()
-    if sc.peek() != "^":
-        return 1
-    sc.take()
-    power = sc.nat()
-    if power > MAX_EXPONENT:
-        sc.fail("an exponent of at most %d" % MAX_EXPONENT)
-    return power
+def _fail(what, pos, text):
+    raise ParseError("expected %s at position %d in %r" % (what, pos, text))
 
 
-def _parse_term(sc):
-    """Returns (coefficient, x_power, y_power)."""
-    coeff = Fraction(1)
-    have_coeff = False
-    if sc.peek().isdigit():
-        num = sc.nat()
-        if sc.peek() == "/":
-            sc.take()
-            den = sc.nat()
-            if den == 0:
-                sc.fail("a nonzero denominator")
-            coeff = Fraction(num, den)
-        else:
-            coeff = Fraction(num)
-        have_coeff = True
-        if sc.peek() == "*":
-            sc.take()
-            if sc.peek() not in ("x", "y"):
-                sc.fail("a variable after '*'")
-    xp = yp = 0
-    if sc.peek() == "x":
-        xp = _parse_power(sc)
-        if sc.peek() == "*":
-            sc.take()
-            if sc.peek() != "y":
-                sc.fail("'y' after '*'")
-        if sc.peek() == "y":
-            yp = _parse_power(sc)
-    elif sc.peek() == "y":
-        yp = _parse_power(sc)
-    elif not have_coeff:
-        sc.fail("a coefficient or variable")
-    return coeff, xp, yp
+def _number(m, group, default):
+    digits = m.group(group)
+    if digits is None:
+        return default
+    return parse_natural(digits, "the number at position %d" % m.start(group))
 
 
 def parse_form(text: str) -> BinaryForm:
     """Parse polynomial text into a binary form, rejecting inhomogeneous input."""
-    sc = _Scanner(text)
     terms = []
-    sign = Fraction(1)
-    if sc.peek() == "-":
-        sc.take()
-        sign = Fraction(-1)
-    while True:
-        coeff, xp, yp = _parse_term(sc)
-        terms.append((sign * coeff, xp, yp))
-        nxt = sc.peek()
-        if nxt == "":
-            break
-        if nxt == "+":
-            sign = Fraction(1)
-        elif nxt == "-":
-            sign = Fraction(-1)
-        else:
-            sc.fail("'+', '-' or end of input")
-        sc.take()
+    pos = 0
+    while not terms or pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, x, y = m.group("sign", "x", "y")
+        if terms and not sign:
+            _fail("'+', '-' or end of input", m.start("sign"), text)
+        if sign == "+" and not terms:
+            _fail("a coefficient or variable", m.start("sign"), text)
+        if not (m.group("num") or x or y):
+            _fail("a coefficient or variable", m.end(), text)
+        num = _number(m, "num", 1)
+        den = _number(m, "den", 1)
+        if den == 0:
+            _fail("a nonzero denominator", m.start("den"), text)
+        xp = _number(m, "xp", 1 if x else 0)
+        yp = _number(m, "yp", 1 if y else 0)
+        if max(xp, yp) > MAX_EXPONENT:
+            _fail("an exponent of at most %d" % MAX_EXPONENT, m.start("sign"), text)
+        terms.append((Fraction(-num if sign == "-" else num, den), xp, yp))
+        pos = m.end()
     degrees = {xp + yp for coeff, xp, yp in terms if coeff != 0}
     if len(degrees) > 1:
         raise InhomogeneousInput(

@@ -284,9 +284,6 @@ def parse_ideal_text(text: str) -> GradedIdeal:
             if truncation is not None:
                 raise ParseError("line %d: duplicate truncate directive" % lineno)
             body = rest[1:].strip()
-            if not body.isdigit():
-                raise ParseError("line %d: truncation degree must be a positive integer"
-                                 % lineno)
             truncation = parse_natural(body, "the truncation degree on line %d" % lineno)
             if truncation < 1:
                 raise ParseError("line %d: truncation degree must be >= 1" % lineno)

@@ -59,8 +59,6 @@ def parse_sequence_text(text: str) -> tuple:
         raise ParseError("empty sequence text %r" % text)
     entries = []
     for p in parts:
-        if not p.isdigit():
-            raise ParseError("bad sequence entry %r in %r" % (p, text))
         entries.append(parse_natural(p, "sequence entry %d" % len(entries)))
     return tuple(entries)
 

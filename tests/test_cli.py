@@ -83,6 +83,15 @@ class TestHs:
         assert (code, out) == (2, "")
         assert err.startswith("error: expected an exponent of at most 1000")
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        # a UTF-16 file: its byte-order mark \xff\xfe is not UTF-8
+        path = tmp_path / "utf16.ideal"
+        path.write_bytes(b"\xff\xfe" + "x^2\ny^2\n".encode("utf-16-le"))
+        code, out, err = run(capsys, "hs", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s as UTF-8 text" % path)
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "hs", str(tmp_path / "nope.ideal"))[0] == 2
 

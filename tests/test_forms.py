@@ -22,10 +22,13 @@ from hsfinite import (
     multiplicity_partition,
     multiply,
     parse_form,
+    parse_ideal_text,
+    parse_sequence_text,
     rational_root_points,
     scale,
     substitute,
 )
+from hsfinite.cli import main
 from hsfinite.forms import (
     MAX_EXPONENT,
     _adjugate,
@@ -84,10 +87,22 @@ class TestParsing:
 
     def test_unreadable_number_is_a_parse_error(self):
         # int() refuses more digits than sys.get_int_max_str_digits() (4300
-        # by default) and non-ASCII digits that str.isdigit() admits
-        for bad in ("1" * 5000 + "*x", "x^" + "1" * 5000, "3/" + "7" * 5000 + "*y", "x^\u00b2"):
+        # by default)
+        for bad in ("1" * 5000 + "*x", "x^" + "1" * 5000, "3/" + "7" * 5000 + "*y"):
             with pytest.raises(ParseError, match="cannot read"):
                 F(bad)
+
+    def test_only_ascii_digits_are_numbers(self, capsys):
+        # str.isdigit() and int() also take Arabic-Indic and superscript digits
+        for bad in ("\u0663*x + \u0664*y", "x^\u00b2"):
+            with pytest.raises(ParseError):
+                F(bad)
+        with pytest.raises(ParseError):
+            parse_ideal_text("x\ntruncate: \u0663\n")
+        with pytest.raises(ParseError):
+            parse_sequence_text("1,2,\u0663")
+        assert main(["classify", "1,2,\u0662,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read sequence entry 2")
 
     def test_whitespace_insensitive(self):
         assert F("x y") == F("x*y")
