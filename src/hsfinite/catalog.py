@@ -31,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
+from .errors import InvalidPencil, NoCatalog, SamplingFailed
 from .forms import (
     BinaryForm,
     LinearChange,
@@ -84,34 +84,65 @@ def _completion_cubics(quadric_pair):
     return [monomials(3)[j] for j in missing]
 
 
+# The normal forms of the rows T5-T11 as factor texts, one per tail run: a
+# factor's multiples at its run's start are the generators of that degree.
+# T7's texts are templated on the start b of its run of 1s (a = b - 1), and
+# its list is longer when that run has length 1.
+_NODAL = "x^2*y + x*y^2"
+_RUN_FACTORS = {
+    "T5": [(("x",), "factor x")],
+    "T6": [(("x*y",), "factor x*y"), (("x^2",), "factor x^2")],
+    "T7": [(("x*y", "x^{b}"), "pair (x*y, x^{b})"),
+           (("x^2", "x*y^{a}"), "pair (x^2, x*y^{a})")],
+    # (x^2, x*y^(b-1) + y^b) is isomorphic to (x^2, y^b) in characteristic 0.
+    "T7, l=1": [(("x*y", "x^{b} + y^{b}"), "pair (x*y, x^{b} + y^{b})"),
+                (("x*y", "x^{b}"), "pair (x*y, x^{b})"),
+                (("x^2", "x*y^{a} + y^{b}"), "pair (x^2, x*y^{a} + y^{b})"),
+                (("x^2", "x*y^{a}"), "pair (x^2, x*y^{a})"),
+                (("x^2", "y^{b}"), "pair (x^2, y^{b})")],
+    "T8": [((_NODAL,), "factor x*y*(x+y)"), (("x^2*y",), "factor x^2*y"),
+           (("x^3",), "factor x^3")],
+    "T9": [((_NODAL, "x"), "chain x | x*y*(x+y)"),
+           (("x^2*y", "x"), "chain x | x^2*y"),
+           (("x^2*y", "y"), "chain y | x^2*y"),
+           (("x^3", "x"), "chain x | x^3")],
+    "T10": [((_NODAL, "x*y"), "chain x*y | x*y*(x+y)"),
+            (("x^2*y", "x^2"), "chain x^2 | x^2*y"),
+            (("x^2*y", "x*y"), "chain x*y | x^2*y"),
+            (("x^3", "x^2"), "chain x^2 | x^3")],
+    "T11": [((_NODAL, "x*y", "x"), "chain x | x*y | x*y*(x+y)"),
+            (("x^2*y", "x^2", "x"), "chain x | x^2 | x^2*y"),
+            (("x^2*y", "x*y", "x"), "chain x | x*y | x^2*y"),
+            (("x^2*y", "x*y", "y"), "chain y | x*y | x^2*y"),
+            (("x^3", "x^2", "x"), "chain x | x^2 | x^3")],
+}
+
+
 def normal_forms(label: TypeLabel) -> list:
     """Explicit representative ideals for a finite-type label.
 
     The lists follow the normal-form analysis per row; they are complete but
     not guaranteed minimal, so verify_catalog computes the deduplicated class
-    count afterwards.
+    count afterwards.  Every ideal is truncated at the sequence length.
     """
     if not label.finite:
         raise NoCatalog("no catalog for an infinite-type sequence")
     kind = label.kind
-    params = label.param_dict()
     seq = sequence_for_label(label)  # validates parameters
-    target = TypeLabel(kind, label.dimension, label.params, validate(seq).n)
-    n = params.get("n")
-    k = params.get("k")
-    l = params.get("l")
-    s = params.get("s")
+    nc = validate(seq).n
+    target = TypeLabel(kind, label.dimension, label.params, nc)
+    runs = tail_runs(seq, nc)
     entries = []
 
-    def entry(ideal, provenance):
-        entries.append(CatalogEntry(target, ideal, provenance))
+    def entry(gens, provenance):
+        entries.append(CatalogEntry(target, GradedIdeal(gens, len(seq)), provenance))
 
     if kind == "T1":
-        entry(GradedIdeal([], truncation=n), "power of the maximal ideal")
+        entry([], "power of the maximal ideal")
     elif kind == "T2":
         for texts, why in ((("x^2", "y^2"), "square pattern [1,1]"),
                            (("x*y", "y^2"), "square pattern [2]")):
-            entry(GradedIdeal([parse_form(t) for t in texts], 3), why)
+            entry([parse_form(t) for t in texts], why)
     elif kind == "T3":
         spans = [
             (["x^3", "y^3", "x^2*y - x*y^2"], "cube pattern [1,1,1]"),
@@ -119,7 +150,7 @@ def normal_forms(label: TypeLabel) -> list:
             (["x^2*y", "x*y^2", "y^3"], "cube pattern [3]"),
         ]
         for texts, why in spans:
-            entry(GradedIdeal([parse_form(t) for t in texts], 4), why)
+            entry([parse_form(t) for t in texts], why)
     elif kind == "T4":
         pencils = [
             ("x*y", "y^2"),
@@ -133,76 +164,16 @@ def normal_forms(label: TypeLabel) -> list:
             pair = (parse_form(a), parse_form(b))
             gens = [multiply(x, q) for q in pair]
             gens += [multiply(x, c) for c in _completion_cubics(pair)]
-            entry(GradedIdeal(gens, 5 + k), "pencil <%s, %s> times x" % (a, b))
-    elif kind == "T5":
-        entry(GradedIdeal(multiples(parse_form("x"), n - 1), n + k + 1), "factor x")
-    elif kind == "T6":
-        nc = max(n, 2)
-        for h in ("x*y", "x^2"):
-            entry(GradedIdeal(multiples(parse_form(h), nc - 2), n + k + 1),
-                  "factor " + h)
-    elif kind == "T7":
-        nc = max(n, 2)
-        big = n + k + 1
-        if l == 1:
-            # (x^2, x*y^(big-1) + y^big) is isomorphic to (x^2, y^big) in characteristic 0.
-            pairs = [
-                ("x*y", "x^%d + y^%d" % (big, big)),
-                ("x*y", "x^%d" % big),
-                ("x^2", "x*y^%d + y^%d" % (big - 1, big)),
-                ("x^2", "x*y^%d" % (big - 1)),
-                ("x^2", "y^%d" % big),
-            ]
-        else:
-            pairs = [
-                ("x*y", "x^%d" % big),
-                ("x^2", "x*y^%d" % (big - 1)),
-            ]
-        for f_text, h_text in pairs:
-            gens = multiples(parse_form(f_text), nc - 2) + [parse_form(h_text)]
-            entry(GradedIdeal(gens, big + l), "pair (%s, %s)" % (f_text, h_text))
-    elif kind == "T8":
-        nc = max(n, 3)
-        cubics = [("x^2*y + x*y^2", "x*y*(x+y)"), ("x^2*y", "x^2*y"), ("x^3", "x^3")]
-        for text, name in cubics:
-            entry(GradedIdeal(multiples(parse_form(text), nc - 3), n + k + 1),
-                  "factor " + name)
-    elif kind == "T9":
-        nc = max(n, 3)
-        chains = [("x^2*y + x*y^2", "x", "x | x*y*(x+y)"),
-                  ("x^2*y", "x", "x | x^2*y"),
-                  ("x^2*y", "y", "y | x^2*y"),
-                  ("x^3", "x", "x | x^3")]
-        for f_text, h_text, name in chains:
-            gens = multiples(parse_form(f_text), nc - 3)
-            gens += multiples(parse_form(h_text), n + k)
-            entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
-    elif kind == "T10":
-        nc = max(n, 3)
-        chains = [("x^2*y + x*y^2", "x*y", "x*y | x*y*(x+y)"),
-                  ("x^2*y", "x^2", "x^2 | x^2*y"),
-                  ("x^2*y", "x*y", "x*y | x^2*y"),
-                  ("x^3", "x^2", "x^2 | x^3")]
-        for f_text, g_text, name in chains:
-            gens = multiples(parse_form(f_text), nc - 3)
-            gens += multiples(parse_form(g_text), n + k - 1)
-            entry(GradedIdeal(gens, n + k + l + 1), "chain " + name)
-    elif kind == "T11":
-        nc = max(n, 3)
-        chains = [
-            ("x^2*y + x*y^2", "x*y", "x", "x | x*y | x*y*(x+y)"),
-            ("x^2*y", "x^2", "x", "x | x^2 | x^2*y"),
-            ("x^2*y", "x*y", "x", "x | x*y | x^2*y"),
-            ("x^2*y", "x*y", "y", "y | x*y | x^2*y"),
-            ("x^3", "x^2", "x", "x | x^2 | x^3"),
-        ]
-        for f_text, g_text, h_text, name in chains:
-            gens = multiples(parse_form(f_text), nc - 3)
-            gens += multiples(parse_form(g_text), n + k - 1)
-            gens += multiples(parse_form(h_text), n + k + l)
-            entry(GradedIdeal(gens, n + k + l + s + 1), "chain " + name)
+            entry(gens, "pencil <%s, %s> times x" % (a, b))
     else:
-        raise InvalidParameters("unknown label kind %r" % kind)
+        b = runs[-1][0]
+        single_one = kind == "T7" and label.param_dict()["l"] == 1
+        for texts, why in _RUN_FACTORS["T7, l=1" if single_one else kind]:
+            gens = []
+            for (start, _, _), text in zip(runs, texts):
+                factor = parse_form(text.format(a=b - 1, b=b))
+                gens += multiples(factor, start - factor.degree)
+            entry(gens, why.format(a=b - 1, b=b))
     return entries
 
 

@@ -8,15 +8,21 @@ t = 0 past the end) feed the dimension formula
     dim = sum over j >= n of (e_j + 1) * e_{j+1}
 
 and a sequence admits only finitely many graded quotients up to isomorphism
-exactly when that dimension is at most 3 = dim PGL(2).  Matching against the
-eleven finite-type shapes is done on run structure; the shape rows allow a
-parameter n one below the canonical deviation index when the first run value
-equals it (the run then absorbs index n-1), and parameters are reported in
-that row convention with the canonical index kept alongside.
+exactly when that dimension is at most 3 = dim PGL(2).
+
+The paper's eleven finite-type rows T1-T11 are one table, ``_ROWS``: each row
+gives the values of its tail runs, its parameter minimums and its dimension,
+and the run lengths are k + 1, l and s in turn.  ``match_pattern``,
+``sequence_for_row``, ``check_row_parameters`` and ``row_dimension`` all read
+that table.  A row allows a parameter n one below the canonical deviation
+index when the first run value equals it (the run then absorbs index n-1);
+parameters are reported in that row convention, with the canonical index kept
+alongside.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (InvalidColength, InvalidParameters, InvalidSequence, ParseError,
@@ -65,7 +71,10 @@ def parse_sequence_text(text: str) -> tuple:
 
 def validate(entries) -> HSSequence:
     """Check the shape constraints and wrap; only t_1 = 2 is in scope."""
-    entries = tuple(int(t) for t in entries)
+    try:
+        entries = tuple(operator.index(t) for t in entries)
+    except TypeError:
+        raise InvalidSequence("entries must be integers") from None
     if not entries or entries[0] != 1:
         raise InvalidSequence("t_0 must be 1")
     if len(entries) < 2 or entries[1] != 2:
@@ -138,6 +147,28 @@ def tail_runs(entries, n) -> list:
     return [tuple(run) for run in runs]
 
 
+# One row per label: the values of the tail runs, the fixed head n of a row
+# that is the k = 0 member of its shape (None elsewhere), the parameter
+# minimums and the dimension.  A k = 0 row's first run has length 1 and its
+# parameters name the runs after it, so T4's k + 1 is its run of 1s.  T7's
+# dimension is 3 when l = 1.  The dimension column is data of its own, which
+# ``classify`` checks against ``gt_dimension``.
+_ROWS = {
+    "T1": ((), None, {"n": 2}, 0),
+    "T2": ((1,), 2, {}, 2),
+    "T3": ((1,), 3, {}, 3),
+    "T4": ((2, 1), 3, {"k": 1}, 3),
+    "T5": ((1,), None, {"n": 2, "k": 1}, 1),
+    "T6": ((2,), None, {"n": 1, "k": 1}, 2),
+    "T7": ((2, 1), None, {"n": 1, "k": 1, "l": 1}, 2),
+    "T8": ((3,), None, {"n": 2, "k": 1}, 3),
+    "T9": ((3, 1), None, {"n": 2, "k": 1, "l": 2}, 3),
+    "T10": ((3, 2), None, {"n": 2, "k": 1, "l": 2}, 3),
+    "T11": ((3, 2, 1), None, {"n": 2, "k": 1, "l": 2, "s": 2}, 3),
+}
+_ROW_OF_SHAPE = {(values, head): kind for kind, (values, head, _, _) in _ROWS.items()}
+
+
 def match_pattern(seq: HSSequence):
     """The unique finite-type row fitting the sequence, or None.
 
@@ -145,75 +176,26 @@ def match_pattern(seq: HSSequence):
     canonical n, which realizes the row conventions n >= 1 (runs of 2) and
     n >= 2 (runs of 3).
     """
-    entries = seq.entries
     nc = seq.n
-    runs = tail_runs(entries, nc)
-
-    if not runs:
-        return TypeLabel("T1", 0, (("n", nc),), nc)
-
+    runs = tail_runs(seq.entries, nc)
+    values = tuple(value for _, _, value in runs)
     lengths = [end - start + 1 for start, end, _ in runs]
-    values = [v for _, _, v in runs]
-    absorbed = values[0] == nc
-    table_n = nc - 1 if absorbed else nc
-    first_len = lengths[0] + 1 if absorbed else lengths[0]
-
-    if values == [1]:
-        m = lengths[0]
-        if m == 1:
-            if nc == 2:
-                return TypeLabel("T2", 2, (), nc)
-            if nc == 3:
-                return TypeLabel("T3", 3, (), nc)
-            return None
-        return TypeLabel("T5", 1, (("n", nc), ("k", m - 1)), nc)
-
-    if values == [2]:
-        if first_len >= 2:
-            return TypeLabel("T6", 2, (("n", table_n), ("k", first_len - 1)), nc)
+    n = nc
+    if values[:1] == (nc,):  # the first run absorbs index n - 1
+        n, lengths[0] = nc - 1, lengths[0] + 1
+    # a first run of length 1 is k = 0, which only the fixed-head rows allow
+    head = nc if lengths[:1] == [1] else None
+    kind = _ROW_OF_SHAPE.get((values, head))
+    if kind is None:
         return None
-
-    if values == [2, 1]:
-        ones = lengths[1]
-        if first_len >= 2:
-            dim = 3 if ones == 1 else 2
-            return TypeLabel(
-                "T7", dim,
-                (("n", table_n), ("k", first_len - 1), ("l", ones)), nc)
-        if nc == 3 and lengths[0] == 1 and ones >= 2:
-            return TypeLabel("T4", 3, (("k", ones - 1),), nc)
+    if head is not None:
+        lengths.pop(0)
+    found = dict(zip("kls", [m - (i == 0) for i, m in enumerate(lengths)]), n=n)
+    low = _ROWS[kind][2]
+    if any(found[name] < least for name, least in low.items()):
         return None
-
-    if values == [3]:
-        if first_len >= 2:
-            return TypeLabel("T8", 3, (("n", table_n), ("k", first_len - 1)), nc)
-        return None
-
-    if values == [3, 1]:
-        ones = lengths[1]
-        if first_len >= 2 and ones >= 2:
-            return TypeLabel(
-                "T9", 3,
-                (("n", table_n), ("k", first_len - 1), ("l", ones)), nc)
-        return None
-
-    if values == [3, 2]:
-        twos = lengths[1]
-        if first_len >= 2 and twos >= 2:
-            return TypeLabel(
-                "T10", 3,
-                (("n", table_n), ("k", first_len - 1), ("l", twos)), nc)
-        return None
-
-    if values == [3, 2, 1]:
-        twos, ones = lengths[1], lengths[2]
-        if first_len >= 2 and twos >= 2 and ones >= 2:
-            return TypeLabel(
-                "T11", 3,
-                (("n", table_n), ("k", first_len - 1), ("l", twos), ("s", ones)), nc)
-        return None
-
-    return None
+    params = {name: found[name] for name in low}
+    return TypeLabel(kind, row_dimension(kind, **params), tuple(params.items()), nc)
 
 
 def classify(seq: HSSequence) -> TypeLabel:
@@ -236,76 +218,43 @@ def classify(seq: HSSequence) -> TypeLabel:
     return label
 
 
-_ROW_RESTRICTIONS = {
-    "T1": {"n": 2},
-    "T2": {},
-    "T3": {},
-    "T4": {"k": 1},
-    "T5": {"n": 2, "k": 1},
-    "T6": {"n": 1, "k": 1},
-    "T7": {"n": 1, "k": 1, "l": 1},
-    "T8": {"n": 2, "k": 1},
-    "T9": {"n": 2, "k": 1, "l": 2},
-    "T10": {"n": 2, "k": 1, "l": 2},
-    "T11": {"n": 2, "k": 1, "l": 2, "s": 2},
-}
-
-
 def check_row_parameters(kind: str, params: dict):
-    """Validate a parameter dict against a row's restrictions."""
-    bounds = _ROW_RESTRICTIONS.get(kind)
-    if bounds is None:
+    """Validate a parameter dict against a row's minimums."""
+    if kind not in _ROWS:
         raise InvalidParameters("unknown row %r" % kind)
-    for name, low in bounds.items():
+    for name, low in _ROWS[kind][2].items():
         if name not in params:
             raise InvalidParameters("row %s needs parameter %s" % (kind, name))
-        if int(params[name]) < low:
+        try:
+            value = operator.index(params[name])
+        except TypeError:
+            raise InvalidParameters("row %s needs an integer %s, got %r"
+                                    % (kind, name, params[name])) from None
+        if value < low:
             raise InvalidParameters(
-                "row %s needs %s >= %d, got %d" % (kind, name, low, params[name]))
-    extra = set(params) - set(bounds)
+                "row %s needs %s >= %d, got %d" % (kind, name, low, value))
+    extra = set(params) - set(_ROWS[kind][2])
     if extra:
         raise InvalidParameters("row %s got unexpected %s" % (kind, sorted(extra)))
 
 
 def sequence_for_row(kind: str, **params) -> tuple:
-    """The sequence a row instantiates at given parameters (row convention)."""
+    """The sequence a row instantiates at given parameters (row convention):
+    the staircase head, then the runs."""
     check_row_parameters(kind, params)
-    n = params.get("n")
-    k = params.get("k")
-    l = params.get("l")
-    s = params.get("s")
-    head = lambda top: tuple(range(1, top + 1))
-    if kind == "T1":
-        return head(n)
-    if kind == "T2":
-        return (1, 2, 1)
-    if kind == "T3":
-        return (1, 2, 3, 1)
-    if kind == "T4":
-        return (1, 2, 3, 2) + (1,) * (k + 1)
-    if kind == "T5":
-        return head(n) + (1,) * (k + 1)
-    if kind == "T6":
-        return head(n) + (2,) * (k + 1)
-    if kind == "T7":
-        return head(n) + (2,) * (k + 1) + (1,) * l
-    if kind == "T8":
-        return head(n) + (3,) * (k + 1)
-    if kind == "T9":
-        return head(n) + (3,) * (k + 1) + (1,) * l
-    if kind == "T10":
-        return head(n) + (3,) * (k + 1) + (2,) * l
-    if kind == "T11":
-        return head(n) + (3,) * (k + 1) + (2,) * l + (1,) * s
-    raise AssertionError(kind)
+    values, head, _, _ = _ROWS[kind]
+    counts = [params[name] for name in "kls" if name in params]
+    lengths = [1] * (head is not None) + [c + (i == 0) for i, c in enumerate(counts)]
+    entries = tuple(range(1, params.get("n", head) + 1))
+    for value, length in zip(values, lengths):
+        entries += (value,) * length
+    return entries
 
 
 def row_dimension(kind: str, **params) -> int:
-    """The table's dimension column, including the split row."""
-    if kind == "T7":
-        return 3 if params.get("l") == 1 else 2
-    return {"T1": 0, "T2": 2, "T3": 3, "T4": 3, "T5": 1, "T6": 2,
-            "T8": 3, "T9": 3, "T10": 3, "T11": 3}[kind]
+    """The table's dimension column, including the split row T7."""
+    check_row_parameters(kind, params)
+    return 3 if kind == "T7" and params["l"] == 1 else _ROWS[kind][3]
 
 
 def sequence_for_label(label: TypeLabel) -> tuple:

@@ -11,6 +11,7 @@ characteristic divides N.  See
 ``test_criterion_05_class_count_single_trailing_one``.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -93,16 +94,29 @@ def test_criterion_02_diagram_dimension_values():
     _report(2, "all labeled diagram values reproduced")
 
 
+# SHA-256 over repr((entries, str(label), dimension, canonical_n)) of the
+# classify label of every valid sequence of colength 3-40, recorded when the
+# finite-type list became one table in ``sequences``.
+_CLASSIFY_DIGEST = "9422bc01a56156a02cae8c0d7d900eed7ef38d0ae989dd5dd6e7476ca33f9150"
+
+
 def test_criterion_03_pattern_matches_iff_dimension_small():
     started = time.time()
     total = 0
+    digest = hashlib.sha256()
     for colength in range(3, 41):
         for entries in enumerate_sequences(colength):
             seq = validate(entries)
             assert (match_pattern(seq) is not None) == (gt_dimension(seq) <= 3), entries
+            label = classify(seq)
+            if label.finite:
+                assert sequence_for_label(label) == entries, (entries, str(label))
+            digest.update(repr((entries, str(label), label.dimension,
+                                label.canonical_n)).encode())
             total += 1
     elapsed = time.time() - started
-    assert total > 2000
+    assert total == 8656
+    assert digest.hexdigest() == _CLASSIFY_DIGEST
     assert elapsed < 10.0
     _report(3, "equivalence on %d sequences in %.2fs" % (total, elapsed))
 

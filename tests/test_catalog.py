@@ -1,6 +1,7 @@
 """Normal-form catalogs, invariants, the isomorphism tester and the sampler."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -16,7 +17,9 @@ from hsfinite import (
     are_isomorphic,
     classify,
     common_factor,
+    enumerate_sequences,
     equal_ideals,
+    format_ideal,
     hilbert_samuel,
     multiplicity_partition,
     normal_forms,
@@ -144,6 +147,24 @@ class TestNormalForms:
 
         with pytest.raises(InvalidParameters):
             normal_forms(TypeLabel("T5", 1, (("n", 2),), 2))
+
+    def test_every_normal_form_up_to_colength_20_is_pinned(self):
+        # SHA-256 over repr((format_ideal, provenance)) of every normal form of
+        # every finite label of colength 3-20, recorded when the row-built
+        # normal forms became one table of factor texts
+        digest = hashlib.sha256()
+        count = 0
+        for colength in range(3, 21):
+            for entries in enumerate_sequences(colength):
+                label = label_for(entries)
+                if label.finite:
+                    for entry in normal_forms(label):
+                        digest.update(repr((format_ideal(entry.ideal),
+                                            entry.provenance)).encode())
+                        count += 1
+        assert count == 643
+        assert digest.hexdigest() == (
+            "dd521b950d391cf48133cc506e76fa1c783c917eeb002475d90c18dcc2d44c15")
 
 
 def _small_labels(max_n, max_k, max_l, max_s):

@@ -43,6 +43,11 @@ class TestValidate:
         assert validate((1, 2)).n == 2
         assert validate((1, 2, 3)).n == 3
 
+    def test_non_integer_entries_refused(self):
+        for bad in ((1, 2.7, 1), (1, 2, "1"), (1, 2.0, 1), "121"):
+            with pytest.raises(InvalidSequence, match="integers"):
+                validate(bad)
+
 
 class TestJumpIndices:
     def test_simple_drop(self):
@@ -130,6 +135,14 @@ class TestMatching:
         with pytest.raises(InvalidParameters):
             check_row_parameters("T2", {"n": 2})
 
+    def test_non_integer_parameters_refused(self):
+        with pytest.raises(InvalidParameters, match="needs an integer n"):
+            check_row_parameters("T5", {"n": "3", "k": 1})
+        with pytest.raises(InvalidParameters, match="needs an integer n"):
+            sequence_for_row("T5", n=2.5, k=1)
+        with pytest.raises(InvalidParameters, match="needs an integer l"):
+            row_dimension("T7", n=2, k=1, l=1.0)
+
 
 class TestClassify:
     def test_finite_examples(self):
@@ -152,6 +165,15 @@ class TestClassify:
     def test_row_dimension_matches_formula(self):
         assert row_dimension("T7", n=2, k=1, l=1) == 3
         assert row_dimension("T7", n=2, k=1, l=2) == 2
+
+    def test_row_dimension_validates_like_sequence_for_row(self):
+        for kind, params in (("T12", {}), ("T7", {}), ("T5", {"n": 1, "k": 1}),
+                             ("T2", {"n": 2})):
+            with pytest.raises(InvalidParameters) as from_sequence:
+                sequence_for_row(kind, **params)
+            with pytest.raises(InvalidParameters) as from_dimension:
+                row_dimension(kind, **params)
+            assert str(from_dimension.value) == str(from_sequence.value)
 
 
 class TestEnumeration:
