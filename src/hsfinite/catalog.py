@@ -16,9 +16,12 @@ carrying one ideal onto the other, so the tester works in three layers:
    integer pairs), padded from a fixed point palette when fewer than three
    points are pinned.  Matrices equal up to scale share one primitive key
    and are tried once.  Every candidate is verified before being reported:
-   the image has the same sequence and each of its generators lies in the
-   target's component of that degree, which for ideals of one finite
-   colength proves equality.
+   each generator's image lies in the target's component of its degree,
+   which for ideals of one finite colength proves equality.  The check stays
+   in the integers: the generators become integer lists once, each key maps
+   them one at a time by the kernel of ``forms.substitute_forms`` and stops
+   at the first image outside the target, and a ``LinearChange`` is built
+   only for the witness reported.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.
@@ -31,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidPencil, NoCatalog, SamplingFailed
+from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
 from .forms import (
     BinaryForm,
     LinearChange,
@@ -42,6 +45,8 @@ from .forms import (
     _point_map_matrix,
     _primitive_key,
     _RootData,
+    _scaled,
+    _substitution,
     binary_form,
     form_divide,
     gcd_forms,
@@ -54,7 +59,6 @@ from .ideals import (
     GradedIdeal,
     component,
     common_factor,
-    equal_ideals,
     form_to_vector,
     format_ideal,
     hilbert_samuel,
@@ -62,10 +66,10 @@ from .ideals import (
     multiples,
     power_pairing,
     shifted_rows,
-    substitute_ideal,
 )
 from .rational_linalg import contains, rref
-from .sequences import HSSequence, TypeLabel, sequence_for_label, tail_runs, validate
+from .sequences import (HSSequence, TypeLabel, row_dimension, sequence_for_label,
+                        tail_runs, validate)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,10 @@ def normal_forms(label: TypeLabel) -> list:
         raise NoCatalog("no catalog for an infinite-type sequence")
     kind = label.kind
     seq = sequence_for_label(label)  # validates parameters
+    dimension = row_dimension(kind, **label.param_dict())
+    if label.dimension != dimension:
+        raise InvalidParameters("%s has dimension %d, not %d"
+                                % (label, dimension, label.dimension))
     nc = validate(seq).n
     target = TypeLabel(kind, label.dimension, label.params, nc)
     runs = tail_runs(seq, nc)
@@ -389,11 +397,11 @@ def _role_matchings(roles_left, roles_right):
 
 
 def _candidate_changes(analysis_left, analysis_right):
-    """Deterministic, bounded stream of substitution candidates.  Matrices
-    are built on integer points and deduplicated by their primitive keys;
-    a LinearChange is made only for a candidate that is yielded."""
-    yield LinearChange.identity()
-    yield LinearChange.swap()
+    """Deterministic, bounded stream of substitution candidates, as the
+    primitive integer keys (a, b, c, d) of invertible matrices built on
+    integer points; the identity and the swap come first."""
+    yield (1, 0, 0, 1)
+    yield (0, 1, 1, 0)
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     budget = 800
 
@@ -404,7 +412,7 @@ def _candidate_changes(analysis_left, analysis_right):
             if key not in seen:
                 seen.add(key)
                 budget -= 1
-                yield LinearChange(*key)
+                yield key
 
     for pins in _role_matchings(analysis_left.marked_roles,
                                 analysis_right.marked_roles):
@@ -444,10 +452,30 @@ def are_isomorphic(left: GradedIdeal, right: GradedIdeal) -> IsoVerdict:
     field = a_left.invariant.first_difference(a_right.invariant)
     if field is not None:
         return IsoVerdict("distinguished", field=field)
-    for change in _candidate_changes(a_left, a_right):
-        if equal_ideals(substitute_ideal(left, change), right):
-            return IsoVerdict("isomorphic", witness=change)
+    # equal invariants include equal sequences, which _carries_into needs
+    carries = _carries_into(left, right)
+    for key in _candidate_changes(a_left, a_right):
+        if carries(key):
+            return IsoVerdict("isomorphic", witness=LinearChange(*key))
     return IsoVerdict("unknown")
+
+
+def _carries_into(left: GradedIdeal, right: GradedIdeal):
+    """The test ``are_isomorphic`` runs on each candidate key (a, b, c, d):
+    is every generator of ``left`` of degree below ``len(seq)`` mapped into
+    ``right``?  For ideals of one sequence this is ``equal_ideals`` of the
+    image and ``right``, by its proof.  The generators become integer lists
+    once, and each key stops at the first image outside ``right``."""
+    below = len(hilbert_samuel(left))
+    lists = [_scaled(g.coeffs)[0] for g in left.generators if g.degree < below]
+
+    def carries(key):
+        image = _substitution(*key)
+        # column j of a component row is the coefficient of x^(d-j) y^j
+        return all(contains(component(right, len(p) - 1).basis, image(p)[::-1])
+                   for p in lists)
+
+    return carries
 
 
 @dataclass(frozen=True)

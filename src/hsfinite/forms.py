@@ -10,11 +10,13 @@ root: squarefree decomposition (Yun's algorithm, valid in characteristic 0)
 delivers the multiplicity structure, and only *rational* roots are ever
 extracted as points, from the same squarefree layers.
 
-The form operations are thin wrappers over one kernel of coefficient-list
-operations; the 2x2 matrices of linear changes live here too.  Division,
-gcds and squarefree decomposition run on primitive integer lists (Euclid as
-Brown's primitive remainder sequence), and ``Fraction`` returns only in the
-forms they hand back.
+The form operations are thin wrappers over one kernel of integer
+coefficient-list operations; the 2x2 matrices of linear changes live here
+too.  Products, substitutions (``_substitution``, shared with the witness
+search in ``catalog``), division, gcds and squarefree decomposition run on
+integer lists, Euclid as Brown's primitive remainder sequence.  ``Fraction``
+returns only in the forms handed back, built by ``_rational``, which shares
+one constant per integer in [-256, 256].
 """
 
 from __future__ import annotations
@@ -47,10 +49,25 @@ class BinaryForm:
 ZERO = BinaryForm(())
 
 
+# most coefficients are small integers; a Fraction is immutable, so one serves all
+_SMALL = {n: Fraction(n) for n in range(-256, 257)}
+
+
+def _rational(n, den=1):
+    """The Fraction n / den for ints n and den != 0, shared from ``_SMALL``
+    when it is an integer in [-256, 256]."""
+    if n % den:
+        return Fraction(n, den)
+    n //= den
+    q = _SMALL.get(n)
+    return Fraction(n) if q is None else q
+
+
 def binary_form(coeffs) -> BinaryForm:
     """Build a form from ascending x-power coefficients, normalizing the
     all-zero vector to the canonical zero form."""
-    cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+    exact = (c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+    cs = tuple(c if c.denominator != 1 else _rational(c.numerator) for c in exact)
     if all(c == 0 for c in cs):
         return ZERO
     return BinaryForm(cs)
@@ -70,10 +87,13 @@ def scale(f: BinaryForm, c) -> BinaryForm:
 
 
 def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Product form; degrees add and coefficients convolve exactly."""
+    """Product form; degrees add and the integer lists convolve."""
     if f.is_zero or g.is_zero:
         return ZERO
-    return BinaryForm(tuple(_convolve(f.coeffs, g.coeffs)))
+    p, den_f = _scaled(f.coeffs)
+    q, den_g = _scaled(g.coeffs)
+    den = den_f * den_g
+    return BinaryForm(tuple(_rational(v, den) for v in _convolve(p, q)))
 
 
 def monic(f: BinaryForm) -> BinaryForm:
@@ -210,27 +230,37 @@ def substitute(f: BinaryForm, change: LinearChange) -> BinaryForm:
 
 
 def substitute_forms(forms, change: LinearChange) -> list:
-    """Images of ``forms`` under ``change``, in order.  The images of the
-    degree-d monomials are built once per degree and shared by every form of
-    that degree; each form's image is a linear combination of them.
-
-    The work is done over the integers: with ``den`` the common denominator
-    of the matrix, a degree-d monomial maps to its image under the integer
-    matrix ``den * change`` divided by den^d, and each form is scaled by the
-    common denominator of its coefficients, which is divided out at the end.
-    """
+    """Images of ``forms`` under ``change``, in order, by the integer kernel
+    ``_substitution``: with ``den`` the common denominator of the matrix,
+    each form is scaled to an integer list, mapped by the integer matrix
+    ``den * change``, and its scale and den^degree are divided out at the
+    end."""
     entries = (change.a, change.b, change.c, change.d)
     den = math.lcm(*(v.denominator for v in entries))
-    a, b, c, d = (int(v * den) for v in entries)
-    pow_x = [[1]]
-    pow_y = [[1]]
-    bases = {}
+    image = _substitution(*(v.numerator * (den // v.denominator) for v in entries))
     out = []
     for f in forms:
         if f.is_zero:
             out.append(ZERO)
             continue
-        deg = f.degree
+        p, scale_f = _scaled(f.coeffs)
+        total = scale_f * den ** f.degree
+        # nonzero, since an invertible change maps nonzero forms to nonzero forms
+        out.append(BinaryForm(tuple(_rational(v, total) for v in image(p))))
+    return out
+
+
+def _substitution(a, b, c, d):
+    """The map p(x, y) -> p(a*x + b*y, c*x + d*y) on integer coefficient
+    lists.  The images of the degree-d monomials are built on the first list
+    of degree d and shared by every later one; each image is a linear
+    combination of them."""
+    pow_x = [[1]]
+    pow_y = [[1]]
+    bases = {}
+
+    def image(p):
+        deg = len(p) - 1
         basis = bases.get(deg)
         if basis is None:
             while len(pow_x) <= deg:
@@ -239,21 +269,19 @@ def substitute_forms(forms, change: LinearChange) -> list:
             # entry i is the image of x^i * y^(deg - i)
             basis = bases[deg] = [_convolve(pow_x[i], pow_y[deg - i])
                                   for i in range(deg + 1)]
-        scale_f = math.lcm(*(q.denominator for q in f.coeffs))
         acc = [0] * (deg + 1)
-        for q, image in zip(f.coeffs, basis):
+        for q, mono in zip(p, basis):
             if q:
-                _addmul(acc, q.numerator * (scale_f // q.denominator), image)
-        total = scale_f * den ** deg
-        # nonzero, since an invertible change maps nonzero forms to nonzero forms
-        out.append(BinaryForm(tuple(Fraction(v, total) for v in acc)))
-    return out
+                _addmul(acc, q, mono)
+        return acc
+
+    return image
 
 
 # ---------------------------------------------------------------------------
-# The polynomial kernel over coefficient lists, ascending powers.  A form
-# dehomogenizes to f(x, 1), whose list is exactly f.coeffs.  ``_convolve``
-# and ``_addmul`` also serve the integer lists of ``substitute_forms``.
+# The polynomial kernel over integer coefficient lists, ascending powers.  A
+# form dehomogenizes to f(x, 1), whose list is exactly f.coeffs times the
+# common denominator that ``_scaled`` clears.
 #
 # Division, Euclid and Yun run on integer lists.  A rational list is scaled
 # to its primitive part (content 1, positive lead), which has the same
@@ -286,9 +314,8 @@ def _addmul(acc, c, p, shift=0):
 
 
 def _convolve(p, q):
-    """Product of two coefficient lists, length kept in full, with entries of
-    the type of p's: a Fraction zero keeps Fraction sums on their fast path."""
-    out = [p[0] * 0] * (len(p) + len(q) - 1)
+    """Product of two integer lists, length kept in full."""
+    out = [0] * (len(p) + len(q) - 1)
     for i, u in enumerate(p):
         if u:
             _addmul(out, u, q, i)
@@ -303,10 +330,15 @@ def _primitive(p):
     return p if g == 1 else [c // g for c in p]
 
 
+def _scaled(coeffs):
+    """(ints, den): a rational list times its common denominator den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _integer_list(coeffs):
     """The primitive integer list of a nonzero rational list, trimmed."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive(_trim([c.numerator * (den // c.denominator) for c in coeffs]))
+    return _primitive(_trim(_scaled(coeffs)[0]))
 
 
 def _divide(p, q):

@@ -8,6 +8,7 @@ monomial basis x^d, x^(d-1) y, ..., y^d, computed on demand and memoized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -94,7 +95,7 @@ class GradedIdeal:
             if g.degree < 1:
                 raise ValueError("constant generator makes the quotient trivial")
         if truncation is not None:
-            truncation = int(truncation)
+            truncation = operator.index(truncation)
             if truncation < 1:
                 raise ValueError("truncation degree must be >= 1")
         self.generators = gens

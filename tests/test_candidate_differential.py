@@ -1,24 +1,29 @@
 """Differential check of the witness candidate stream: ``_candidate_changes``
-builds its matrices on primitive integer points and deduplicates them by
-integer keys; the reference below is the ``Fraction`` stream it replaced.
-Both must yield the same changes in the same order, so that the same
-witness is found first."""
+builds its matrices on primitive integer points and yields their primitive
+integer keys; the reference below is the ``Fraction`` stream of changes it
+replaced.  The changes of the keys and the reference must agree element for
+element, so that the same witness is found first.  On every key, the
+integer test that ``are_isomorphic`` runs must agree with ``equal_ideals``
+of the ``substitute_ideal`` image."""
 
 import itertools
 import math
 import random
+
+import pytest
 
 from hsfinite import (
     LinearChange,
     SingularChange,
     classify,
     enumerate_sequences,
+    equal_ideals,
     normal_forms,
     sample_ideal,
     substitute_ideal,
     validate,
 )
-from hsfinite.catalog import _analyze, _candidate_changes, _role_matchings
+from hsfinite.catalog import _analyze, _candidate_changes, _carries_into, _role_matchings
 from hsfinite.forms import _adjugate, _maps_point, _normalize_point, _point_map_matrix
 
 _REFERENCE_PALETTE = tuple(_normalize_point(p) for p in (
@@ -87,14 +92,28 @@ def _reference_candidate_changes(analysis_left, analysis_right):
 
 def _assert_same_stream(left, right):
     a_left, a_right = _analyze(left), _analyze(right)
-    got = list(_candidate_changes(a_left, a_right))
+    got = [LinearChange(*key) for key in _candidate_changes(a_left, a_right)]
     assert got == list(_reference_candidate_changes(a_left, a_right)), (left, right)
     return len(got)
 
 
-def test_catalog_pairs_with_equal_invariants():
-    pairs = 0
-    candidates = 0
+def _assert_integer_check_agrees(left, right):
+    """The integer test ``are_isomorphic`` runs on each key against the
+    public path, on every key of the stream; returns (keys, hits)."""
+    carries = _carries_into(left, right)
+    keys = hits = 0
+    for key in _candidate_changes(_analyze(left), _analyze(right)):
+        got = carries(key)
+        expected = equal_ideals(substitute_ideal(left, LinearChange(*key)), right)
+        assert got == expected, (left, right, key)
+        keys += 1
+        hits += got
+    return keys, hits
+
+
+def _catalog_pairs():
+    """Pairs of normal forms of one label, up to colength 12, with equal
+    invariants: the pairs that reach the witness search."""
     for colength in range(3, 13):
         for entries in enumerate_sequences(colength):
             label = classify(validate(entries))
@@ -102,12 +121,8 @@ def test_catalog_pairs_with_equal_invariants():
                 continue
             ideals = [e.ideal for e in normal_forms(label)]
             for left, right in itertools.combinations(ideals, 2):
-                if _analyze(left).invariant != _analyze(right).invariant:
-                    continue
-                pairs += 1
-                candidates += _assert_same_stream(left, right)
-    # more than the identity and the swap reach the stream
-    assert pairs > 0 and candidates > 2 * pairs
+                if _analyze(left).invariant == _analyze(right).invariant:
+                    yield left, right
 
 
 def _integer_change(rng):
@@ -118,16 +133,44 @@ def _integer_change(rng):
             continue
 
 
-def test_samples_against_integer_transforms():
+def _sample_pairs():
+    """Three samples per valid sequence of colength 5-8, each against an
+    integer transform of itself, both ways round."""
     rng = random.Random(8)
-    streams = 0
-    candidates = 0
     for colength in range(5, 9):
         for entries in enumerate_sequences(colength):
             for seed in range(3):
                 sample = sample_ideal(entries, seed)
                 image = substitute_ideal(sample, _integer_change(rng))
-                for left, right in ((sample, image), (image, sample)):
-                    streams += 1
-                    candidates += _assert_same_stream(left, right)
+                yield sample, image
+                yield image, sample
+
+
+def test_catalog_pairs_with_equal_invariants():
+    pairs = 0
+    candidates = 0
+    for left, right in _catalog_pairs():
+        pairs += 1
+        candidates += _assert_same_stream(left, right)
+    # more than the identity and the swap reach the stream
+    assert pairs > 0 and candidates > 2 * pairs
+
+
+def test_samples_against_integer_transforms():
+    streams = 0
+    candidates = 0
+    for left, right in _sample_pairs():
+        streams += 1
+        candidates += _assert_same_stream(left, right)
     assert candidates > 2 * streams
+
+
+@pytest.mark.parametrize("pairs", [_catalog_pairs, _sample_pairs])
+def test_integer_check_matches_equal_ideals_of_the_image(pairs):
+    keys = hits = 0
+    for left, right in pairs():
+        counted = _assert_integer_check_agrees(left, right)
+        keys += counted[0]
+        hits += counted[1]
+    # every key is checked, past the first hit, so both answers occur
+    assert 0 < hits < keys

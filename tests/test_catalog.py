@@ -148,6 +148,16 @@ class TestNormalForms:
         with pytest.raises(InvalidParameters):
             normal_forms(TypeLabel("T5", 1, (("n", 2),), 2))
 
+    def test_dimension_must_match_the_row(self):
+        from hsfinite import InvalidParameters
+
+        label = TypeLabel("T5", 99, (("n", 2), ("k", 1)), 7)
+        for build in (normal_forms, verify_catalog):
+            with pytest.raises(InvalidParameters, match="dimension 1, not 99"):
+                build(label)
+        assert verify_catalog(dataclasses.replace(label, dimension=1)).to_dict()[
+            "dimension"] == 1
+
     def test_every_normal_form_up_to_colength_20_is_pinned(self):
         # SHA-256 over repr((format_ideal, provenance)) of every normal form of
         # every finite label of colength 3-20, recorded when the row-built

@@ -37,6 +37,8 @@ from hsfinite.forms import (
     _normalize_point,
     _point_map_matrix,
     _primitive_key,
+    _rational,
+    substitute_forms,
 )
 
 
@@ -299,3 +301,75 @@ class TestPointMaps:
         assert _mat_mul(m, _adjugate(m)) == ((det, 0), (0, det))
         inverse = LinearChange(m[0][0], m[0][1], m[1][0], m[1][1]).inverse()
         assert _primitive_key(_adjugate(m)) == _primitive_key(_cleared(inverse.matrix()))
+
+
+# Rationals with zero, negative, large and non-integral entries, and the
+# small integers that ``_rational`` shares.
+exact_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-300, 300),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(-10 ** 12, 10 ** 12, max_denominator=10 ** 6),
+)
+
+
+@st.composite
+def exact_forms(draw, max_degree=5):
+    degree = draw(st.integers(0, max_degree))
+    cs = draw(st.lists(exact_coefficients, min_size=degree + 1, max_size=degree + 1)
+              .filter(any))
+    return binary_form(cs)
+
+
+def _fraction_product(p, q):
+    """Coefficient lists multiplied in plain Fraction arithmetic."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += Fraction(u) * Fraction(v)
+    return out
+
+
+def _fraction_substitute(f, m):
+    """f(a*x + b*y, c*x + d*y) in plain Fraction arithmetic."""
+    total = [Fraction(0)] * (f.degree + 1)
+    for i, q in enumerate(f.coeffs):
+        term = [q]
+        for _ in range(i):
+            term = _fraction_product(term, [m.b, m.a])
+        for _ in range(f.degree - i):
+            term = _fraction_product(term, [m.d, m.c])
+        total = [s + t for s, t in zip(total, term)]
+    return total
+
+
+def _all_fractions(f):
+    return all(type(c) is Fraction for c in f.coeffs)
+
+
+class TestFractionBoundary:
+    @PROPERTIES
+    @given(st.one_of(st.integers(-300, 300), st.integers(-10 ** 30, 10 ** 30)),
+           st.one_of(st.integers(-50, 50), st.integers(-10 ** 12, 10 ** 12)).filter(bool))
+    def test_rational_is_the_reduced_fraction(self, n, den):
+        q = _rational(n, den)
+        assert type(q) is Fraction and q == Fraction(n, den)
+        if q.denominator == 1 and -256 <= q <= 256:
+            assert q is _rational(q.numerator)
+
+    @PROPERTIES
+    @given(exact_forms(), exact_forms())
+    def test_multiply_is_fraction_arithmetic(self, f, g):
+        product = multiply(f, g)
+        assert list(product.coeffs) == _fraction_product(f.coeffs, g.coeffs)
+        assert _all_fractions(product)
+
+    @PROPERTIES
+    @given(st.lists(exact_forms(), min_size=1, max_size=4),
+           st.tuples(*[exact_coefficients] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
+    def test_substitute_forms_is_fraction_arithmetic(self, forms, entries):
+        change = LinearChange(*entries)
+        images = substitute_forms(forms, change)
+        assert [list(g.coeffs) for g in images] == \
+            [_fraction_substitute(f, change) for f in forms]
+        assert all(_all_fractions(g) for g in images)

@@ -329,3 +329,9 @@ class TestIdealText:
             GradedIdeal([binary_form((0,))])
         with pytest.raises(ValueError):
             GradedIdeal([monomial(1, 0)], truncation=0)
+
+    def test_truncation_must_be_an_integer(self):
+        # no silent coercion: 2.7 is not truncated to 2, nor "3" read as 3
+        for bad in (2.7, 3.0, "3"):
+            with pytest.raises(TypeError):
+                GradedIdeal([monomial(1, 0)], truncation=bad)
