@@ -19,9 +19,10 @@ carrying one ideal onto the other, so the tester works in three layers:
    each generator's image lies in the target's component of its degree,
    which for ideals of one finite colength proves equality.  The check stays
    in the integers: the generators become integer lists once, each key maps
-   them one at a time by the kernel of ``forms.substitute_forms`` and stops
-   at the first image outside the target, and a ``LinearChange`` is built
-   only for the witness reported.
+   them one at a time by the Horner kernel of ``forms.substitute_forms``
+   and stops at the first image off the target's component, found by its
+   complement functionals (``RowBasis.annihilator``) in O(d^2) with no
+   elimination.  A ``LinearChange`` is built only for the witness reported.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.

@@ -13,8 +13,9 @@ extracted as points, from the same squarefree layers.
 The form operations are thin wrappers over one kernel of integer
 coefficient-list operations; the 2x2 matrices of linear changes live here
 too.  Products, substitutions (``_substitution``, shared with the witness
-search in ``catalog``), division, gcds and squarefree decomposition run on
-integer lists, Euclid as Brown's primitive remainder sequence.  ``Fraction``
+search in ``catalog``, which maps one form by homogeneous Horner in
+O(degree^2)), division, gcds and squarefree decomposition run on integer
+lists, Euclid as Brown's primitive remainder sequence.  ``Fraction``
 returns only in the forms handed back, built by ``_rational``, which shares
 one constant per integer in [-256, 256].
 """
@@ -252,27 +253,23 @@ def substitute_forms(forms, change: LinearChange) -> list:
 
 def _substitution(a, b, c, d):
     """The map p(x, y) -> p(a*x + b*y, c*x + d*y) on integer coefficient
-    lists.  The images of the degree-d monomials are built on the first list
-    of degree d and shared by every later one; each image is a linear
-    combination of them."""
-    pow_x = [[1]]
+    lists, by homogeneous Horner: with X = a*x + b*y and Y = c*x + d*y,
+    acc <- acc * X + p[i] * Y^(deg - i) for i = deg down to 0, which is
+    O(deg^2) per list.  The powers of Y are built once and shared by every
+    list mapped; each step, a product by the two-term X plus a multiple of
+    a power of Y, is one comprehension."""
     pow_y = [[1]]
-    bases = {}
 
     def image(p):
         deg = len(p) - 1
-        basis = bases.get(deg)
-        if basis is None:
-            while len(pow_x) <= deg:
-                pow_x.append(_convolve(pow_x[-1], (b, a)))
-                pow_y.append(_convolve(pow_y[-1], (d, c)))
-            # entry i is the image of x^i * y^(deg - i)
-            basis = bases[deg] = [_convolve(pow_x[i], pow_y[deg - i])
-                                  for i in range(deg + 1)]
-        acc = [0] * (deg + 1)
-        for q, mono in zip(p, basis):
-            if q:
-                _addmul(acc, q, mono)
+        while len(pow_y) <= deg:
+            last = pow_y[-1]
+            pow_y.append([d * u + c * v for u, v in zip(last + [0], [0] + last)])
+        acc = [p[-1]]
+        for i in range(deg - 1, -1, -1):
+            q = p[i]
+            acc = [b * u + a * v + q * w
+                   for u, v, w in zip(acc + [0], [0] + acc, pow_y[deg - i])]
         return acc
 
     return image

@@ -218,17 +218,12 @@ def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
     Only defined when t_m = 1.  Callers must consume scale-invariant data
     only (in practice: its multiplicity partition).
     """
-    comp = component(ideal, m)
-    if comp.rank != m:
-        raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - comp.rank))
-    pivots = comp.basis.pivots
-    free_col = next(j for j in range(m + 1) if j not in pivots)
-    lam = [Fraction(0)] * (m + 1)
-    lam[free_col] = Fraction(1)
-    for row, col in zip(comp.basis.rows, pivots):
-        lam[col] = -row[free_col]
-    # column m - i is the monomial x^i y^(m-i)
-    coeffs = [comb(m, i) * lam[m - i] for i in range(m + 1)]
+    basis = component(ideal, m).basis
+    if basis.rank != m:
+        raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - basis.rank))
+    # the one complement functional; column m - i is the monomial x^i y^(m-i)
+    lam = dict(basis.annihilator[0])
+    coeffs = [comb(m, i) * lam.get(m - i, 0) for i in range(m + 1)]
     result = binary_form(coeffs)
     if result.is_zero:
         raise AssertionError("power pairing vanished identically")
@@ -270,6 +265,10 @@ def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
 # "truncate: D" directive anywhere.
 # ---------------------------------------------------------------------------
 
+# Largest truncation degree the parser accepts: the components below it may
+# all be row-reduced and memoized, about D^3 / 3 entries.
+MAX_TRUNCATION = 200
+
 
 def parse_ideal_text(text: str) -> GradedIdeal:
     generators = []
@@ -286,8 +285,9 @@ def parse_ideal_text(text: str) -> GradedIdeal:
                 raise ParseError("line %d: duplicate truncate directive" % lineno)
             body = rest[1:].strip()
             truncation = parse_natural(body, "the truncation degree on line %d" % lineno)
-            if truncation < 1:
-                raise ParseError("line %d: truncation degree must be >= 1" % lineno)
+            if not 1 <= truncation <= MAX_TRUNCATION:
+                raise ParseError("line %d: truncation degree must be between 1 and %d"
+                                 % (lineno, MAX_TRUNCATION))
             continue
         form = parse_form(line)
         if form.is_zero:

@@ -9,9 +9,13 @@ A ``RowBasis`` keeps each row of the RREF grid as the primitive integer row
 with a positive pivot.  That scaling is unique, so the integer rows are as
 canonical as the grid: span equality is a literal comparison of them
 instead of a pair of containment checks.  Callers that continue the
-arithmetic (the next graded component, membership tests, the common factor
-of a component) read them and never leave the integers; the unit-pivot
-``Fraction`` grid is built only for a caller that reads it.
+arithmetic (the next graded component, the common factor of a component)
+read them and never leave the integers; the unit-pivot ``Fraction`` grid is
+built only for a caller that reads it.
+
+Membership needs no elimination: ``RowBasis.annihilator`` reads one integer
+functional per free column off the integer rows, and together they cut out
+the row space, so ``contains`` is a few sparse dot products.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ _ONE = Fraction(1)
 def _integer_row(vec):
     """A positive integer multiple of a row of ints and Fractions; a row of
     ints is returned as it is."""
-    if all(type(c) is int for c in vec):
-        return vec
-    scale = lcm(*(c.denominator for c in vec))
-    return [c.numerator * (scale // c.denominator) for c in vec]
+    try:
+        gcd(*vec)  # takes ints only: the row's type test, in one C call
+    except TypeError:
+        scale = lcm(*(c.denominator for c in vec))
+        return [c.numerator * (scale // c.denominator) for c in vec]
+    return vec
 
 
 def _primitive_row(row, col):
@@ -68,6 +74,20 @@ class RowBasis:
             tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
                   for a in row)
             for row, col in zip(self.integer_rows, self.pivots))
+
+    @functools.cached_property
+    def annihilator(self) -> tuple:
+        """Functionals whose common kernel is the row space, one per free
+        column f, as sparse (column, coefficient) pairs: L at f and
+        -R[f] * L / R[p] at the pivot p of each integer row R, where L is
+        the lcm of the pivots.  So they span the dual of the complement."""
+        scale = lcm(*(row[col] for row, col in zip(self.integer_rows, self.pivots)))
+        pivots = set(self.pivots)
+        return tuple(
+            ((f, scale),) + tuple((col, -row[f] * (scale // row[col]))
+                                  for row, col in zip(self.integer_rows, self.pivots)
+                                  if row[f])
+            for f in range(self.ncols) if f not in pivots)
 
     @property
     def rank(self) -> int:
@@ -132,19 +152,13 @@ def rref(rows, ncols: int | None = None) -> RowBasis:
 
 
 def contains(basis: RowBasis, vec) -> bool:
-    """True iff ``vec`` lies in the row span: the residual after eliminating
-    fraction-free against every integer row is zero."""
-    v = _integer_row(vec)
-    if len(v) != basis.ncols:
-        raise ValueError("vector length %d != column count %d" % (len(v), basis.ncols))
-    for row, col in zip(basis.integer_rows, basis.pivots):
-        f = v[col]
-        if f:
-            p = row[col]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            v = [p * a - f * b for a, b in zip(v, row)]
-    return not any(v)
+    """True iff ``vec`` (ints or Fractions, unscaled: the dot products are
+    exact on either) lies in the row span, i.e. no functional of
+    ``basis.annihilator`` is nonzero on it."""
+    if len(vec) != basis.ncols:
+        raise ValueError("vector length %d != column count %d" % (len(vec), basis.ncols))
+    return not any(sum(c * vec[j] for j, c in functional)
+                   for functional in basis.annihilator)
 
 
 def spaces_equal(a: RowBasis, b: RowBasis) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 from hsfinite import parse_ideal_text
 from hsfinite.cli import MAX_SAMPLE_COUNT, main
+from hsfinite.ideals import MAX_TRUNCATION
 from hsfinite.sequences import MAX_COLENGTH
 
 try:
@@ -94,6 +95,20 @@ class TestHs:
 
     def test_missing_file(self, capsys, tmp_path):
         assert run(capsys, "hs", str(tmp_path / "nope.ideal"))[0] == 2
+
+    @pytest.mark.parametrize("degree", [MAX_TRUNCATION, MAX_TRUNCATION + 1])
+    def test_truncation_limit(self, tmp_path, degree):
+        # every component below the truncation is row-reduced: refused above
+        # the limit before any is built, and still quick at the limit
+        path = write(tmp_path, "x.ideal", "x\ntruncate: %d\n" % degree)
+        done = run_process("hs", path, timeout=60)
+        assert "Traceback" not in done.stderr
+        if degree > MAX_TRUNCATION:
+            assert (done.returncode, done.stdout) == (2, "")
+            assert "between 1 and %d" % MAX_TRUNCATION in done.stderr
+        else:
+            assert done.returncode == 0
+            assert done.stdout == "(%s)\n" % ", ".join(["1"] * degree)
 
     def test_number_over_the_digit_limit(self, capsys, tmp_path):
         path = write(tmp_path, "long.ideal", "%s*x\ny\n" % ("1" * 5000))

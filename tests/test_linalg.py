@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsfinite import RowBasis, contains, rref, spaces_equal
@@ -188,16 +188,33 @@ def _reference_contains(basis, vec):
     return all(c == 0 for c in v)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_matrices(), st.data())
-def test_contains_matches_fraction_elimination(case, data):
-    width, rows = case
-    basis = rref(rows, ncols=width)
-    # a combination of the rows, often nudged off the span in one column
+@st.composite
+def _spans_and_vectors(draw):
+    """A matrix and a combination of its rows, often nudged off the span in
+    one column."""
+    width, rows = draw(_matrices())
     vec = [0] * width
     for row in rows:
-        c = data.draw(_ENTRIES)
+        c = draw(_ENTRIES)
         vec = [a + c * b for a, b in zip(vec, row)]
-    if data.draw(st.booleans()):
-        vec[data.draw(st.integers(0, width - 1))] += data.draw(_ENTRIES)
+    if draw(st.booleans()):
+        vec[draw(st.integers(0, width - 1))] += draw(_ENTRIES)
+    return width, rows, vec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_spans_and_vectors())
+@example((3, [], [0, 0, 0]))  # rank 0: every column is free
+@example((3, [[0, 0, 0]], [0, Fraction(1, 2), 0]))
+@example((2, [[1, 2], [3, 4]], [5, Fraction(7, 3)]))  # full rank: no functional
+def test_contains_matches_fraction_elimination(case):
+    """``contains`` tests the complement functionals of ``annihilator``: one
+    integer functional per free column, each vanishing on every row."""
+    width, rows, vec = case
+    basis = rref(rows, ncols=width)
+    assert len(basis.annihilator) == width - basis.rank
+    for functional in basis.annihilator:
+        assert all(type(c) is int and c for _, c in functional)
+        for row in basis.integer_rows:
+            assert sum(c * row[j] for j, c in functional) == 0
     assert contains(basis, vec) == _reference_contains(basis, vec)

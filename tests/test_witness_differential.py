@@ -141,28 +141,42 @@ def _random_form(rng, degree):
     return binary_form(coeffs)
 
 
+# matrices with zero entries in each position pattern, and negative ones
+_ZERO_AND_NEGATIVE_CHANGES = (
+    LinearChange(3, 0, 0, Fraction(-2, 5)),  # diagonal
+    LinearChange(0, Fraction(1, 2), -3, 0),  # antidiagonal
+    LinearChange(0, 2, Fraction(-1, 3), 5),  # a = 0
+    LinearChange(-4, Fraction(3, 7), 1, 0),  # d = 0
+    LinearChange(-1, -2, -3, -5),
+    LinearChange(1, 0, 0, 1),
+)
+
+
 def test_substitute_matches_sympy_expand():
     sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
+    # sympy's sparse polynomial ring over QQ, fast enough for degree 40
+    ring, x, y = sympy.ring("x, y", sympy.QQ)
     rng = random.Random(41)
 
     def to_sympy(q):
-        return sympy.Rational(q.numerator, q.denominator)
+        return sympy.QQ(q.numerator, q.denominator)
 
-    for _ in range(100):
-        degree = rng.randint(0, 8)
+    general = [(rng.randint(0, 8), _random_change(rng, lambda: _rational(rng)))
+               for _ in range(100)]
+    general += [(rng.randint(9, 40), _random_change(rng, lambda: _rational(rng)))
+                for _ in range(10)]
+    special = [(degree, m) for m in _ZERO_AND_NEGATIVE_CHANGES
+               for degree in (0, 1, 2, 7, 40)]
+    for degree, m in general + special:
         f = _random_form(rng, degree)
-        m = _random_change(rng, lambda: _rational(rng))
-        expr = sum((to_sympy(c) * x**i * y**(degree - i)
-                    for i, c in enumerate(f.coeffs)), sympy.Integer(0))
-        moved = sympy.expand(expr.subs(
-            {x: to_sympy(m.a) * x + to_sympy(m.b) * y,
-             y: to_sympy(m.c) * x + to_sympy(m.d) * y}, simultaneous=True))
-        poly = sympy.Poly(moved, x, y)
+        X = to_sympy(m.a) * x + to_sympy(m.b) * y
+        Y = to_sympy(m.c) * x + to_sympy(m.d) * y
+        moved = sum((to_sympy(c) * X**i * Y**(degree - i)
+                     for i, c in enumerate(f.coeffs)), ring.zero)
         expected = []
         for i in range(degree + 1):
-            c = poly.coeff_monomial(x**i * y**(degree - i))
-            expected.append(Fraction(int(c.p), int(c.q)))
+            c = moved.coeff(x**i * y**(degree - i))
+            expected.append(Fraction(int(c.numerator), int(c.denominator)))
         assert substitute(f, m) == binary_form(expected), (f, m)
 
 
