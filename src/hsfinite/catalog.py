@@ -287,9 +287,9 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     pencil_patterns = []
     pencil_lines = {}
     for d in range(nc, len(seq)):
-        comp = component(ideal, d)
-        if comp.rank != 2:
+        if d + 1 - seq[d] != 2:  # the rank, read off the sequence
             continue
+        comp = component(ideal, d)
         h = common_factor(ideal, d)
         reduced = [form_divide(b, h) for b in comp.basis_forms()]
         if reduced[0].degree != 2:

@@ -116,7 +116,9 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
     span(generators of degree d), see ``shifted_rows``, which shifts the
     integer rows of I_(d-1).  From the truncation degree on it is the whole
-    space, without row reduction."""
+    space, without row reduction.  ``hilbert_samuel`` may stop building
+    below the truncation once the sequence persists; a degree asked for later
+    is built here from the highest memoized one below it."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -138,24 +140,26 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     return memo[degree]
 
 
-def _artinian_bound(ideal: GradedIdeal) -> int:
-    """Degree by which the component is guaranteed full: the truncation if
-    present, else 2D - 1 for D the largest generator degree.  The caller has
-    checked that the generators have no common factor, so the gcd of I_D,
-    spanned by multiples of the generators, is 1.  So I_D holds two coprime
-    forms of degree D; they generate a complete intersection of socle degree
-    2D - 2 inside I, and the socle degree of I is at most 2D - 2."""
-    if ideal.truncation is not None:
-        return ideal.truncation
-    return 2 * max(g.degree for g in ideal.generators) - 1
+def _top_generator_degree(ideal: GradedIdeal) -> int:
+    """Highest degree of a generator below the truncation, 0 if none."""
+    cut = ideal.truncation
+    return max((g.degree for g in ideal.generators if cut is None or g.degree < cut),
+               default=0)
 
 
 def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     """The sequence t_d = dim K[x,y]_d / I_d, trailing zeros removed.
 
-    Components are built upward until the first full one (see ``component``).
-    Raises NotArtinian when the generators share a nonconstant factor and no
-    truncation is present (infinite colength).
+    Components are built upward until the first full one (see ``component``)
+    or until the sequence persists.  Past the highest generator degree e
+    below the truncation, I_d = S_1 * I_(d-1), and for a nonzero V in S_(d-1)
+    dim S_1 * V >= dim V + 1, with equality only when V = h * S_(d-1-deg h)
+    (Gotzmann persistence in two variables, *Math. Z.* 158, 1978).  So once
+    d > e and t_d = t_(d-1), t stays constant up to the truncation, and
+    those components are not built.  Without a truncation this cannot
+    happen, as h would divide every generator.  Raises NotArtinian when the
+    generators share a nonconstant factor and no truncation is present
+    (infinite colength).
     """
     if ideal._sequence is not None:
         return ideal._sequence
@@ -165,7 +169,12 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
         g = reduce(gcd_forms, ideal.generators)
         if g.degree >= 1:
             raise NotArtinian("not Artinian: common factor %s" % format_form(g))
-    bound = _artinian_bound(ideal)
+    last = _top_generator_degree(ideal)
+    # I_d is full by the truncation.  Without one, the generators have no
+    # common factor, so I_last, spanned by their multiples, holds two coprime
+    # forms; they generate a complete intersection of socle degree
+    # 2 * last - 2 inside I.
+    bound = ideal.truncation or 2 * last - 1
 
     ts = []
     prev_rank = 0
@@ -177,6 +186,9 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
         if r == d + 1:
             break
         ts.append(d + 1 - r)
+        if d > last and ts[-1] == ts[-2]:
+            ts += ts[-1:] * (bound - 1 - d)  # bound is the truncation here
+            break
     else:
         raise AssertionError("exceeded termination bound %d" % bound)
     seq = tuple(ts)
@@ -265,9 +277,19 @@ def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
 # "truncate: D" directive anywhere.
 # ---------------------------------------------------------------------------
 
-# Largest truncation degree the parser accepts: the components below it may
-# all be row-reduced and memoized, about D^3 / 3 entries.
-MAX_TRUNCATION = 200
+# Largest truncation degree the parser accepts.  ``hilbert_samuel`` stops
+# row-reducing once the sequence persists, so the truncation alone does not
+# set the cost: ``x`` truncated at 2000 builds 3 components.
+MAX_TRUNCATION = 2000
+
+# A parsed file is refused when ``hilbert_samuel`` may row-reduce a nonzero
+# component of this degree or more; component d has about d rows of length
+# d + 1, so the memo below degree D holds about D^3 / 3 entries.  With e the
+# highest generator degree below the truncation D, t_e <= e, and past e the
+# sequence drops by at least 1 in each degree until it persists or reaches 0:
+# the walk stops by degree 2e, and below D.  Without a truncation the first
+# full component comes by degree 2e - 1 (see ``hilbert_samuel``).
+MAX_ROW_REDUCED = 200
 
 
 def parse_ideal_text(text: str) -> GradedIdeal:
@@ -297,7 +319,13 @@ def parse_ideal_text(text: str) -> GradedIdeal:
         generators.append(form)
     if not generators and truncation is None:
         raise ParseError("ideal file needs at least one generator or a truncate line")
-    return GradedIdeal(generators, truncation)
+    ideal = GradedIdeal(generators, truncation)
+    e = _top_generator_degree(ideal)
+    reduced = 2 * e if truncation is None else min(truncation, 2 * e + 1)
+    if reduced > MAX_ROW_REDUCED:
+        raise ParseError("the sequence may need components up to degree %d; "
+                         "at most %d is supported" % (reduced - 1, MAX_ROW_REDUCED - 1))
+    return ideal
 
 
 def format_ideal(ideal: GradedIdeal) -> str:

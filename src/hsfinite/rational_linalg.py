@@ -62,7 +62,11 @@ class RowBasis:
         self.ncols = ncols
         if integer_rows is None:
             self.rows = tuple(rows)
-            pivots = tuple(next(j for j, c in enumerate(row) if c) for row in self.rows)
+            pivots = tuple(next((j for j, c in enumerate(row) if c), None)
+                           for row in self.rows)
+            if None in pivots:
+                raise ValueError("row %d is zero: a basis has no zero rows"
+                                 % pivots.index(None))
             integer_rows = tuple(_primitive_row(_integer_row(row), col)
                                  for row, col in zip(self.rows, pivots))
         self.integer_rows = integer_rows

@@ -254,6 +254,16 @@ class TestStructuralInvariant:
         assert parts == [(2, 1), (1,)]
         assert inv.pairwise_gcd == ((1,),)  # x divides x^2*y
 
+    def test_long_run_of_ones_builds_up_to_persistence(self):
+        # (x*y, x^3) truncated at 33: t_3 = t_4 = 1 past the generator degree
+        # 3, so the sequence persists from degree 4 and no component above it
+        # is built, neither by the sequence nor by the pencil scan
+        label = label_for((1, 2, 2) + (1,) * 30)
+        entry = next(e for e in normal_forms(label) if e.provenance == "pair (x*y, x^3)")
+        fresh = GradedIdeal(entry.ideal.generators, entry.ideal.truncation)
+        assert structural_invariant(fresh).sequence == (1, 2, 2) + (1,) * 30
+        assert max(fresh._components) == 4
+
     def test_invariant_under_substitution(self):
         rng = random.Random(22)
         pool = [e.ideal for e in normal_forms(label_for((1, 2, 3, 2, 1, 1)))]

@@ -98,8 +98,8 @@ class TestHs:
 
     @pytest.mark.parametrize("degree", [MAX_TRUNCATION, MAX_TRUNCATION + 1])
     def test_truncation_limit(self, tmp_path, degree):
-        # every component below the truncation is row-reduced: refused above
-        # the limit before any is built, and still quick at the limit
+        # refused above the limit; at the limit the sequence persists from
+        # degree 2, so three components are built and the run is quick
         path = write(tmp_path, "x.ideal", "x\ntruncate: %d\n" % degree)
         done = run_process("hs", path, timeout=60)
         assert "Traceback" not in done.stderr
@@ -109,6 +109,15 @@ class TestHs:
         else:
             assert done.returncode == 0
             assert done.stdout == "(%s)\n" % ", ".join(["1"] * degree)
+
+    def test_untruncated_high_degrees_refused(self, tmp_path):
+        # the walk to the first full component would row-reduce every
+        # degree below 799: refused before any component is built
+        path = write(tmp_path, "big.ideal", "x^400\ny^400\n")
+        done = run_process("hs", path)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: the sequence may need components up to "
+                               "degree 799; at most 199 is supported\n")
 
     def test_number_over_the_digit_limit(self, capsys, tmp_path):
         path = write(tmp_path, "long.ideal", "%s*x\ny\n" % ("1" * 5000))
@@ -238,6 +247,15 @@ class TestIso:
         a = write(tmp_path, "a.ideal", "x^2\ny^2\ntruncate: 3\n")
         b = write(tmp_path, "b.ideal", "x*y\nx^2 - y^2\ntruncate: 3\n")
         assert run(capsys, "iso", a, b) == (0, "Unknown\n", "")
+
+    def test_lines_at_the_truncation_limit(self, tmp_path):
+        # sequences of 2000 ones: the invariants and the witness check read
+        # no component above the persistence degree 2
+        a = write(tmp_path, "a.ideal", "x\ntruncate: %d\n" % MAX_TRUNCATION)
+        b = write(tmp_path, "b.ideal", "y\ntruncate: %d\n" % MAX_TRUNCATION)
+        done = run_process("iso", a, b)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "Isomorphic, witness [[0, 1], [1, 0]]\n"
 
     def test_semiprime_coefficient_finishes(self, tmp_path):
         # x^2 - P*y^2 has no rational root, and P = (2^61 - 1)(2^89 - 1) is

@@ -6,10 +6,13 @@ reduced Groebner basis in grevlex order, with every monomial of degree D
 added for a truncation D, and counts per degree the standard monomials,
 those divisible by no leading monomial of the basis.  The ideals are every
 normal form up to colength 12, two samples of every valid sequence of
-colength at most 9, and an integer transform of each.
+colength at most 9, and an integer transform of each; and, for long
+persistent tails, the normal forms with a common factor truncated 20
+degrees past their sequence.
 """
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -19,6 +22,7 @@ from hsfinite import (
     SingularChange,
     classify,
     enumerate_sequences,
+    gcd_forms,
     hilbert_samuel,
     normal_forms,
     sample_ideal,
@@ -90,3 +94,28 @@ def test_hilbert_samuel_matches_groebner_standard_monomials():
         checked += 2
     # 114 normal forms and 2 samples of each of the 23 valid sequences
     assert checked == 2 * (114 + 46)
+
+
+def test_long_truncated_tails_match_groebner():
+    """Normal forms up to colength 12 whose generators share a factor,
+    truncated 20 degrees past their sequence, and an integer transform of
+    each: the sequence ends in a constant run of at least 20 entries, which
+    ``hilbert_samuel`` fills without building those components."""
+    rng = random.Random(13)
+    checked = 0
+    for colength in range(3, 13):
+        for entries in enumerate_sequences(colength):
+            label = classify(validate(entries))
+            if not label.finite:
+                continue
+            for entry in normal_forms(label):
+                gens = entry.ideal.generators
+                if not gens or reduce(gcd_forms, gens).degree == 0:
+                    continue
+                long = GradedIdeal(gens, len(hilbert_samuel(entry.ideal)) + 20)
+                expected = groebner_sequence(long)
+                assert expected[-20:] == (expected[-20],) * 20, long
+                assert hilbert_samuel(long) == expected, long
+                assert hilbert_samuel(integer_transform(long, rng)) == expected, long
+                checked += 1
+    assert checked == 93

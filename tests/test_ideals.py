@@ -1,9 +1,12 @@
 """Graded components, Hilbert-Samuel sequences and the factor structure."""
 
+import itertools
 import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import (
@@ -27,6 +30,7 @@ from hsfinite import (
     monic,
     monomial,
     multiplicity_partition,
+    multiply,
     normal_forms,
     parse_form,
     parse_ideal_text,
@@ -135,6 +139,42 @@ class TestHilbertSamuel:
         # the guard is 2 * 5 - 1 = 9, above the degree 5 + 2 - 1 = 6 that
         # the coprime pair gives and where the walk stops
         assert hilbert_samuel(ideal("x^5", "y^2")) == (1, 2, 2, 2, 2, 1)
+
+    def test_persistent_tail_builds_no_more_components(self):
+        # t_1 = t_2 = 1 past the generator degree 1: the sequence persists
+        # up to the truncation, with components 0, 1 and 2 built
+        line = GradedIdeal([monomial(1, 0)], truncation=2000)
+        assert hilbert_samuel(line) == (1,) * 2000
+        assert len(line._components) <= 3
+        # a degree asked for later is still built, from the memo below it
+        assert component(line, 9).basis == reference_component(line, 9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_reference_components(self, data):
+        """Generators of degree at most 6 share a random factor h, so the
+        sequence often persists at deg h long before a truncation of up to
+        40; the reference builds every degree from all monomial multiples,
+        with no memo and no persistence."""
+        def coefficients(size):
+            return data.draw(st.lists(st.integers(-3, 3), min_size=size,
+                                      max_size=size).filter(any))
+
+        h = binary_form(coefficients(data.draw(st.integers(1, 3))))
+        gens = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            degree = data.draw(st.integers(max(0, 1 - h.degree), 6 - h.degree))
+            gens.append(multiply(h, binary_form(coefficients(degree + 1))))
+        if data.draw(st.booleans()):
+            gens.append(binary_form(coefficients(data.draw(st.integers(2, 7)))))
+        case = GradedIdeal(gens, data.draw(st.integers(1, 40)))
+        expected = []
+        for d in itertools.count():
+            t = d + 1 - reference_component(case, d).rank
+            if t == 0:
+                break
+            expected.append(t)
+        assert hilbert_samuel(case) == tuple(expected)
 
 
 class TestFactorStructure:
@@ -319,6 +359,17 @@ class TestIdealText:
                     "x - x\n", "5\n", "x^2 + y\n"):
             with pytest.raises(ParseError):
                 parse_ideal_text(bad)
+
+    def test_row_reduced_degree_limit(self):
+        # the sequence row-reduces components below min(D, 2e + 1), or below
+        # 2e without a truncation, for e the highest generator degree below D
+        accepted = ("x^100\ny^100\n", "x^99\ny^99\ntruncate: 2000\n",
+                    "x^150\ny^150\ntruncate: 200\n", "x\ny^1000\ntruncate: 1000\n")
+        for text in accepted:
+            parse_ideal_text(text)
+        for text in ("x^101\ny^101\n", "x^100\ny^100\ntruncate: 2000\n"):
+            with pytest.raises(ParseError, match="at most 199 is supported"):
+                parse_ideal_text(text)
 
     def test_unreadable_truncation_is_a_parse_error(self):
         with pytest.raises(ParseError, match="truncation degree on line 2"):

@@ -39,6 +39,11 @@ def test_ragged_input_rejected():
         rref([[1, 2], [1]])
 
 
+def test_basis_from_rows_refuses_a_zero_row():
+    with pytest.raises(ValueError, match="row 1 is zero"):
+        RowBasis(3, [[1, 0, 0], [0, 0, 0]])
+
+
 def test_empty_input_needs_ncols():
     assert rref([], ncols=4).rank == 0
     with pytest.raises(ValueError):
