@@ -8,7 +8,11 @@ carrying one ideal onto the other, so the tester works in three layers:
    factor, pairwise GCD partitions of those factors, the power-pairing root
    pattern in the first degree with a 1-dimensional quotient, and pencil
    discriminant patterns where a component is 2-dimensional after factor
-   removal.  Any difference is a certified non-isomorphism.
+   removal.  Any difference is a certified non-isomorphism.  They are read
+   off the primitive integer rows of the components as integer coefficient
+   lists, up to scale, and no ``Fraction`` form is built on the way to the
+   root data; the public ``common_factor``, ``gcd_forms``,
+   ``power_pairing`` and ``pencil_discriminant`` wrap the same helpers.
 
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices, built from multiplicity-compatible matchings of the
@@ -40,32 +44,32 @@ from .forms import (
     BinaryForm,
     LinearChange,
     _adjugate,
+    _exact_quotient,
+    _form_gcd,
     _integer_point,
     _maps_point,
+    _monic_form,
     _normalize_point,
     _point_map_matrix,
     _primitive_key,
     _RootData,
     _scaled,
     _substitution,
+    _trim,
     binary_form,
-    form_divide,
-    gcd_forms,
-    monic,
-    multiplicity_partition,
     multiply,
     parse_form,
 )
 from .ideals import (
     GradedIdeal,
+    _factor_list,
+    _pairing_list,
     component,
-    common_factor,
     form_to_vector,
     format_ideal,
     hilbert_samuel,
     monomials,
     multiples,
-    power_pairing,
     shifted_rows,
 )
 from .rational_linalg import contains, rref
@@ -186,6 +190,18 @@ def normal_forms(label: TypeLabel) -> list:
     return entries
 
 
+def _discriminant(p, q):
+    """disc(a*p + b*q) for the coefficient lists (ints or Fractions) of two
+    independent quadratics, as the coefficient list of a quadratic in
+    (a, b): member c2*x^2 + c1*x*y + c0*y^2 has discriminant c1^2 - 4*c2*c0."""
+    a2 = p[1] ** 2 - 4 * p[2] * p[0]
+    b2 = q[1] ** 2 - 4 * q[2] * q[0]
+    ab = 2 * p[1] * q[1] - 4 * (p[2] * q[0] + p[0] * q[2])
+    if not (a2 or ab or b2):
+        raise AssertionError("vanishing discriminant on an independent pencil")
+    return [b2, ab, a2]
+
+
 def pencil_discriminant(p1: BinaryForm, p2: BinaryForm) -> BinaryForm:
     """disc(a*p1 + b*p2) as a quadratic in the dual variables (a, b),
     scalar-normalized; only its multiplicity partition is contractual."""
@@ -194,15 +210,7 @@ def pencil_discriminant(p1: BinaryForm, p2: BinaryForm) -> BinaryForm:
             raise InvalidPencil("pencil members must be nonzero quadratics")
     if rref([form_to_vector(p1, 2), form_to_vector(p2, 2)]).rank != 2:
         raise InvalidPencil("pencil members must be linearly independent")
-    # member c2*x^2 + c1*x*y + c0*y^2 has discriminant c1^2 - 4*c2*c0
-    a2 = p1.coeffs[1] ** 2 - 4 * p1.coeffs[2] * p1.coeffs[0]
-    b2 = p2.coeffs[1] ** 2 - 4 * p2.coeffs[2] * p2.coeffs[0]
-    ab = 2 * p1.coeffs[1] * p2.coeffs[1] - 4 * (
-        p1.coeffs[2] * p2.coeffs[0] + p1.coeffs[0] * p2.coeffs[2])
-    disc = binary_form((b2, ab, a2))
-    if disc.is_zero:
-        raise AssertionError("vanishing discriminant on an independent pencil")
-    return monic(disc)
+    return _monic_form(_discriminant(p1.coeffs, p2.coeffs))
 
 
 @dataclass(frozen=True)
@@ -256,6 +264,9 @@ class _Analysis:
 
 
 def _analyze(ideal: GradedIdeal) -> _Analysis:
+    """Each form on the way to ``_RootData`` is an integer list, a multiple
+    of the monic form its public counterpart returns; the partitions and
+    points do not depend on that scale."""
     if ideal._analysis is not None:
         return ideal._analysis
     seq = hilbert_samuel(ideal)
@@ -264,24 +275,21 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     run_factors = []
     run_roots = []
     for start, end, value in tail_runs(seq, nc):
-        factor = common_factor(ideal, start)
+        factor = _factor_list(component(ideal, start).basis)
         part = ()
-        if factor.degree > 0:
+        if len(factor) > 1:
             roots = _RootData(factor)
             run_roots.append((len(run_factors), roots))
             part = roots.partition
         run_factors.append(factor)
         run_data.append((start, end, value, part))
-    pair_gcds = []
-    for i in range(len(run_factors)):
-        for j in range(i + 1, len(run_factors)):
-            g = gcd_forms(run_factors[i], run_factors[j])
-            pair_gcds.append(multiplicity_partition(g) if g.degree > 0 else ())
+    pair_gcds = [_RootData(_form_gcd(f, g)).partition
+                 for f, g in itertools.combinations(run_factors, 2)]
     theta_roots = None
     theta_pattern = None
     for m in range(1, len(seq)):
         if seq[m] == 1:
-            theta_roots = _RootData(power_pairing(ideal, m))
+            theta_roots = _RootData(_pairing_list(ideal, m))
             theta_pattern = theta_roots.partition
             break
     pencil_patterns = []
@@ -289,19 +297,22 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     for d in range(nc, len(seq)):
         if d + 1 - seq[d] != 2:  # the rank, read off the sequence
             continue
-        comp = component(ideal, d)
-        h = common_factor(ideal, d)
-        reduced = [form_divide(b, h) for b in comp.basis_forms()]
-        if reduced[0].degree != 2:
+        basis = component(ideal, d).basis
+        h = _factor_list(basis)
+        if len(h) != d - 1:  # the members divided by h are not quadratics
             continue
-        disc = _RootData(pencil_discriminant(reduced[0], reduced[1]))
+        # y^k divides h and every row: cut a row's first k columns, reverse
+        # it and divide exactly by h's primitive core (Gauss's lemma)
+        core = _trim(list(h))
+        k = len(h) - len(core)
+        reduced = [_exact_quotient(row[k:][::-1], core) for row in basis.integer_rows]
+        disc = _RootData(_discriminant(*reduced))
         pencil_patterns.append((d, disc.partition))
         lines = {}
         for (a0, b0), mult in disc.points:
             # the member at a root of disc is (u*x + v*y)^2 up to scale: its
             # coefficients are v^2, 2uv, u^2 and its point is (-v : u)
-            c0, c1, c2 = (a0 * p + b0 * q
-                          for p, q in zip(reduced[0].coeffs, reduced[1].coeffs))
+            c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
             pt = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
             lines[pt] = lines.get(pt, 0) + mult
         pencil_lines[d] = sorted(lines.items())

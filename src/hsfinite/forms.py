@@ -14,10 +14,13 @@ The form operations are thin wrappers over one kernel of integer
 coefficient-list operations; the 2x2 matrices of linear changes live here
 too.  Products, substitutions (``_substitution``, shared with the witness
 search in ``catalog``, which maps one form by homogeneous Horner in
-O(degree^2)), division, gcds and squarefree decomposition run on integer
-lists, Euclid as Brown's primitive remainder sequence.  ``Fraction``
-returns only in the forms handed back, built by ``_rational``, which shares
-one constant per integer in [-256, 256].
+O(degree^2)), division, gcds (``_form_gcd``) and squarefree decomposition
+run on integer lists, Euclid as Brown's primitive remainder sequence, and
+``_RootData`` reads an integer list, so the invariant layer in ``catalog``
+never builds a form.  ``Fraction`` returns only in the forms handed back,
+built by ``_rational``, which shares one constant per integer in
+[-256, 256], or by ``_monic_form``; ``parse_form`` sums integral terms as
+ints and makes a ``Fraction`` only for a ``num/den`` term.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def monic(f: BinaryForm) -> BinaryForm:
     """Scale so the first nonzero coefficient from the x^d end equals 1."""
     if f.is_zero:
         raise ValueError("the zero form has no monic normalization")
-    return BinaryForm(tuple(_monic(f.coeffs)))
+    return _monic_form(f.coeffs)
 
 
 def y_valuation(f: BinaryForm) -> int:
@@ -370,6 +373,11 @@ def _monic(p):
     return [Fraction(c, lead) for c in p]
 
 
+def _monic_form(p) -> BinaryForm:
+    """The monic form of a nonzero coefficient list (ints or Fractions)."""
+    return BinaryForm(tuple(_monic(p)))
+
+
 def _gcd(p, q):
     """Primitive gcd of two nonzero trimmed integer lists, by the primitive
     remainder sequence: each member is divided by its content."""
@@ -466,18 +474,25 @@ def form_divide(f: BinaryForm, h: BinaryForm) -> BinaryForm:
     return _padded(quo, f.degree - h.degree)
 
 
+def _form_gcd(p, q):
+    """Primitive gcd of two nonzero integer coefficient lists of forms:
+    Euclid on the dehomogenizations at y = 1, then the shared valuation at
+    [1:0] as trailing zeros."""
+    core_p = _trim(list(p))
+    core_q = _trim(list(q))
+    shared_y = min(len(p) - len(core_p), len(q) - len(core_q))
+    return _gcd(core_p, core_q) + [0] * shared_y
+
+
 def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic GCD of two forms: Euclid on the dehomogenizations at y = 1, then
-    a y-power for the shared valuation at [1:0].  gcd(f, 0) = monic f."""
+    """Monic GCD of two forms, by ``_form_gcd``.  gcd(f, 0) = monic f."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero forms is undefined")
     if f.is_zero:
         return monic(g)
     if g.is_zero:
         return monic(f)
-    yv = min(y_valuation(f), y_valuation(g))
-    core = _gcd(_integer_list(f.coeffs), _integer_list(g.coeffs))
-    return _padded(_monic(core), _deg(core) + yv)
+    return _monic_form(_form_gcd(_scaled(f.coeffs)[0], _scaled(g.coeffs)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +581,8 @@ def _layer_roots(q):
 
 
 class _RootData:
-    """The roots of a nonzero form from one squarefree decomposition of
+    """The roots of a nonzero form, given as a coefficient list of ints
+    (any nonzero multiple of the form), from one squarefree decomposition of
     f(x, 1): the multiplicity partition at once, the rational points when
     first asked for.
 
@@ -578,16 +594,17 @@ class _RootData:
     never computed.
     """
 
-    def __init__(self, f: BinaryForm):
-        if f.is_zero:
+    def __init__(self, p):
+        core = _trim(list(p))
+        if not core:
             raise ValueError("zero form has no roots")
-        self.y_valuation = y_valuation(f)
-        self.layers = _squarefree(_integer_list(f.coeffs))
+        self.y_valuation = len(p) - len(core)
+        self.layers = _squarefree(_primitive(core))
         parts = [mult for layer, mult in self.layers for _ in range(_deg(layer))]
         if self.y_valuation:
             parts.append(self.y_valuation)
         parts.sort(reverse=True)
-        assert sum(parts) == f.degree
+        assert sum(parts) == _deg(p)
         self.partition = tuple(parts)
 
     @functools.cached_property
@@ -602,12 +619,12 @@ class _RootData:
 
 def multiplicity_partition(f: BinaryForm) -> tuple:
     """Root multiplicities of f over the algebraic closure; see _RootData."""
-    return _RootData(f).partition
+    return _RootData(_scaled(f.coeffs)[0]).partition
 
 
 def rational_root_points(f: BinaryForm) -> list:
     """Rational projective roots of f with multiplicities; see _RootData."""
-    return _RootData(f).points
+    return _RootData(_scaled(f.coeffs)[0]).points
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +681,8 @@ def parse_form(text: str) -> BinaryForm:
         yp = _number(m, "yp", 1 if y else 0)
         if max(xp, yp) > MAX_EXPONENT:
             _fail("an exponent of at most %d" % MAX_EXPONENT, m.start("sign"), text)
-        terms.append((Fraction(-num if sign == "-" else num, den), xp, yp))
+        coeff = -num if sign == "-" else num
+        terms.append((coeff if den == 1 else Fraction(coeff, den), xp, yp))
         pos = m.end()
     degrees = {xp + yp for coeff, xp, yp in terms if coeff != 0}
     if len(degrees) > 1:
@@ -673,7 +691,7 @@ def parse_form(text: str) -> BinaryForm:
     if not degrees:
         return ZERO
     d = degrees.pop()
-    cs = [Fraction(0)] * (d + 1)
+    cs = [0] * (d + 1)
     for coeff, xp, yp in terms:
         if coeff != 0:
             cs[xp] += coeff

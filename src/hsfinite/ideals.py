@@ -3,7 +3,12 @@
 An ideal is a list of nonzero homogeneous generators plus an optional
 truncation degree D, which adjoins every form of degree >= D (the power of
 the maximal ideal (x, y)^D).  Graded components are row spaces over the
-monomial basis x^d, x^(d-1) y, ..., y^d, computed on demand and memoized.
+monomial basis x^d, x^(d-1) y, ..., y^d, computed on demand and memoized;
+past the degree where the sequence persists, a component is written down as
+the multiples of the persistent factor.  The common factor of a component
+and the power pairing are integer coefficient lists (``_factor_list``,
+``_pairing_list``), read off the primitive integer rows; ``common_factor``
+and ``power_pairing`` hand them back as monic ``Fraction`` forms.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError, p
 from .forms import (
     BinaryForm,
     _gcd,
-    _monic,
-    _padded,
+    _monic_form,
     _trim,
     binary_form,
     format_form,
     gcd_forms,
-    monic,
     monomial,
     multiply,
     parse_form,
@@ -116,9 +119,9 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
     span(generators of degree d), see ``shifted_rows``, which shifts the
     integer rows of I_(d-1).  From the truncation degree on it is the whole
-    space, without row reduction.  ``hilbert_samuel`` may stop building
-    below the truncation once the sequence persists; a degree asked for later
-    is built here from the highest memoized one below it."""
+    space, without row reduction.  Once the sequence persists at d - 1 (see
+    ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), and the degree asked
+    for is row-reduced from the multiples of h, skipping those between."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -131,6 +134,16 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     for d in range(first, degree + 1):
         if d >= top:
             basis = identity_basis(d + 1)
+        elif (d < degree and d - 2 in memo  # a skip needs degrees to skip
+              and memo[d - 1].rank == memo[d - 2].rank + 1
+              and d - 1 > _top_generator_degree(ideal)):
+            # column j of a row holds x^(degree-j) y^j: the multiple
+            # x^(span-j) y^j * h is h's reversed list shifted right by j
+            h = tuple(_factor_list(memo[d - 1].basis)[::-1])
+            span = degree + 1 - len(h)
+            rows = [(0,) * j + h + (0,) * (span - j) for j in range(span + 1)]
+            memo[degree] = GradedComponent(degree, rref(rows, ncols=degree + 1))
+            return memo[degree]
         else:
             lower = memo[d - 1].basis.integer_rows if d else ()
             rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
@@ -196,24 +209,30 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     return seq
 
 
-def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
-    """Monic GCD of a basis of the degree-d component.
+def _factor_list(basis: RowBasis) -> list:
+    """The GCD of a nonzero component as a primitive integer coefficient
+    list, its y-power as trailing zeros.
 
     Euclid runs on the integer rows.  Column j of a row is the coefficient
     of x^(d-j) y^j, so the reversed row is the form at y = 1, and the y-adic
     valuation of a row is its pivot column: the valuation shared by the
     component is the pivot of the first row.  The gcd is final once it is
     constant."""
-    rows = component(ideal, degree).basis.integer_rows
-    if not rows:
-        raise EmptyComponent("component of degree %d is zero" % degree)
-    shared_y = next(j for j, c in enumerate(rows[0]) if c)
+    rows = basis.integer_rows
     core = _trim(list(rows[0][::-1]))
     for row in rows[1:]:
         if len(core) == 1:
             break
         core = _gcd(core, _trim(list(row[::-1])))
-    return _padded(_monic(core), len(core) - 1 + shared_y)
+    return core + [0] * basis.pivots[0]
+
+
+def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
+    """Monic GCD of a basis of the degree-d component; see ``_factor_list``."""
+    basis = component(ideal, degree).basis
+    if not basis.rank:
+        raise EmptyComponent("component of degree %d is zero" % degree)
+    return _monic_form(_factor_list(basis))
 
 
 def verify_factor_structure(ideal: GradedIdeal, degree: int) -> bool:
@@ -223,6 +242,19 @@ def verify_factor_structure(ideal: GradedIdeal, degree: int) -> bool:
     return spaces_equal(rref(rows, ncols=degree + 1), component(ideal, degree).basis)
 
 
+def _pairing_list(ideal: GradedIdeal, m: int) -> list:
+    """``power_pairing`` as an integer coefficient list, up to scale."""
+    basis = component(ideal, m).basis
+    if basis.rank != m:
+        raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - basis.rank))
+    # the one complement functional; column m - i is the monomial x^i y^(m-i)
+    lam = dict(basis.annihilator[0])
+    coeffs = [comb(m, i) * lam.get(m - i, 0) for i in range(m + 1)]
+    if not any(coeffs):
+        raise AssertionError("power pairing vanished identically")
+    return coeffs
+
+
 def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
     """The form F(a, b) = class of (a*x + b*y)^m in the line K[x,y]_m / I_m,
     written in the dual variables and scalar-normalized.
@@ -230,16 +262,7 @@ def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
     Only defined when t_m = 1.  Callers must consume scale-invariant data
     only (in practice: its multiplicity partition).
     """
-    basis = component(ideal, m).basis
-    if basis.rank != m:
-        raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - basis.rank))
-    # the one complement functional; column m - i is the monomial x^i y^(m-i)
-    lam = dict(basis.annihilator[0])
-    coeffs = [comb(m, i) * lam.get(m - i, 0) for i in range(m + 1)]
-    result = binary_form(coeffs)
-    if result.is_zero:
-        raise AssertionError("power pairing vanished identically")
-    return monic(result)
+    return _monic_form(_pairing_list(ideal, m))
 
 
 def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from componentwise import reference_component
+from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -146,8 +148,43 @@ class TestHilbertSamuel:
         line = GradedIdeal([monomial(1, 0)], truncation=2000)
         assert hilbert_samuel(line) == (1,) * 2000
         assert len(line._components) <= 3
-        # a degree asked for later is still built, from the memo below it
+        # a degree asked for later is still built
         assert component(line, 9).basis == reference_component(line, 9)
+
+    def test_degree_past_persistence_is_one_reduction(self):
+        # I_d = x * S_(d-1) past the persistence degree 2, so degree 300 is
+        # row-reduced from the multiples of x, and the degrees between are
+        # neither built nor memoized
+        line = GradedIdeal([monomial(1, 0)], truncation=2000)
+        hilbert_samuel(line)
+        start = time.perf_counter()
+        far = component(line, 300)
+        assert time.perf_counter() - start < 1
+        assert len(line._components) <= 4
+        assert far.basis == reference_component(line, 300)
+        for d in (3, 57, 299):
+            assert component(line, d).basis == reference_component(line, d)
+
+    @pytest.mark.parametrize("walked", [True, False], ids=["after-hs", "fresh"])
+    def test_persistent_factor_with_y_power(self, walked):
+        # h = y * (x^2 - 2*y^2) has an irrational pair of roots and a root at
+        # [1:0]; (h*x, h*y) persists from degree 5, with or without
+        # hilbert_samuel walking up to it first
+        h = F("x^2*y - 2*y^3")
+        case = GradedIdeal(multiples(h, 1), truncation=90)
+        if walked:
+            assert hilbert_samuel(case) == (1, 2, 3, 4) + (3,) * 86
+        far = component(case, 60)
+        assert sorted(case._components) == [0, 1, 2, 3, 4, 5, 60]
+        assert far.basis == reference_component(case, 60)
+        assert common_factor(case, 60) == common_factor(case, 5) == h
+
+    def test_falling_tail_is_not_skipped(self):
+        # past degree 5 the sequence of (x^5, y^5) falls by one per degree
+        # and never persists, so every degree up to 8 is row-reduced
+        pair = ideal("x^5", "y^5", truncate=30)
+        assert component(pair, 8).basis == reference_component(pair, 8)
+        assert sorted(pair._components) == list(range(9))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -175,6 +212,13 @@ class TestHilbertSamuel:
                 break
             expected.append(t)
         assert hilbert_samuel(case) == tuple(expected)
+        # a degree asked for afterwards, often past the persistence degree,
+        # and the same degree of a fresh copy, walked up to from degree 0
+        degree = data.draw(st.integers(0, 45))
+        expected = reference_component(case, degree)
+        assert component(case, degree).basis == expected
+        fresh = GradedIdeal(case.generators, case.truncation)
+        assert component(fresh, degree).basis == expected
 
 
 class TestFactorStructure:
