@@ -57,18 +57,20 @@ from .forms import (
     _substitution,
     _trim,
     binary_form,
+    monomial,
     multiply,
     parse_form,
 )
 from .ideals import (
+    MAX_ROW_REDUCED,
     GradedIdeal,
+    _check_row_reduced,
     _factor_list,
     _pairing_list,
     component,
     form_to_vector,
     format_ideal,
     hilbert_samuel,
-    monomials,
     multiples,
     shifted_rows,
 )
@@ -88,9 +90,7 @@ def _completion_cubics(quadric_pair):
     """Monomial cubics missing from the span of (x, y) * the quadric pair."""
     basis = rref([form_to_vector(g, 3) for q in quadric_pair for g in multiples(q, 1)],
                  ncols=4)
-    pivots = set(basis.pivots)
-    missing = [j for j in range(4) if j not in pivots]
-    return [monomials(3)[j] for j in missing]
+    return [monomial(j, 3 - j) for j in range(4) if j not in basis.pivots]
 
 
 # The normal forms of the rows T5-T11 as factor texts, one per tail run: a
@@ -132,7 +132,8 @@ def normal_forms(label: TypeLabel) -> list:
 
     The lists follow the normal-form analysis per row; they are complete but
     not guaranteed minimal, so verify_catalog computes the deduplicated class
-    count afterwards.  Every ideal is truncated at the sequence length.
+    count afterwards.  Every ideal is truncated at the sequence length, and
+    one that ``parse_ideal_text`` would refuse makes the label refused.
     """
     if not label.finite:
         raise NoCatalog("no catalog for an infinite-type sequence")
@@ -187,6 +188,8 @@ def normal_forms(label: TypeLabel) -> list:
                 factor = parse_form(text.format(a=b - 1, b=b))
                 gens += multiples(factor, start - factor.degree)
             entry(gens, why.format(a=b - 1, b=b))
+    for e in entries:
+        _check_row_reduced(e.ideal, InvalidParameters)
     return entries
 
 
@@ -301,11 +304,10 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         h = _factor_list(basis)
         if len(h) != d - 1:  # the members divided by h are not quadratics
             continue
-        # y^k divides h and every row: cut a row's first k columns, reverse
-        # it and divide exactly by h's primitive core (Gauss's lemma)
+        # row = core * q * y^k for a quadratic q; exact by Gauss's lemma
         core = _trim(list(h))
-        k = len(h) - len(core)
-        reduced = [_exact_quotient(row[k:][::-1], core) for row in basis.integer_rows]
+        reduced = [_exact_quotient(row[:len(core) + 2], core)
+                   for row in basis.integer_rows]
         disc = _RootData(_discriminant(*reduced))
         pencil_patterns.append((d, disc.partition))
         lines = {}
@@ -483,8 +485,7 @@ def _carries_into(left: GradedIdeal, right: GradedIdeal):
 
     def carries(key):
         image = _substitution(*key)
-        # column j of a component row is the coefficient of x^(d-j) y^j
-        return all(contains(component(right, len(p) - 1).basis, image(p)[::-1])
+        return all(contains(component(right, len(p) - 1).basis, image(p))
                    for p in lists)
 
     return carries
@@ -566,7 +567,10 @@ def verify_catalog(label: TypeLabel) -> CatalogReport:
 # component whose multiples span only 5 of the 6 quintics -- and rejection
 # alone can never hit that stratum.  The principal-chain fallback realizes
 # every valid sequence by a divisibility chain of random factors with
-# deg c_d = t_d, at the cost of being maximally factored.
+# deg c_d = t_d, at the cost of being maximally factored.  Along a run, I_d
+# is h * S_(d - deg h) for the run's factor h; it is row-reduced from those
+# multiples at the run's start only, since past it x and y times I_(d-1)
+# span it.
 # ---------------------------------------------------------------------------
 
 _RETRY_BUDGET = 64
@@ -587,50 +591,31 @@ def _try_sample(seq: HSSequence, rng):
     # the runs of length >= 2; one of value nc also holds degree nc - 1
     runs = [r for r in tail_runs(entries, nc) if r[1] > r[0] or r[2] == nc]
 
+    # each run's factor, keyed by the run's start, is a multiple of the next
     factors = {}
-    nxt = None
-    for start, end, value in reversed(runs):
-        if nxt is None:
-            factors[(start, end)] = _random_form(rng, value)
-        else:
-            factors[(start, end)] = multiply(
-                _random_form(rng, value - nxt[2]), factors[(nxt[0], nxt[1])])
-        nxt = (start, end, value)
-
-    def run_at(d):
-        for start, end, value in runs:
-            if start <= d <= end:
-                return (start, end, value)
-        return None
-
-    def next_run_factor(d):
-        for start, end, value in runs:
-            if start > d:
-                return factors[(start, end)]
-        return None
+    h = None
+    for start, _, value in reversed(runs):
+        h = _random_form(rng, value) if h is None else \
+            multiply(_random_form(rng, value - h.degree), h)
+        factors[start] = h
 
     generators = []
     prev_rows = ()
     for d in range(nc, last + 1):
         target_rank = d + 1 - entries[d]
         carried = shifted_rows(prev_rows)
-        here = run_at(d)
-        if here is not None:
-            h = factors[(here[0], here[1])]
-            run_forms = multiples(h, d - h.degree)
-            required = rref([form_to_vector(g, d) for g in run_forms], ncols=d + 1)
-            if required.rank != target_rank:
+        if d in factors:
+            run_forms = multiples(factors[d], d - factors[d].degree)
+            basis = rref([form_to_vector(g, d) for g in run_forms], ncols=d + 1)
+            if not all(contains(basis, row) for row in carried):
                 return None
-            if not all(contains(required, row) for row in carried):
-                return None
-            if d == here[0]:
-                generators.extend(run_forms)
-            basis = required
+            generators.extend(run_forms)
         else:
             basis = rref(carried, ncols=d + 1)
             if basis.rank > target_rank:
                 return None
-            constraint = next_run_factor(d)
+            # the next run's component must hold the multiples of I_d
+            constraint = next((f for s, f in sorted(factors.items()) if s > d), None)
             tries = 0
             while basis.rank < target_rank:
                 tries += 1
@@ -674,9 +659,13 @@ def _principal_chain_sample(seq: HSSequence, rng):
 
 def sample_ideal(seq, seed: int) -> GradedIdeal:
     """A pseudo-random ideal realizing the sequence, deterministic in the
-    seed; the result is re-verified before being returned."""
+    seed; the result is re-verified before being returned.  Every degree is
+    row-reduced, so a sequence longer than ``MAX_ROW_REDUCED`` is refused."""
     if not isinstance(seq, HSSequence):
         seq = validate(seq)
+    if len(seq.entries) > MAX_ROW_REDUCED:
+        raise InvalidParameters("sequence of length %d; at most %d can be sampled"
+                                % (len(seq.entries), MAX_ROW_REDUCED))
     rng = random.Random(seed)
     for attempt in range(_RETRY_BUDGET):
         if attempt < _GENERIC_TRIES:

@@ -177,10 +177,10 @@ def cmd_sample(args):
         raise InvalidParameters("--count must be between 1 and %d, got %d"
                                 % (MAX_SAMPLE_COUNT, args.count))
     seq = validate(parse_sequence_text(args.sequence))
-    os.makedirs(args.out, exist_ok=True)
     paths = []
     for i in range(args.count):
-        ideal = sample_ideal(seq, args.seed + i)
+        ideal = sample_ideal(seq, args.seed + i)  # may refuse the sequence
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sample_%d.ideal" % (i + 1))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("# sequence %s  seed %d\n"

@@ -63,8 +63,8 @@ class NoCatalog(DomainError):
 
 
 class InvalidParameters(DomainError):
-    """Catalog label or sample count with missing or out-of-range
-    parameters."""
+    """Catalog label, sample count or sampled sequence with missing or
+    out-of-range parameters, or one too long for the row-reduction limit."""
 
 
 class InvalidPencil(DomainError):

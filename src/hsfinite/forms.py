@@ -367,15 +367,11 @@ def _exact_quotient(p, q):
     return result[0]
 
 
-def _monic(p):
-    """p divided by its last nonzero entry, as Fractions."""
-    lead = next(c for c in reversed(p) if c)
-    return [Fraction(c, lead) for c in p]
-
-
 def _monic_form(p) -> BinaryForm:
-    """The monic form of a nonzero coefficient list (ints or Fractions)."""
-    return BinaryForm(tuple(_monic(p)))
+    """The monic form of a nonzero coefficient list (ints or Fractions): p
+    divided by its last nonzero entry."""
+    lead = next(c for c in reversed(p) if c)
+    return BinaryForm(tuple(Fraction(c, lead) for c in p))
 
 
 def _gcd(p, q):

@@ -2,13 +2,13 @@
 
 An ideal is a list of nonzero homogeneous generators plus an optional
 truncation degree D, which adjoins every form of degree >= D (the power of
-the maximal ideal (x, y)^D).  Graded components are row spaces over the
-monomial basis x^d, x^(d-1) y, ..., y^d, computed on demand and memoized;
-past the degree where the sequence persists, a component is written down as
-the multiples of the persistent factor.  The common factor of a component
-and the power pairing are integer coefficient lists (``_factor_list``,
-``_pairing_list``), read off the primitive integer rows; ``common_factor``
-and ``power_pairing`` hand them back as monic ``Fraction`` forms.
+the maximal ideal (x, y)^D).  Graded components are row spaces, column i
+holding x^i y^(d-i) as in ``BinaryForm.coeffs``, built on demand and
+memoized; past the degree where the sequence persists, a component is
+written down as the multiples of the persistent factor.  The common factor
+of a component and the power pairing are integer coefficient lists
+(``_factor_list``, ``_pairing_list``) read off the primitive integer rows,
+which ``common_factor`` and ``power_pairing`` return as monic forms.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from math import comb
 from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError, parse_natural
 from .forms import (
     BinaryForm,
-    _gcd,
+    _form_gcd,
     _monic_form,
-    _trim,
     binary_form,
     format_form,
     gcd_forms,
@@ -48,23 +47,21 @@ def multiples(form: BinaryForm, cofactor_degree: int) -> list:
 
 def shifted_rows(rows) -> list:
     """x * rows, then y * rows, for coefficient rows of one degree: x times a
-    row is the row with a 0 appended, y times it the row with a 0 prepended."""
-    return [row + (0,) for row in rows] + [(0,) + row for row in rows]
+    row is the row with a 0 prepended, y times it the row with a 0 appended."""
+    return [(0,) + row for row in rows] + [row + (0,) for row in rows]
 
 
 def form_to_vector(f: BinaryForm, degree: int) -> tuple:
-    """Coefficient row over the monomial basis of ``degree`` (x-power
-    descending): column j holds the coefficient of x^(degree-j) * y^j."""
+    """A form's row in the component of ``degree``: its coefficient list."""
     if f.is_zero:
         return (Fraction(0),) * (degree + 1)
     if f.degree != degree:
         raise ValueError("form of degree %d in component %d" % (f.degree, degree))
-    return tuple(f.coeffs[degree - j] for j in range(degree + 1))
+    return f.coeffs
 
 
 def vector_to_form(vec) -> BinaryForm:
-    degree = len(vec) - 1
-    return binary_form(tuple(vec[degree - i] for i in range(degree + 1)))
+    return binary_form(vec)
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,7 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
         elif (d < degree and d - 2 in memo  # a skip needs degrees to skip
               and memo[d - 1].rank == memo[d - 2].rank + 1
               and d - 1 > _top_generator_degree(ideal)):
-            # column j of a row holds x^(degree-j) y^j: the multiple
-            # x^(span-j) y^j * h is h's reversed list shifted right by j
-            h = tuple(_factor_list(memo[d - 1].basis)[::-1])
+            h = tuple(_factor_list(memo[d - 1].basis))
             span = degree + 1 - len(h)
             rows = [(0,) * j + h + (0,) * (span - j) for j in range(span + 1)]
             memo[degree] = GradedComponent(degree, rref(rows, ncols=degree + 1))
@@ -209,22 +204,10 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     return seq
 
 
-def _factor_list(basis: RowBasis) -> list:
-    """The GCD of a nonzero component as a primitive integer coefficient
-    list, its y-power as trailing zeros.
-
-    Euclid runs on the integer rows.  Column j of a row is the coefficient
-    of x^(d-j) y^j, so the reversed row is the form at y = 1, and the y-adic
-    valuation of a row is its pivot column: the valuation shared by the
-    component is the pivot of the first row.  The gcd is final once it is
-    constant."""
-    rows = basis.integer_rows
-    core = _trim(list(rows[0][::-1]))
-    for row in rows[1:]:
-        if len(core) == 1:
-            break
-        core = _gcd(core, _trim(list(row[::-1])))
-    return core + [0] * basis.pivots[0]
+def _factor_list(basis: RowBasis):
+    """The GCD of a nonzero component as integer coefficients, its y-power
+    as trailing zeros, by ``_form_gcd`` over the integer rows."""
+    return reduce(_form_gcd, basis.integer_rows)
 
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
@@ -247,9 +230,9 @@ def _pairing_list(ideal: GradedIdeal, m: int) -> list:
     basis = component(ideal, m).basis
     if basis.rank != m:
         raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - basis.rank))
-    # the one complement functional; column m - i is the monomial x^i y^(m-i)
+    # the one complement functional, weighted as (a*x + b*y)^m expands
     lam = dict(basis.annihilator[0])
-    coeffs = [comb(m, i) * lam.get(m - i, 0) for i in range(m + 1)]
+    coeffs = [comb(m, i) * lam.get(i, 0) for i in range(m + 1)]
     if not any(coeffs):
         raise AssertionError("power pairing vanished identically")
     return coeffs
@@ -315,6 +298,17 @@ MAX_TRUNCATION = 2000
 MAX_ROW_REDUCED = 200
 
 
+def _check_row_reduced(ideal: GradedIdeal, error) -> None:
+    """Raise ``error`` when ``hilbert_samuel`` may row-reduce a component of
+    degree ``MAX_ROW_REDUCED`` or more, by the bound derived above it."""
+    e = _top_generator_degree(ideal)
+    t = ideal.truncation
+    reduced = 2 * e if t is None else min(t, 2 * e + 1)
+    if reduced > MAX_ROW_REDUCED:
+        raise error("the sequence may need components up to degree %d; "
+                    "at most %d is supported" % (reduced - 1, MAX_ROW_REDUCED - 1))
+
+
 def parse_ideal_text(text: str) -> GradedIdeal:
     generators = []
     truncation = None
@@ -343,11 +337,7 @@ def parse_ideal_text(text: str) -> GradedIdeal:
     if not generators and truncation is None:
         raise ParseError("ideal file needs at least one generator or a truncate line")
     ideal = GradedIdeal(generators, truncation)
-    e = _top_generator_degree(ideal)
-    reduced = 2 * e if truncation is None else min(truncation, 2 * e + 1)
-    if reduced > MAX_ROW_REDUCED:
-        raise ParseError("the sequence may need components up to degree %d; "
-                         "at most %d is supported" % (reduced - 1, MAX_ROW_REDUCED - 1))
+    _check_row_reduced(ideal, ParseError)
     return ideal
 
 

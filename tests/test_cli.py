@@ -9,7 +9,7 @@ import pytest
 
 from hsfinite import parse_ideal_text
 from hsfinite.cli import MAX_SAMPLE_COUNT, main
-from hsfinite.ideals import MAX_TRUNCATION
+from hsfinite.ideals import MAX_ROW_REDUCED, MAX_TRUNCATION
 from hsfinite.sequences import MAX_COLENGTH
 
 try:
@@ -229,6 +229,34 @@ class TestCatalog:
         assert code == 0
         check_schema(json.loads(out), "catalog_report")
 
+    @staticmethod
+    def staircase(n):
+        """The T11 sequence 1, 2, ..., n, 3, 3, 2, 2, 1, 1; its normal forms
+        are truncated at n + 6, with generators up to degree n + 4, so the
+        row-reduced bound of their files is the truncation."""
+        return ",".join(str(t) for t in list(range(1, n + 1)) + [3, 3, 2, 2, 1, 1])
+
+    def test_entry_files_past_the_row_reduction_limit_refused(self, tmp_path):
+        # truncation MAX_ROW_REDUCED + 1: hs would refuse every entry file
+        out_dir = tmp_path / "big"
+        done = run_process("catalog", self.staircase(MAX_ROW_REDUCED - 5),
+                           "--out", str(out_dir))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == ("error: the sequence may need components up to "
+                               "degree %d; at most %d is supported\n"
+                               % (MAX_ROW_REDUCED, MAX_ROW_REDUCED - 1))
+        assert not out_dir.exists()
+
+    def test_entry_files_at_the_row_reduction_limit_read_back(self, capsys, tmp_path):
+        seq = self.staircase(MAX_ROW_REDUCED - 6)
+        out_dir = tmp_path / "limit"
+        assert run(capsys, "catalog", seq, "--out", str(out_dir))[0] == 0
+        names = sorted(n for n in os.listdir(out_dir) if n.endswith(".ideal"))
+        assert len(names) == 5
+        for name in names:
+            code, out, _ = run(capsys, "hs", str(out_dir / name))
+            assert (code, out) == (0, "(%s)\n" % seq.replace(",", ", "))
+
 
 class TestIso:
     def test_distinguished(self, capsys, tmp_path):
@@ -326,6 +354,23 @@ class TestSample:
         assert "between 1 and %d" % MAX_SAMPLE_COUNT in done.stderr
         assert "Traceback" not in done.stderr
         assert not out_dir.exists()
+
+    def test_length_limit(self, tmp_path):
+        # the sampler row-reduces every degree of the sequence
+        out_dir = tmp_path / "none"
+        seq = ",".join(["1", "2"] + ["1"] * (MAX_ROW_REDUCED - 1))
+        done = run_process("sample", seq, "--out", str(out_dir))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == ("error: sequence of length %d; at most %d can be "
+                               "sampled\n" % (MAX_ROW_REDUCED + 1, MAX_ROW_REDUCED))
+        assert not out_dir.exists()
+
+    def test_sample_at_the_length_limit_reads_back(self, capsys, tmp_path):
+        seq = ",".join(["1", "2"] + ["1"] * (MAX_ROW_REDUCED - 2))
+        out_dir = tmp_path / "limit"
+        assert run(capsys, "sample", seq, "--out", str(out_dir))[0] == 0
+        code, out, _ = run(capsys, "hs", str(out_dir / "sample_1.ideal"))
+        assert (code, out) == (0, "(%s)\n" % seq.replace(",", ", "))
 
     def test_sampling_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         from hsfinite.errors import SamplingFailed

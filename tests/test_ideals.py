@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from componentwise import reference_component
-from hsfinite.ideals import multiples
+from hsfinite.ideals import multiples, shifted_rows
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -78,6 +78,14 @@ class TestComponent:
         for mono in ("x^3*y", "x^2*y^2", "x*y^3"):
             assert contains(comp.basis, form_to_vector(F(mono), 4))
         assert not contains(comp.basis, form_to_vector(F("x^4"), 4))
+
+    def test_rows_follow_the_coefficient_order(self):
+        # column i of a component row holds x^i * y^(d-i), as in
+        # BinaryForm.coeffs, so x times a row prepends a 0
+        assert form_to_vector(F("x^2*y"), 3) == F("x^2*y").coeffs
+        assert component(ideal("x^2*y", truncate=5), 3).basis.integer_rows == \
+            ((0, 0, 1, 0),)
+        assert shifted_rows(((1, 2),)) == [(0, 1, 2), (1, 2, 0)]
 
     def test_truncation_fills_component(self):
         comp = component(GradedIdeal([], truncation=3), 3)

@@ -28,7 +28,7 @@ from hsfinite import (
     parse_form,
     rational_root_points,
 )
-from hsfinite.forms import _gcd, _integer_list, _monic
+from hsfinite.forms import _gcd, _integer_list, _monic_form
 
 sympy = pytest.importorskip("sympy")
 x, y = sympy.symbols("x y")
@@ -268,7 +268,7 @@ def test_integer_gcd_matches_fraction_euclid_and_sympy(pair):
     f, g = pair
     core = _gcd(_integer_list(f.coeffs), _integer_list(g.coeffs))
     assert math.gcd(*core) == 1 and core[-1] > 0
-    assert _monic(core) == _reference_gcd(f.coeffs, g.coeffs)
+    assert list(_monic_form(core).coeffs) == _reference_gcd(f.coeffs, g.coeffs)
     # the gcd of the forms at y = 1, up to a scalar
     expected = sympy.gcd(sym(f).subs(y, 1), sym(g).subs(y, 1))
     ratio = sympy.cancel(sum(c * x ** i for i, c in enumerate(core)) / expected)
