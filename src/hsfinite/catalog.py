@@ -18,8 +18,10 @@ carrying one ideal onto the other, so the tester works in three layers:
    integer matrices, built from multiplicity-compatible matchings of the
    rational root points carried by the invariant forms (as primitive
    integer pairs), padded from a fixed point palette when fewer than three
-   points are pinned.  Matrices equal up to scale share one primitive key
-   and are tried once.  Every candidate is verified before being reported:
+   points are pinned.  Each maps three right points onto their left
+   partners, since a substitution moves the roots of a form by its
+   inverse.  Matrices equal up to scale share one primitive key and are
+   tried once.  Every candidate is verified before being reported:
    each generator's image lies in the target's component of its degree,
    which for ideals of one finite colength proves equality.  The check stays
    in the integers: the generators become integer lists once, each key maps
@@ -43,7 +45,6 @@ from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
 from .forms import (
     BinaryForm,
     LinearChange,
-    _adjugate,
     _exact_quotient,
     _form_gcd,
     _integer_point,
@@ -249,7 +250,7 @@ class _Analysis:
     invariant: StructuralInvariant
     run_roots: list                 # [(run index, _RootData), ...]
     theta_roots: _RootData | None
-    pencil_lines: dict              # {degree: [(point, mult), ...]}
+    pencil_roots: dict              # {degree: (disc _RootData, members)}
 
     @functools.cached_property
     def marked_roles(self):
@@ -261,8 +262,15 @@ class _Analysis:
                 line_root = _normalize_point((-b0, a0))
                 pts[line_root] = pts.get(line_root, 0) + mult
             roles.append((("theta",), pts))
-        for degree in sorted(self.pencil_lines):
-            roles.append((("pencil", degree), dict(self.pencil_lines[degree])))
+        for degree, (disc, reduced) in sorted(self.pencil_roots.items()):
+            lines = {}
+            for (a0, b0), mult in disc.points:
+                # the member at a root of disc is (u*x + v*y)^2 up to scale:
+                # its coefficients are v^2, 2uv, u^2 and its point is (-v : u)
+                c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
+                pt = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
+                lines[pt] = lines.get(pt, 0) + mult
+            roles.append((("pencil", degree), dict(sorted(lines.items()))))
         return roles
 
 
@@ -296,7 +304,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
             theta_pattern = theta_roots.partition
             break
     pencil_patterns = []
-    pencil_lines = {}
+    pencil_roots = {}
     for d in range(nc, len(seq)):
         if d + 1 - seq[d] != 2:  # the rank, read off the sequence
             continue
@@ -310,14 +318,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
                    for row in basis.integer_rows]
         disc = _RootData(_discriminant(*reduced))
         pencil_patterns.append((d, disc.partition))
-        lines = {}
-        for (a0, b0), mult in disc.points:
-            # the member at a root of disc is (u*x + v*y)^2 up to scale: its
-            # coefficients are v^2, 2uv, u^2 and its point is (-v : u)
-            c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
-            pt = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
-            lines[pt] = lines.get(pt, 0) + mult
-        pencil_lines[d] = sorted(lines.items())
+        pencil_roots[d] = (disc, reduced)
     invariant = StructuralInvariant(
         sequence=seq,
         run_data=tuple(run_data),
@@ -325,7 +326,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         theta_pattern=theta_pattern,
         pencil_patterns=tuple(pencil_patterns),
     )
-    ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_lines)
+    ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_roots)
     return ideal._analysis
 
 
@@ -369,20 +370,15 @@ def _role_matchings(roles_left, roles_right):
         return []
     per_role = []
     for (_, pts_l), (_, pts_r) in zip(roles_left, roles_right):
-        by_mult_l = {}
-        for p, m in sorted(pts_l.items()):
-            by_mult_l.setdefault(m, []).append(p)
-        by_mult_r = {}
-        for p, m in sorted(pts_r.items()):
-            by_mult_r.setdefault(m, []).append(p)
-        if {m: len(v) for m, v in by_mult_l.items()} != \
-           {m: len(v) for m, v in by_mult_r.items()}:
+        mults = sorted(pts_l.values())
+        if mults != sorted(pts_r.values()):
             return []
         group_maps = [[]]
-        for mult in sorted(by_mult_l):
-            left = by_mult_l[mult]
+        for mult in sorted(set(mults)):
+            left, right = (sorted(p for p, m in pts.items() if m == mult)
+                           for pts in (pts_l, pts_r))
             new = []
-            for perm in itertools.permutations(by_mult_r[mult]):
+            for perm in itertools.permutations(right):
                 pairs = list(zip(left, perm))
                 new.extend(base + pairs for base in group_maps)
                 if len(new) > 256:
@@ -413,49 +409,37 @@ def _role_matchings(roles_left, roles_right):
 def _candidate_changes(analysis_left, analysis_right):
     """Deterministic, bounded stream of substitution candidates, as the
     primitive integer keys (a, b, c, d) of invertible matrices built on
-    integer points; the identity and the swap come first."""
+    integer points; the identity and the swap come first.
+
+    A substitution moves the roots of a form by its inverse, so a change
+    that carries the left ideal onto the right one maps each right root
+    point onto its left partner: every candidate is the map of three right
+    points onto three left points, the pinned ones first, padded from the
+    palette, and pins past the third are checked on it."""
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     budget = 800
-
-    def emit(matrix):
-        nonlocal budget
-        for m in (matrix, _adjugate(matrix)):
-            key = _primitive_key(m)
-            if key not in seen:
-                seen.add(key)
-                budget -= 1
-                yield key
-
     for pins in _role_matchings(analysis_left.marked_roles,
                                 analysis_right.marked_roles):
         pins = [(_integer_point(p), _integer_point(q)) for p, q in pins]
         ps = [p for p, _ in pins]
         qs = [q for _, q in pins]
-        if len(pins) >= 3:
-            m = _point_map_matrix(tuple(ps[:3]), tuple(qs[:3]))
-            if m is not None and all(_maps_point(m, p, q) for p, q in pins):
-                yield from emit(m)
-            continue
-        free_left = [p for p in _PALETTE if p not in ps]
-        free_right = [q for q in _PALETTE if q not in qs]
-        need = 3 - len(pins)
+        need = max(3 - len(pins), 0)
         combos = itertools.product(
-            itertools.permutations(free_left, need),
-            itertools.permutations(free_right, need))
-        for count, (extra_l, extra_r) in enumerate(combos):
-            if count >= 64 or budget <= 0:
-                break
-            m = _point_map_matrix(tuple(ps + list(extra_l))[:3],
-                                  tuple(qs + list(extra_r))[:3])
-            if m is None:
+            itertools.permutations([p for p in _PALETTE if p not in ps], need),
+            itertools.permutations([q for q in _PALETTE if q not in qs], need))
+        for extra_l, extra_r in itertools.islice(combos, 64):
+            if budget <= 0:
+                return
+            m = _point_map_matrix((*qs, *extra_r)[:3], (*ps, *extra_l)[:3])
+            if m is None or not all(_maps_point(m, q, p) for p, q in pins[3:]):
                 continue
-            if not all(_maps_point(m, p, q) for p, q in pins):
-                continue
-            yield from emit(m)
-        if budget <= 0:
-            return
+            key = _primitive_key(m)
+            if key not in seen:
+                seen.add(key)
+                budget -= 1
+                yield key
 
 
 def are_isomorphic(left: GradedIdeal, right: GradedIdeal) -> IsoVerdict:
@@ -603,15 +587,14 @@ def _try_sample(seq: HSSequence, rng):
     prev_rows = ()
     for d in range(nc, last + 1):
         target_rank = d + 1 - entries[d]
-        carried = shifted_rows(prev_rows)
         if d in factors:
+            # the rows carried in are multiples of this factor already:
+            # forms below take the next run's factor as their constraint
             run_forms = multiples(factors[d], d - factors[d].degree)
             basis = rref([form_to_vector(g, d) for g in run_forms], ncols=d + 1)
-            if not all(contains(basis, row) for row in carried):
-                return None
             generators.extend(run_forms)
         else:
-            basis = rref(carried, ncols=d + 1)
+            basis = rref(shifted_rows(prev_rows), ncols=d + 1)
             if basis.rank > target_rank:
                 return None
             # the next run's component must hold the multiples of I_d

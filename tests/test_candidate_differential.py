@@ -1,14 +1,18 @@
 """Differential check of the witness candidate stream: ``_candidate_changes``
-builds its matrices on primitive integer points and yields their primitive
-integer keys; the reference below is the ``Fraction`` stream of changes it
-replaced.  The changes of the keys and the reference must agree element for
-element, so that the same witness is found first.  On every key, the
-integer test that ``are_isomorphic`` runs must agree with ``equal_ideals``
-of the ``substitute_ideal`` image."""
+maps three right points onto three left points, builds its matrices on
+primitive integer points and yields their primitive integer keys; the
+reference below builds the left-to-right map on ``Fraction`` points and
+takes its adjugate, the same map up to scale.  A substitution moves the
+roots of a form by its inverse, so only a map from right points onto left
+points can carry the pins.  The changes of the keys and the reference must
+agree element for element, so that the same witness is found first.  On
+every key, the integer test that ``are_isomorphic`` runs must agree with
+``equal_ideals`` of the ``substitute_ideal`` image."""
 
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,7 +49,8 @@ def _reference_primitive_change(matrix):
 
 
 def _reference_candidate_changes(analysis_left, analysis_right):
-    """The candidate stream on the normalized ``Fraction`` points."""
+    """The candidate stream on the normalized ``Fraction`` points, each
+    left-to-right point map tried as its adjugate."""
     yield LinearChange.identity()
     yield LinearChange.swap()
     seen = {LinearChange.identity().matrix(), LinearChange.swap().matrix()}
@@ -53,13 +58,12 @@ def _reference_candidate_changes(analysis_left, analysis_right):
 
     def emit(matrix):
         nonlocal budget
-        for m in (matrix, _adjugate(matrix)):
-            change = _reference_primitive_change(m)
-            key = change.matrix()
-            if key not in seen:
-                seen.add(key)
-                budget -= 1
-                yield change
+        change = _reference_primitive_change(_adjugate(matrix))
+        key = change.matrix()
+        if key not in seen:
+            seen.add(key)
+            budget -= 1
+            yield change
 
     for pins in _role_matchings(analysis_left.marked_roles,
                                 analysis_right.marked_roles):
@@ -144,6 +148,61 @@ def _sample_pairs():
                 image = substitute_ideal(sample, _integer_change(rng))
                 yield sample, image
                 yield image, sample
+
+
+def _transformed_catalog_pairs():
+    """Each normal form of colength 3-12 against an integer transform of
+    itself, kept when the invariants agree."""
+    rng = random.Random(15)
+    for colength in range(3, 13):
+        for entries in enumerate_sequences(colength):
+            label = classify(validate(entries))
+            if not label.finite:
+                continue
+            for entry in normal_forms(label):
+                image = substitute_ideal(entry.ideal, _integer_change(rng))
+                if _analyze(entry.ideal).invariant == _analyze(image).invariant:
+                    yield entry.ideal, image
+
+
+def test_each_candidate_carries_right_pins_onto_left_pins():
+    """A substitution moves the roots of a form by its inverse, so a witness
+    maps each right root point onto its left partner: every key past the
+    identity and the swap does so for all pins of some matching."""
+    keys = 0
+    for left, right in _transformed_catalog_pairs():
+        a_left, a_right = _analyze(left), _analyze(right)
+        matchings = _role_matchings(a_left.marked_roles, a_right.marked_roles)
+        stream = _candidate_changes(a_left, a_right)
+        for a, b, c, d in itertools.islice(stream, 2, None):
+            m = ((a, b), (c, d))
+            assert any(all(_maps_point(m, q, p) for p, q in pins)
+                       for pins in matchings), (left, right, m)
+            keys += 1
+    assert keys > 0
+
+
+def _simple_points(*points):
+    """An analysis stand-in whose one role holds simple points."""
+    return SimpleNamespace(
+        marked_roles=[(("run", 0), {_normalize_point(p): 1 for p in points})])
+
+
+@pytest.mark.parametrize("fourth, keys", [((1, 3), 0), ((1, -1), 8)])
+def test_pins_past_the_third_are_checked(fourth, keys):
+    """0, inf, 1, 2 on the left: against 0, inf, 1, 3 (another
+    cross-ratio) no map carries all four pins, against 0, inf, 1, -1 eight
+    maps do, and each triple's map is kept only when it carries the fourth."""
+    left = _simple_points((1, 0), (0, 1), (1, 1), (1, 2))
+    right = _simple_points((1, 0), (0, 1), (1, 1), fourth)
+    stream = list(_candidate_changes(left, right))
+    assert [LinearChange(*key) for key in stream] == \
+        list(_reference_candidate_changes(left, right))
+    matchings = _role_matchings(left.marked_roles, right.marked_roles)
+    assert len(stream) == 2 + keys
+    for a, b, c, d in stream[2:]:
+        m = ((a, b), (c, d))
+        assert any(all(_maps_point(m, q, p) for p, q in pins) for pins in matchings)
 
 
 def test_catalog_pairs_with_equal_invariants():
