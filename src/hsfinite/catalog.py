@@ -17,18 +17,19 @@ carrying one ideal onto the other, so the tester works in three layers:
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices, built from multiplicity-compatible matchings of the
    rational root points carried by the invariant forms (as primitive
-   integer pairs), padded from a fixed point palette when fewer than three
-   points are pinned.  Each maps three right points onto their left
-   partners, since a substitution moves the roots of a form by its
-   inverse.  Matrices equal up to scale share one primitive key and are
-   tried once.  Every candidate is verified before being reported:
-   each generator's image lies in the target's component of its degree,
-   which for ideals of one finite colength proves equality.  The check stays
-   in the integers: the generators become integer lists once, each key maps
-   them one at a time by the Horner kernel of ``forms.substitute_forms``
-   and stops at the first image off the target's component, found by its
-   complement functionals (``RowBasis.annihilator``) in O(d^2) with no
-   elimination.  A ``LinearChange`` is built only for the witness reported.
+   integer pairs), padded from a fixed point palette when one or two
+   points are pinned; with none pinned, only the identity and the swap are
+   tried.  Each maps three right points onto their left partners, since a
+   substitution moves the roots of a form by its inverse.  Matrices equal
+   up to scale share one primitive key and are tried once.  Every candidate
+   is verified before being reported: each generator's image lies in the
+   target's component of its degree, which for ideals of one finite
+   colength proves equality.  The check stays in the integers: the
+   generators become integer lists once, each key maps them one at a time
+   by the Horner kernel of ``forms.substitute_forms`` and stops at the
+   first image off the target's component, found by its complement
+   functionals (``RowBasis.annihilator``) in O(d^2) with no elimination.
+   A ``LinearChange`` is built only for the witness reported.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.
@@ -296,13 +297,8 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         run_data.append((start, end, value, part))
     pair_gcds = [_RootData(_form_gcd(f, g)).partition
                  for f, g in itertools.combinations(run_factors, 2)]
-    theta_roots = None
-    theta_pattern = None
-    for m in range(1, len(seq)):
-        if seq[m] == 1:
-            theta_roots = _RootData(_pairing_list(ideal, m))
-            theta_pattern = theta_roots.partition
-            break
+    # theta is the power pairing in the first degree m >= 1 with t_m = 1
+    theta_roots = _RootData(_pairing_list(ideal, seq.index(1, 1))) if 1 in seq[1:] else None
     pencil_patterns = []
     pencil_roots = {}
     for d in range(nc, len(seq)):
@@ -323,7 +319,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         sequence=seq,
         run_data=tuple(run_data),
         pairwise_gcd=tuple(pair_gcds),
-        theta_pattern=theta_pattern,
+        theta_pattern=None if theta_roots is None else theta_roots.partition,
         pencil_patterns=tuple(pencil_patterns),
     )
     ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_roots)
@@ -415,16 +411,18 @@ def _candidate_changes(analysis_left, analysis_right):
     that carries the left ideal onto the right one maps each right root
     point onto its left partner: every candidate is the map of three right
     points onto three left points, the pinned ones first, padded from the
-    palette, and pins past the third are checked on it."""
+    palette, and pins past the third are checked on it.  A matching that
+    pins no point is skipped: padding it only guesses at PGL(2, Q)."""
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     budget = 800
     for pins in _role_matchings(analysis_left.marked_roles,
                                 analysis_right.marked_roles):
+        if not pins:
+            continue
         pins = [(_integer_point(p), _integer_point(q)) for p, q in pins]
-        ps = [p for p, _ in pins]
-        qs = [q for _, q in pins]
+        ps, qs = zip(*pins)
         need = max(3 - len(pins), 0)
         combos = itertools.product(
             itertools.permutations([p for p in _PALETTE if p not in ps], need),

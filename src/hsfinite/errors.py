@@ -4,7 +4,7 @@ DomainError subclasses signal mathematically meaningful refusals (the CLI maps
 them to exit code 3), ParseError covers malformed text input (exit code 2) and
 SamplingFailed is the one retry-budget failure (exit code 4).  Every parser
 reads its digit runs through ``parse_natural``, so only the ASCII digits 0-9
-count and none leaks a ValueError.
+count, at most ``MAX_DIGITS`` of them, and none leaks a ValueError.
 """
 
 
@@ -12,12 +12,17 @@ class ParseError(ValueError):
     """Malformed polynomial, ideal file or sequence text."""
 
 
+MAX_DIGITS = 4300
+
+
 def parse_natural(digits: str, what: str) -> int:
-    """int(digits) for a run of the ASCII digits 0-9, raising ParseError for
-    any other text (signs, spaces, '_' and non-ASCII digits, all of which
-    int() would take) and where int() refuses it: more digits than the
-    interpreter converts (``sys.get_int_max_str_digits``)."""
-    if digits.isascii() and digits.isdigit():
+    """int(digits) for a run of at most MAX_DIGITS ASCII digits 0-9, raising
+    ParseError for any other text (signs, spaces, '_' and non-ASCII digits,
+    all of which int() would take).  MAX_DIGITS, the interpreter's default
+    int-string limit, holds also where ``PYTHONINTMAXSTRDIGITS=0`` lifts
+    that limit; a lower one set in the interpreter refuses earlier, also as
+    a ParseError, as the printer could not write such a number either."""
+    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
         try:
             return int(digits)
         except ValueError:

@@ -63,10 +63,7 @@ def parse_sequence_text(text: str) -> tuple:
         parts.pop()
     if not parts:
         raise ParseError("empty sequence text %r" % text)
-    entries = []
-    for p in parts:
-        entries.append(parse_natural(p, "sequence entry %d" % len(entries)))
-    return tuple(entries)
+    return tuple(parse_natural(p, "sequence entry %d" % i) for i, p in enumerate(parts))
 
 
 def validate(entries) -> HSSequence:

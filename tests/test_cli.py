@@ -30,10 +30,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, timeout=10):
-    """``python -m hsfinite.cli`` in a child process, with a time limit."""
+def run_process(*argv, timeout=10, env=()):
+    """``python -m hsfinite.cli`` in a child process, with a time limit and
+    the given environment variables set."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])), **dict(env))
     return subprocess.run([sys.executable, "-m", "hsfinite.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
@@ -124,6 +125,17 @@ class TestHs:
         code, out, err = run(capsys, "hs", path)
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read the number at position 0")
+
+    def test_digit_limit_holds_with_the_interpreter_limit_lifted(self, tmp_path):
+        # PYTHONINTMAXSTRDIGITS=0 lifts Python's own int-string limit
+        lifted = {"PYTHONINTMAXSTRDIGITS": "0"}
+        path = write(tmp_path, "long.ideal", "%s*x\ny\n" % ("1" * 5000))
+        done = run_process("hs", path, env=lifted)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: cannot read the number at position 0")
+        path = write(tmp_path, "read.ideal", "%s*x\ny\n" % ("1" * 4000))
+        done = run_process("hs", path, env=lifted)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "(1)\n", "")
 
 
 class TestClassify:

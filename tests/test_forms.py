@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from hsfinite import (
     substitute,
 )
 from hsfinite.cli import main
+from hsfinite.errors import MAX_DIGITS
 from hsfinite.forms import (
     MAX_EXPONENT,
     _adjugate,
@@ -88,11 +90,26 @@ class TestParsing:
                 F(bad)
 
     def test_unreadable_number_is_a_parse_error(self):
-        # int() refuses more digits than sys.get_int_max_str_digits() (4300
-        # by default)
+        # more than MAX_DIGITS (4300) digits
         for bad in ("1" * 5000 + "*x", "x^" + "1" * 5000, "3/" + "7" * 5000 + "*y"):
             with pytest.raises(ParseError, match="cannot read"):
                 F(bad)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit in this interpreter")
+    @pytest.mark.parametrize("limit, longest", [(0, MAX_DIGITS), (640, 640)])
+    def test_digit_limit_under_an_interpreter_limit(self, limit, longest):
+        # lifted (0), MAX_DIGITS still holds; lowered, the interpreter refuses
+        # earlier, still as a ParseError, as the printer could not write
+        # such a number either
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert F("9" * longest + "*x").coeffs == (0, 10 ** longest - 1)
+            with pytest.raises(ParseError, match="cannot read"):
+                F("9" * (longest + 1) + "*x")
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_only_ascii_digits_are_numbers(self, capsys):
         # str.isdigit() and int() also take Arabic-Indic and superscript digits
