@@ -16,19 +16,22 @@ carrying one ideal onto the other, so the tester works in three layers:
 
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices, built from multiplicity-compatible matchings of the
-   rational root points carried by the invariant forms (as primitive
-   integer pairs), padded from a fixed point palette when one or two
-   points are pinned; with none pinned, only the identity and the swap are
-   tried.  Each maps three right points onto their left partners, since a
-   substitution moves the roots of a form by its inverse.  Matrices equal
-   up to scale share one primitive key and are tried once.  Every candidate
-   is verified before being reported: each generator's image lies in the
-   target's component of its degree, which for ideals of one finite
-   colength proves equality.  The check stays in the integers: the
-   generators become integer lists once, each key maps them one at a time
-   by the Horner kernel of ``forms.substitute_forms`` and stops at the
-   first image off the target's component, found by its complement
-   functionals (``RowBasis.annihilator``) in O(d^2) with no elimination.
+   rational root points carried by the invariant forms, padded from a
+   fixed point palette when one or two points are pinned; with none
+   pinned, only the identity and the swap are tried.  The points are
+   primitive integer pairs from ``_RootData`` on, sorted in the order of
+   their ``Fraction`` forms (``forms._point_key``), which ``marked_roles``
+   and ``rational_root_points`` show.  Each candidate maps three right
+   points onto their left partners, since a substitution moves the roots
+   of a form by its inverse.  Matrices equal up to scale share one
+   primitive key and are tried once.  Every candidate is verified before
+   being reported: each generator's image lies in the target's component
+   of its degree, which for ideals of one finite colength proves equality.
+   The check stays in the integers: the generators become integer lists
+   once, each key maps them one at a time by the Horner kernel of
+   ``forms.substitute_forms`` and stops at the first image off the
+   target's component, found by its complement functionals
+   (``RowBasis.annihilator``) in O(d^2) with no elimination.
    A ``LinearChange`` is built only for the witness reported.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
@@ -48,12 +51,13 @@ from .forms import (
     LinearChange,
     _exact_quotient,
     _form_gcd,
-    _integer_point,
     _maps_point,
     _monic_form,
     _normalize_point,
+    _point_key,
     _point_map_matrix,
     _primitive_key,
+    _primitive_point,
     _RootData,
     _scaled,
     _substitution,
@@ -254,13 +258,14 @@ class _Analysis:
     pencil_roots: dict              # {degree: (disc _RootData, members)}
 
     @functools.cached_property
-    def marked_roles(self):
-        """Ordered (tag, {point: multiplicity}) pairs of rational root data."""
+    def integer_roles(self):
+        """Ordered (tag, {point: multiplicity}) pairs of rational root data,
+        the points primitive integer pairs (``forms._primitive_point``)."""
         roles = [(("run", i), dict(roots.points)) for i, roots in self.run_roots]
         if self.theta_roots is not None:
             pts = {}
             for (a0, b0), mult in self.theta_roots.points:
-                line_root = _normalize_point((-b0, a0))
+                line_root = _primitive_point(-b0, a0)
                 pts[line_root] = pts.get(line_root, 0) + mult
             roles.append((("theta",), pts))
         for degree, (disc, reduced) in sorted(self.pencil_roots.items()):
@@ -269,10 +274,17 @@ class _Analysis:
                 # the member at a root of disc is (u*x + v*y)^2 up to scale:
                 # its coefficients are v^2, 2uv, u^2 and its point is (-v : u)
                 c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
-                pt = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
+                pt = _primitive_point(*((-c1, 2 * c2) if c2 else (-2 * c0, c1)))
                 lines[pt] = lines.get(pt, 0) + mult
-            roles.append((("pencil", degree), dict(sorted(lines.items()))))
+            roles.append((("pencil", degree),
+                          {pt: lines[pt] for pt in sorted(lines, key=_point_key)}))
         return roles
+
+    @property
+    def marked_roles(self):
+        """``integer_roles`` with each point normalized to (1, t) or (0, 1)."""
+        return [(tag, {_normalize_point(pt): mult for pt, mult in pts.items()})
+                for tag, pts in self.integer_roles]
 
 
 def _analyze(ideal: GradedIdeal) -> _Analysis:
@@ -371,7 +383,8 @@ def _role_matchings(roles_left, roles_right):
             return []
         group_maps = [[]]
         for mult in sorted(set(mults)):
-            left, right = (sorted(p for p, m in pts.items() if m == mult)
+            left, right = (sorted((p for p, m in pts.items() if m == mult),
+                                  key=_point_key)
                            for pts in (pts_l, pts_r))
             new = []
             for perm in itertools.permutations(right):
@@ -396,7 +409,7 @@ def _role_matchings(roles_left, roles_right):
             if not ok:
                 break
         if ok:
-            matchings.append(sorted(pin.items()))
+            matchings.append([(p, pin[p]) for p in sorted(pin, key=_point_key)])
         if len(matchings) >= 256:
             break
     return matchings
@@ -417,11 +430,10 @@ def _candidate_changes(analysis_left, analysis_right):
     yield (0, 1, 1, 0)
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     budget = 800
-    for pins in _role_matchings(analysis_left.marked_roles,
-                                analysis_right.marked_roles):
+    for pins in _role_matchings(analysis_left.integer_roles,
+                                analysis_right.integer_roles):
         if not pins:
             continue
-        pins = [(_integer_point(p), _integer_point(q)) for p, q in pins]
         ps, qs = zip(*pins)
         need = max(3 - len(pins), 0)
         combos = itertools.product(

@@ -205,11 +205,27 @@ def _normalize_point(uv):
     return (Fraction(0), Fraction(1))
 
 
-def _integer_point(point):
-    """A point of ``_normalize_point`` as the primitive integer pair with
-    its first nonzero entry positive."""
-    u, v = point
-    return (v.denominator, v.numerator) if u else (0, 1)
+def _primitive_point(u, v):
+    """The projective point of a nonzero integer pair as the primitive pair
+    with its first nonzero entry positive."""
+    g = math.gcd(u, v)
+    if u < 0 or (u == 0 and v < 0):
+        g = -g
+    return (u // g, v // g)
+
+
+def _point_order(p, q):
+    """-1, 0 or 1 as the point p sorts before, with or after q, both
+    primitive pairs of ``_primitive_point`` or points of
+    ``_normalize_point``: in the order of their ``_normalize_point`` forms,
+    (0, 1) first, then (u, v) by v / u, compared by cross-multiplying."""
+    if not (p[0] and q[0]):
+        return (p[0] != 0) - (q[0] != 0)
+    diff = p[1] * q[0] - q[1] * p[0]
+    return (diff > 0) - (diff < 0)
+
+
+_point_key = functools.cmp_to_key(_point_order)
 
 
 def _maps_point(m, p, q):
@@ -552,25 +568,26 @@ def _lifted_roots(q):
             power *= lead
             acc = acc * t + c * power
         if acc == 0:
-            roots.append(Fraction(t, lead))
+            roots.append(_primitive_point(t, lead))
     return roots
 
 
 def _layer_roots(q):
-    """Rational roots of a squarefree primitive integer list of positive
-    degree."""
+    """Rational roots t of a squarefree primitive integer list of positive
+    degree, each as the point (t : 1) of ``_primitive_point``."""
     roots = []
     if q[0] == 0:  # x divides a squarefree layer at most once
-        roots.append(Fraction(0))
+        roots.append((0, 1))
         q = q[1:]
     if len(q) == 2:
-        roots.append(Fraction(-q[0], q[1]))
+        roots.append(_primitive_point(-q[0], q[1]))
     elif len(q) == 3:
         c, b, a = q
         disc = b * b - 4 * a * c
         s = math.isqrt(disc) if disc > 0 else 0
         if s and s * s == disc:
-            roots += [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+            roots += [_primitive_point(-b - s, 2 * a),
+                      _primitive_point(-b + s, 2 * a)]
     elif len(q) > 3:
         roots += _lifted_roots(q)
     return roots
@@ -585,9 +602,9 @@ class _RootData:
     ``partition`` lists the multiplicities of the roots on the projective
     line over the algebraic closure, nonincreasing and summing to the
     degree; the point [1:0] contributes the y-adic valuation.  ``points``
-    holds ((u, v), multiplicity) pairs, sorted, with points normalized to
-    (1, t) or (0, 1); irrational roots are counted in the partition but
-    never computed.
+    holds ((u, v), multiplicity) pairs, the points primitive integer pairs
+    of ``_primitive_point``, sorted by ``_point_key``; irrational roots are
+    counted in the partition but never computed.
     """
 
     def __init__(self, p):
@@ -607,10 +624,10 @@ class _RootData:
     def points(self) -> list:
         pts = []
         if self.y_valuation:
-            pts.append(((Fraction(1), Fraction(0)), self.y_valuation))
+            pts.append(((1, 0), self.y_valuation))
         for layer, mult in self.layers:
-            pts.extend((_normalize_point((t, 1)), mult) for t in _layer_roots(layer))
-        return sorted(pts)
+            pts.extend((point, mult) for point in _layer_roots(layer))
+        return sorted(pts, key=lambda pm: _point_key(pm[0]))
 
 
 def multiplicity_partition(f: BinaryForm) -> tuple:
@@ -619,8 +636,10 @@ def multiplicity_partition(f: BinaryForm) -> tuple:
 
 
 def rational_root_points(f: BinaryForm) -> list:
-    """Rational projective roots of f with multiplicities; see _RootData."""
-    return _RootData(_scaled(f.coeffs)[0]).points
+    """Rational projective roots of f with multiplicities, the points
+    normalized to (1, t) or (0, 1); see _RootData."""
+    points = _RootData(_scaled(f.coeffs)[0]).points
+    return [(_normalize_point(p), mult) for p, mult in points]
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +668,19 @@ def _fail(what, pos, text):
     raise ParseError("expected %s at position %d in %r" % (what, pos, text))
 
 
-def _number(m, group, default):
-    digits = m.group(group)
+# A run of at most this many digits is read by int() at once: no int-string
+# limit the interpreter accepts is lower (``sys.set_int_max_str_digits``
+# refuses one below 640), and ``_TERM`` admits only the ASCII digits 0-9.
+_SHORT_DIGITS = 640
+
+
+def _number(digits, default, m, group):
+    """The number of a digit run of ``_TERM``'s match m in ``group``, or
+    ``default`` when the group did not match."""
     if digits is None:
         return default
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
     return parse_natural(digits, "the number at position %d" % m.start(group))
 
 
@@ -662,19 +690,19 @@ def parse_form(text: str) -> BinaryForm:
     pos = 0
     while not terms or pos < len(text):
         m = _TERM.match(text, pos)
-        sign, x, y = m.group("sign", "x", "y")
+        sign, num, den, x, xp, y, yp = m.groups()
         if terms and not sign:
             _fail("'+', '-' or end of input", m.start("sign"), text)
         if sign == "+" and not terms:
             _fail("a coefficient or variable", m.start("sign"), text)
-        if not (m.group("num") or x or y):
+        if not (num or x or y):
             _fail("a coefficient or variable", m.end(), text)
-        num = _number(m, "num", 1)
-        den = _number(m, "den", 1)
+        num = _number(num, 1, m, "num")
+        den = _number(den, 1, m, "den")
         if den == 0:
             _fail("a nonzero denominator", m.start("den"), text)
-        xp = _number(m, "xp", 1 if x else 0)
-        yp = _number(m, "yp", 1 if y else 0)
+        xp = _number(xp, 1 if x else 0, m, "xp")
+        yp = _number(yp, 1 if y else 0, m, "yp")
         if max(xp, yp) > MAX_EXPONENT:
             _fail("an exponent of at most %d" % MAX_EXPONENT, m.start("sign"), text)
         coeff = -num if sign == "-" else num

@@ -114,11 +114,19 @@ class GradedIdeal:
 def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     """RREF basis of the degree-d piece, memoized.  Missing degrees are built
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
-    span(generators of degree d), see ``shifted_rows``, which shifts the
-    integer rows of I_(d-1).  From the truncation degree on it is the whole
-    space, without row reduction.  Once the sequence persists at d - 1 (see
-    ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), and the degree asked
-    for is row-reduced from the multiples of h, skipping those between."""
+    span(generators of degree d), and most of y*I_(d-1) lies in x*I_(d-1)
+    already.  Let C be the rows of the RREF of I_(d-1) whose pivot p has p - 1
+    outside the pivots of I_(d-2); as x shifts pivots by one, C spans
+    I_(d-1) modulo x*I_(d-2).  Since y*I_(d-2) lies in I_(d-1), y*I_(d-1)
+    lies in x*I_(d-1) + y*C, so I_d = x*I_(d-1) + y*C + span(generators of
+    degree d).  x times an RREF basis is an RREF basis, so it goes to
+    ``rref`` as the reduced base and only y*C and the generators are
+    inserted.  When I_(d-2) is not memoized (past a skip, below), C is every
+    row of I_(d-1).  From the truncation degree on the component is the
+    whole space, without row reduction.  Once the sequence persists at
+    d - 1 (see ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), and the
+    degree asked for is row-reduced from the multiples of h, skipping those
+    between."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -140,10 +148,18 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
             memo[degree] = GradedComponent(degree, rref(rows, ncols=degree + 1))
             return memo[degree]
         else:
-            lower = memo[d - 1].basis.integer_rows if d else ()
             rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
-            rows += shifted_rows(lower)
-            basis = rref(rows, ncols=d + 1)
+            base = None
+            if d:
+                lower = memo[d - 1].basis
+                # y times C, the rows of I_(d-1) whose pivot x*I_(d-2) does not lead
+                led = {p + 1 for p in memo[d - 2].basis.pivots} if d - 2 in memo else ()
+                rows += [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
+                         if p not in led]
+                base = RowBasis(d + 1, integer_rows=tuple((0,) + row
+                                                          for row in lower.integer_rows),
+                                pivots=tuple(p + 1 for p in lower.pivots))
+            basis = rref(rows, ncols=d + 1, base=base)
         memo[d] = GradedComponent(d, basis)
     return memo[degree]
 

@@ -1,9 +1,13 @@
 """Exact rational row spaces in reduced row-echelon form.
 
 Scalars are ``fractions.Fraction`` at the interface, and no operation ever
-rounds.  Inside, ``rref`` eliminates over the integers: rows are scaled to
-integers and combined fraction-free (Gauss-Jordan, each updated row divided
-by its content; cf. Bareiss, *Math. Comp.* 1968).
+rounds.  Inside, ``rref`` is one insertion routine over the integers: each
+row, scaled to integers, is reduced fraction-free against the basis built so
+far, which may start from a ``base`` already reduced, and a nonzero
+remainder clears its pivot column from the basis rows; every combined row
+is divided by its content (cf. Bareiss, *Math. Comp.* 1968).  A caller that
+knows most of a row space already, such as the next graded component, hands
+that part in as the base and inserts only the rest.
 
 A ``RowBasis`` keeps each row of the RREF grid as the primitive integer row
 with a positive pivot.  That scaling is unique, so the integer rows are as
@@ -21,6 +25,7 @@ the row space, so ``contains`` is a few sparse dot products.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -115,44 +120,59 @@ def identity_basis(ncols: int) -> RowBasis:
     return RowBasis(ncols, integer_rows=ints, pivots=tuple(range(ncols)))
 
 
-def rref(rows, ncols: int | None = None) -> RowBasis:
-    """Reduced row-echelon basis of the span of ``rows`` (ints or Fractions).
+def rref(rows, ncols: int | None = None, base: RowBasis | None = None) -> RowBasis:
+    """Reduced row-echelon basis of the span of ``rows`` (ints or Fractions)
+    together with the row space of ``base``, an RREF basis already reduced.
 
-    ``ncols`` is only needed when ``rows`` is empty; otherwise it is inferred
-    and every row must have that length.
+    Each row is inserted in turn: it is reduced against every basis row with
+    a nonzero entry in that row's pivot column, and a nonzero remainder,
+    made primitive, clears its own pivot column from the basis rows and
+    joins them.  ``ncols`` is only needed when ``rows`` is empty and no
+    ``base`` is given; otherwise it is inferred and every row must have that
+    length.
     """
     mat = [_integer_row(r) for r in rows]
-    if not mat:
-        if ncols is None:
-            raise ValueError("rref of no rows needs an explicit column count")
-        return RowBasis(ncols, integer_rows=(), pivots=())
-    width = len(mat[0])
+    if base is not None:
+        width = base.ncols
+    elif mat:
+        width = len(mat[0])
+    elif ncols is None:
+        raise ValueError("rref of no rows needs an explicit column count")
+    else:
+        width = ncols
     if ncols is not None and ncols != width:
         raise ValueError("declared column count %d != row length %d" % (ncols, width))
-    if width < 1:
+    if mat and width < 1:
         raise ValueError("rows must have length >= 1")
     if any(len(r) != width for r in mat):
         raise ValueError("ragged input: row lengths differ")
 
-    pivots = []
-    for col in range(width):
-        rank = len(pivots)
-        src = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if src is None:
+    basis = list(base.integer_rows) if base is not None else []
+    pivots = list(base.pivots) if base is not None else []
+    for row in mat:
+        for b, p in zip(basis, pivots):
+            f = row[p]
+            if f:
+                g = gcd(f, b[p])
+                q, f = b[p] // g, f // g
+                row = [q * a - f * c for a, c in zip(row, b)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
             continue
-        mat[rank], mat[src] = mat[src], mat[rank]
-        row_p = mat[rank]
-        p = row_p[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != rank:
-                row = [p * a - f * b for a, b in zip(row, row_p)]
-                g = gcd(*row)
-                mat[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(col)
-    # rows past the rank were reduced to zero
-    ints = tuple(_primitive_row(row, col) for row, col in zip(mat, pivots))
-    return RowBasis(width, integer_rows=ints, pivots=tuple(pivots))
+        row = _primitive_row(row, col)
+        lead = row[col]
+        for i, b in enumerate(basis):
+            f = b[col]
+            if f:
+                g = gcd(f, lead)
+                q, f = lead // g, f // g
+                # the pivot of b is not a column of row, so it stays positive
+                basis[i] = _primitive_row([q * a - f * c for a, c in zip(b, row)],
+                                          pivots[i])
+        i = bisect_right(pivots, col)
+        basis.insert(i, row)
+        pivots.insert(i, col)
+    return RowBasis(width, integer_rows=tuple(basis), pivots=tuple(pivots))
 
 
 def contains(basis: RowBasis, vec) -> bool:

@@ -39,7 +39,8 @@ from hsfinite import (
     validate,
 )
 from hsfinite.catalog import _analyze, _candidate_changes, _carries_into, _role_matchings
-from hsfinite.forms import _adjugate, _maps_point, _normalize_point, _point_map_matrix
+from hsfinite.forms import (_adjugate, _maps_point, _normalize_point, _point_map_matrix,
+                            _primitive_point)
 
 _REFERENCE_PALETTE = tuple(_normalize_point(p) for p in (
     (0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1)))
@@ -220,8 +221,11 @@ def test_each_candidate_carries_right_pins_onto_left_pins():
 
 
 def _simple_points(*points):
-    """An analysis stand-in whose one role holds simple points."""
+    """An analysis stand-in whose one role holds simple points, as the
+    integer roles the stream reads and the ``Fraction`` roles the reference
+    reads."""
     return SimpleNamespace(
+        integer_roles=[(("run", 0), {_primitive_point(*p): 1 for p in points})],
         marked_roles=[(("run", 0), {_normalize_point(p): 1 for p in points})])
 
 
@@ -270,6 +274,93 @@ def test_integer_check_matches_equal_ideals_of_the_image(pairs):
         hits += counted[1]
     # every key is checked, past the first hit, so both answers occur
     assert 0 < hits < keys
+
+
+def _fraction_points(roots):
+    """The rational root points of a ``_RootData`` as ``Fraction`` points,
+    normalized to (1, t) or (0, 1) and sorted as tuples."""
+    return sorted((_normalize_point(p), mult) for p, mult in roots.points)
+
+
+def _reference_roles(analysis):
+    """The marked roles rebuilt in ``Fraction`` arithmetic: the run points
+    as sorted ``Fraction`` points, the theta points as the dual points of
+    the pairing's roots, and each pencil's lines computed from the
+    ``Fraction`` roots of its discriminant and sorted as tuples."""
+    roles = [(("run", i), dict(_fraction_points(roots))) for i, roots in analysis.run_roots]
+    if analysis.theta_roots is not None:
+        pts = {}
+        for (a0, b0), mult in _fraction_points(analysis.theta_roots):
+            line = _normalize_point((-b0, a0))
+            pts[line] = pts.get(line, 0) + mult
+        roles.append((("theta",), pts))
+    for degree, (disc, reduced) in sorted(analysis.pencil_roots.items()):
+        lines = {}
+        for (a0, b0), mult in _fraction_points(disc):
+            c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
+            line = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
+            lines[line] = lines.get(line, 0) + mult
+        roles.append((("pencil", degree), dict(sorted(lines.items()))))
+    return roles
+
+
+def _ordered(roles):
+    """Roles with each point dict as its list of items, so that comparing
+    them compares the dict order too."""
+    return [(tag, list(points.items())) for tag, points in roles]
+
+
+def _iso_digest_pairs():
+    """The 294 pairs of the golden isomorphism digest: each normal form of
+    colength 3-16 against its image under a change with entries in -3..3
+    drawn from ``random.Random(15)``."""
+    rng = random.Random(15)
+    for colength in range(3, 17):
+        for entries in enumerate_sequences(colength):
+            label = classify(validate(entries))
+            if not label.finite:
+                continue
+            for entry in normal_forms(label):
+                while True:
+                    a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+                    if a * d != b * c:
+                        break
+                yield entry.ideal, substitute_ideal(entry.ideal, LinearChange(a, b, c, d))
+
+
+def _generic_panel_pairs():
+    """Samples of every valid sequence of colength 5-9, seeds 0-3, against
+    the generic panel's transforms drawn from ``random.Random(0)``."""
+    rng = random.Random(0)
+    for colength in range(5, 10):
+        for entries in enumerate_sequences(colength):
+            for seed in range(4):
+                left = sample_ideal(entries, seed)
+                yield left, substitute_ideal(left, _panel_change(rng))
+
+
+def test_integer_roles_are_the_fraction_roles():
+    """The stream reads the roles as primitive integer points.  Mapped
+    through ``_normalize_point`` they are the roles built in ``Fraction``
+    arithmetic, dict order included, and so is ``marked_roles``: the order
+    of the points sets the order of the matchings and so of the keys."""
+    analyses = roles = 0
+    for pair in itertools.chain(_iso_digest_pairs(), _generic_panel_pairs()):
+        for case in pair:
+            analysis = _analyze(case)
+            expected = _ordered(_reference_roles(analysis))
+            for _, points in analysis.integer_roles:
+                for u, v in points:
+                    assert type(u) is int and type(v) is int
+                    assert math.gcd(u, v) == 1 and (u or v) > 0
+            normalized = [(tag, [(_normalize_point(p), m) for p, m in points.items()])
+                          for tag, points in analysis.integer_roles]
+            assert normalized == expected, case
+            assert _ordered(analysis.marked_roles) == expected, case
+            analyses += 1
+            roles += sum(len(points) > 1 for _, points in expected)
+    # 294 + 84 pairs, and many roles of more than one point, whose order counts
+    assert analyses == 2 * (294 + 84) and roles > 400
 
 
 def _ideal(*lines):

@@ -34,11 +34,11 @@ from hsfinite.errors import MAX_DIGITS
 from hsfinite.forms import (
     MAX_EXPONENT,
     _adjugate,
-    _integer_point,
     _mat_mul,
     _normalize_point,
     _point_map_matrix,
     _primitive_key,
+    _primitive_point,
     _rational,
     substitute_forms,
 )
@@ -264,8 +264,8 @@ class TestDivision:
             assert form_divide(multiply(f, h), h) == f
 
 
-points = st.tuples(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)).filter(
-    lambda uv: uv != (0, 0)).map(_normalize_point).map(_integer_point)
+pairs = st.tuples(st.integers(-24, 24), st.integers(-24, 24)).filter(lambda uv: uv != (0, 0))
+points = pairs.map(lambda uv: _primitive_point(*uv))
 matrices = st.tuples(*[st.integers(-30, 30)] * 4).filter(
     lambda e: e[0] * e[3] != e[1] * e[2]).map(lambda e: ((e[0], e[1]), (e[2], e[3])))
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True)
@@ -279,12 +279,14 @@ def _cleared(matrix):
 
 class TestPointMaps:
     @PROPERTIES
-    @given(points)
-    def test_integer_point_is_primitive_on_the_same_line(self, p):
+    @given(pairs, st.integers(-7, 7).filter(bool))
+    def test_integer_point_is_primitive_on_the_same_line(self, uv, c):
+        p = _primitive_point(*uv)
         u, v = p
         assert type(u) is int and type(v) is int
         assert math.gcd(u, v) == 1 and (u or v) > 0
-        assert _normalize_point(p) == _normalize_point((u, v))
+        assert _normalize_point(p) == _normalize_point(uv)
+        assert _primitive_point(c * uv[0], c * uv[1]) == p
 
     @PROPERTIES
     @given(st.lists(points, min_size=3, max_size=3, unique=True),
@@ -295,7 +297,7 @@ class TestPointMaps:
         assert m[0][0] * m[1][1] != m[0][1] * m[1][0]
         for (u, v), q in zip(ps, qs):
             image = (m[0][0] * u + m[0][1] * v, m[1][0] * u + m[1][1] * v)
-            assert _integer_point(_normalize_point(image)) == q
+            assert _primitive_point(*image) == q
 
     @PROPERTIES
     @given(matrices, st.integers(-7, 7).filter(bool))

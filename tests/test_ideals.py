@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from componentwise import reference_component
+from hsfinite import ideals as ideals_module
 from hsfinite.ideals import multiples, shifted_rows
 from hsfinite import (
     EmptyComponent,
@@ -37,6 +38,7 @@ from hsfinite import (
     parse_form,
     parse_ideal_text,
     power_pairing,
+    rref,
     sample_ideal,
     substitute_ideal,
     validate,
@@ -119,6 +121,40 @@ class TestComponent:
             rng.shuffle(order)
             for d in order:
                 assert component(fresh, d).basis == refs[d], (case, d)
+
+
+    def test_reduces_only_the_rows_new_to_each_degree(self, monkeypatch):
+        """I_d = x*I_(d-1) + y*C + the generators of degree d, where C holds
+        the rows of I_(d-1) whose pivots x*I_(d-2) does not lead: x*I_(d-1)
+        goes to ``rref`` as a reduced base, and only r_(d-1) - r_(d-2)
+        y-rows and the generators are inserted.  Past a skipped degree,
+        I_(d-2) is not memoized and every row of I_(d-1) is shifted by y."""
+        calls = []
+
+        def recording(rows, ncols=None, base=None):
+            rows = list(rows)
+            calls.append((len(rows), None if base is None else base.rank))
+            return rref(rows, ncols, base)
+
+        monkeypatch.setattr(ideals_module, "rref", recording)
+        case = ideal("x^3 - y^3", "x^2*y", "x*y^3 + y^4", "x^5", truncate=9)
+        ranks = [reference_component(case, d).rank for d in range(9)]
+        for d in range(9):
+            assert component(case, d).basis == reference_component(case, d)
+        gens = [sum(g.degree == d for g in case.generators) for d in range(9)]
+        assert calls == [(gens[0], None)] + [
+            (gens[d] + ranks[d - 1] - (ranks[d - 2] if d > 1 else 0), ranks[d - 1])
+            for d in range(1, 9)]
+        # fewer rows than the x- and y-multiples of every row below
+        assert sum(rows for rows, _ in calls) < sum(gens) + 2 * sum(ranks[:8])
+
+        h = F("x^2*y - 2*y^3")
+        skipped = GradedIdeal(multiples(h, 1), truncation=90)
+        hilbert_samuel(skipped)
+        component(skipped, 60)
+        calls.clear()
+        assert component(skipped, 61).basis == reference_component(skipped, 61)
+        assert calls == [(58, 58)]
 
 
 class TestHilbertSamuel:

@@ -19,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hsfinite import (
     GradedIdeal,
@@ -44,6 +46,7 @@ from hsfinite import (
     validate,
 )
 from hsfinite.catalog import _analyze
+from hsfinite.forms import _normalize_point, _point_key, _primitive_point
 from hsfinite.sequences import tail_runs
 
 
@@ -140,6 +143,24 @@ def test_integer_layer_matches_the_fraction_functions():
         with_roles += any(points for _, points in roles)
     # every path of the integer layer is exercised many times over
     assert with_theta > 500 and with_pencil > 40 and with_roles > 600
+
+
+_ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_ENTRIES, _ENTRIES).filter(lambda uv: uv != (0, 0)),
+                max_size=10))
+@example([(0, 1), (1, 0), (0, -3), (-1, 0), (2, -1), (-4, 2), (1, 1)])
+def test_point_key_sorts_as_the_fraction_points(pairs):
+    """The role points are primitive integer pairs, sorted by ``_point_key``
+    in the order their ``Fraction`` points (1, t) and (0, 1) sort in: the
+    order of the matchings, and so of the witness keys, rests on it.  Pairs
+    on one line give one point, so ties are sorted too."""
+    points = [_primitive_point(*uv) for uv in pairs]
+    assert sorted(points, key=_point_key) == sorted(points, key=_normalize_point)
+    fractions = [_normalize_point(p) for p in points]
+    assert sorted(fractions, key=_point_key) == sorted(fractions)
 
 
 def _all_fractions(form):

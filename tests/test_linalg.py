@@ -223,3 +223,49 @@ def test_contains_matches_fraction_elimination(case):
         for row in basis.integer_rows:
             assert sum(c * row[j] for j, c in functional) == 0
     assert contains(basis, vec) == _reference_contains(basis, vec)
+
+
+@st.composite
+def _two_matrices(draw):
+    """Two matrices of one width, the second often sharing rows or
+    combinations of rows with the first."""
+    width, first = draw(_matrices())
+    second = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                           max_size=4))
+    for kind in draw(st.lists(st.sampled_from(("copy", "combination")), max_size=3)):
+        if not first:
+            break
+        a = draw(st.sampled_from(first))
+        if kind == "copy":
+            second.append(list(a))
+        else:
+            b, c = draw(st.sampled_from(first)), draw(_ENTRIES)
+            second.append([u + c * v for u, v in zip(a, b)])
+    return width, first, draw(st.permutations(second))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_two_matrices())
+@example((2, [], []))
+@example((3, [[1, 0, 2]], [[2, 0, 4], [0, 0, 0]]))  # nothing new: the base comes back
+@example((3, [[0, 1, 0]], [[1, 5, 0], [0, 3, 1]]))  # new pivots left of the base's
+def test_rref_with_a_base_matches_rref_of_all_rows(case):
+    """Rows inserted into an already reduced basis give the RREF of all the
+    rows together: the same primitive integer rows and pivots."""
+    width, first, second = case
+    base = rref(first, ncols=width)
+    joint = rref(first + second, ncols=width)
+    grown = rref(second, base=base)
+    assert grown.integer_rows == joint.integer_rows
+    assert grown.pivots == joint.pivots
+    assert rref(second, ncols=width, base=base) == joint
+    assert base == rref(first, ncols=width)  # the base is left as it was
+
+
+def test_rref_with_a_base_checks_the_width():
+    base = rref([[1, 2, 3]])
+    with pytest.raises(ValueError, match="declared column count"):
+        rref([], ncols=2, base=base)
+    with pytest.raises(ValueError, match="ragged"):
+        rref([[1, 2]], base=base)
+
