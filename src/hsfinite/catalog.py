@@ -69,8 +69,10 @@ from .forms import (
 )
 from .ideals import (
     MAX_ROW_REDUCED,
+    GradedComponent,
     GradedIdeal,
     _check_row_reduced,
+    _extend,
     _factor_list,
     _pairing_list,
     component,
@@ -78,7 +80,6 @@ from .ideals import (
     format_ideal,
     hilbert_samuel,
     multiples,
-    shifted_rows,
 )
 from .rational_linalg import contains, rref
 from .sequences import (HSSequence, TypeLabel, row_dimension, sequence_for_label,
@@ -561,10 +562,9 @@ def verify_catalog(label: TypeLabel) -> CatalogReport:
 # component whose multiples span only 5 of the 6 quintics -- and rejection
 # alone can never hit that stratum.  The principal-chain fallback realizes
 # every valid sequence by a divisibility chain of random factors with
-# deg c_d = t_d, at the cost of being maximally factored.  Along a run, I_d
-# is h * S_(d - deg h) for the run's factor h; it is row-reduced from those
-# multiples at the run's start only, since past it x and y times I_(d-1)
-# span it.
+# deg c_d = t_d, at the cost of being maximally factored.  Each I_d is built
+# from I_(d-1) as ``component`` builds it, into the ideal's memo; along a run
+# it is h * S_(d - deg h) for the run's factor h, inserted at the start only.
 # ---------------------------------------------------------------------------
 
 _RETRY_BUDGET = 64
@@ -594,17 +594,19 @@ def _try_sample(seq: HSSequence, rng):
         factors[start] = h
 
     generators = []
-    prev_rows = ()
-    for d in range(nc, last + 1):
+    built = {}
+    for d in range(last + 1):
         target_rank = d + 1 - entries[d]
         if d in factors:
-            # the rows carried in are multiples of this factor already:
-            # forms below take the next run's factor as their constraint
+            # its multiples span I_d if the rows carried in are multiples of
+            # it: forms below take the next run's factor as their constraint
             run_forms = multiples(factors[d], d - factors[d].degree)
-            basis = rref([form_to_vector(g, d) for g in run_forms], ncols=d + 1)
             generators.extend(run_forms)
+            basis = _extend(built, d, [form_to_vector(g, d) for g in run_forms])
+            if basis.rank != target_rank:
+                return None
         else:
-            basis = rref(shifted_rows(prev_rows), ncols=d + 1)
+            basis = _extend(built, d, ())
             if basis.rank > target_rank:
                 return None
             # the next run's component must hold the multiples of I_d
@@ -622,9 +624,11 @@ def _try_sample(seq: HSSequence, rng):
                 if contains(basis, vec):
                     continue
                 generators.append(cand)
-                basis = rref(list(basis.integer_rows) + [vec], ncols=d + 1)
-        prev_rows = basis.integer_rows
-    return GradedIdeal(generators, truncation=last + 1)
+                basis = rref([vec], base=basis)
+        built[d] = GradedComponent(d, basis)
+    ideal = GradedIdeal(generators, truncation=last + 1)
+    ideal._components.update(built)  # each is the RREF ``component`` would build
+    return ideal
 
 
 def _principal_chain_sample(seq: HSSequence, rng):
@@ -652,8 +656,8 @@ def _principal_chain_sample(seq: HSSequence, rng):
 
 def sample_ideal(seq, seed: int) -> GradedIdeal:
     """A pseudo-random ideal realizing the sequence, deterministic in the
-    seed; the result is re-verified before being returned.  Every degree is
-    row-reduced, so a sequence longer than ``MAX_ROW_REDUCED`` is refused."""
+    seed; its sequence is checked on the bases the sampler built.  Every
+    degree is row-reduced, so a sequence past ``MAX_ROW_REDUCED`` is refused."""
     if not isinstance(seq, HSSequence):
         seq = validate(seq)
     if len(seq.entries) > MAX_ROW_REDUCED:
@@ -665,8 +669,6 @@ def sample_ideal(seq, seed: int) -> GradedIdeal:
             ideal = _try_sample(seq, rng)
         else:
             ideal = _principal_chain_sample(seq, rng)
-        if ideal is None:
-            continue
-        if hilbert_samuel(ideal) == seq.entries:
+        if ideal is not None and hilbert_samuel(ideal) == seq.entries:
             return ideal
     raise SamplingFailed(seq.entries, _RETRY_BUDGET)

@@ -129,16 +129,16 @@ def cmd_enumerate(args):
 def cmd_catalog(args):
     seq = validate(parse_sequence_text(args.sequence))
     report = verify_catalog(classify(seq))  # raises NoCatalog on infinite labels
+    data = report.to_dict()
     os.makedirs(args.out, exist_ok=True)
     paths = []
-    for i, entry in enumerate(report.entries, start=1):
+    for i, entry in enumerate(data["entries"], start=1):
         path = os.path.join(args.out, "entry_%d.ideal" % i)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# %s\n" % entry.provenance)
-            handle.write(format_ideal(entry.ideal))
+            handle.write("# %s\n%s" % (entry["provenance"], entry["ideal"]))
         paths.append(path)
     report_path = os.path.join(args.out, "report.json")
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True)
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     if args.json:
@@ -183,9 +183,8 @@ def cmd_sample(args):
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sample_%d.ideal" % (i + 1))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# sequence %s  seed %d\n"
-                         % (format_sequence(seq.entries), args.seed + i))
-            handle.write(format_ideal(ideal))
+            handle.write("# sequence %s  seed %d\n%s" % (format_sequence(seq.entries),
+                                                          args.seed + i, format_ideal(ideal)))
         paths.append(path)
     if args.json:
         _emit_json({"sequence": list(seq.entries), "files": paths})

@@ -24,11 +24,11 @@ from .forms import (
     BinaryForm,
     _form_gcd,
     _monic_form,
+    _rational,
     binary_form,
     format_form,
     gcd_forms,
     monomial,
-    multiply,
     parse_form,
     substitute_forms,
 )
@@ -41,14 +41,9 @@ def monomials(degree: int) -> list:
 
 
 def multiples(form: BinaryForm, cofactor_degree: int) -> list:
-    """The products m * form over ``monomials(cofactor_degree)``, in order."""
-    return [multiply(m, form) for m in monomials(cofactor_degree)]
-
-
-def shifted_rows(rows) -> list:
-    """x * rows, then y * rows, for coefficient rows of one degree: x times a
-    row is the row with a 0 prepended, y times it the row with a 0 appended."""
-    return [(0,) + row for row in rows] + [row + (0,) for row in rows]
+    """m * form, form nonzero, over ``monomials(cofactor_degree)`` in order, as shifts."""
+    pad = (_rational(0),) * cofactor_degree
+    return [BinaryForm(pad[:i] + form.coeffs + pad[i:]) for i in range(len(pad), -1, -1)]
 
 
 def form_to_vector(f: BinaryForm, degree: int) -> tuple:
@@ -149,19 +144,23 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
             return memo[degree]
         else:
             rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
-            base = None
-            if d:
-                lower = memo[d - 1].basis
-                # y times C, the rows of I_(d-1) whose pivot x*I_(d-2) does not lead
-                led = {p + 1 for p in memo[d - 2].basis.pivots} if d - 2 in memo else ()
-                rows += [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
-                         if p not in led]
-                base = RowBasis(d + 1, integer_rows=tuple((0,) + row
-                                                          for row in lower.integer_rows),
-                                pivots=tuple(p + 1 for p in lower.pivots))
-            basis = rref(rows, ncols=d + 1, base=base)
+            basis = _extend(memo, d, rows)
         memo[d] = GradedComponent(d, basis)
     return memo[degree]
+
+
+def _extend(memo: dict, d: int, rows) -> RowBasis:
+    """I_d as ``component`` builds it, C as defined there, from ``memo``'s
+    I_(d-1) and I_(d-2) if held: ``rows`` and y*C inserted into x*I_(d-1)."""
+    if not d:
+        return rref(rows, ncols=1)
+    lower = memo[d - 1].basis
+    led = {p + 1 for p in memo[d - 2].basis.pivots} if d - 2 in memo else ()
+    rows = list(rows) + [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
+                         if p not in led]
+    base = RowBasis(d + 1, integer_rows=tuple((0,) + row for row in lower.integer_rows),
+                    pivots=tuple(p + 1 for p in lower.pivots))
+    return rref(rows, base=base)
 
 
 def _top_generator_degree(ideal: GradedIdeal) -> int:

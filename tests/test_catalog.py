@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from componentwise import componentwise_equal
+from componentwise import componentwise_equal, reference_component
 from hsfinite import (
     GradedIdeal,
     InvalidPencil,
@@ -28,6 +28,7 @@ from hsfinite import (
     power_pairing,
     sample_ideal,
     sequence_for_label,
+    spaces_equal,
     structural_invariant,
     substitute_ideal,
     validate,
@@ -382,6 +383,26 @@ class TestSampler:
         for seed in range(5):
             ideal = sample_ideal(validate((1, 2, 3, 4, 2, 1)), seed)
             assert hilbert_samuel(ideal) == (1, 2, 3, 4, 2, 1)
+
+    def test_memoized_components_match_the_reference(self):
+        """The sampler leaves the bases it built in the ideal's memo, and
+        ``sample_ideal`` checks the sequence from them; each must be the
+        component rebuilt from all monomial multiples of the generators, and
+        an unmemoized copy of the ideal must have the same sequence."""
+        checked = 0
+        for colength in range(3, 12):
+            for entries in enumerate_sequences(colength):
+                for seed in range(3):
+                    ideal = sample_ideal(entries, seed)
+                    memo = ideal._components
+                    # every degree below the truncation was built by the sampler
+                    assert set(range(len(entries))) <= memo.keys()
+                    for d, comp in memo.items():
+                        assert spaces_equal(comp.basis, reference_component(ideal, d))
+                    checked += len(memo)
+                    fresh = GradedIdeal(ideal.generators, ideal.truncation)
+                    assert hilbert_samuel(fresh) == entries
+        assert checked > 700
 
     def test_failure_is_reported_not_silent(self):
         with pytest.raises(SamplingFailed) as info:

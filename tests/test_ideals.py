@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import ideals as ideals_module
-from hsfinite.ideals import multiples, shifted_rows
+from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -87,7 +87,6 @@ class TestComponent:
         assert form_to_vector(F("x^2*y"), 3) == F("x^2*y").coeffs
         assert component(ideal("x^2*y", truncate=5), 3).basis.integer_rows == \
             ((0, 0, 1, 0),)
-        assert shifted_rows(((1, 2),)) == [(0, 1, 2), (1, 2, 0)]
 
     def test_truncation_fills_component(self):
         comp = component(GradedIdeal([], truncation=3), 3)
