@@ -63,7 +63,6 @@ from .forms import (
     _substitution,
     _trim,
     binary_form,
-    monomial,
     multiply,
     parse_form,
 )
@@ -93,44 +92,49 @@ class CatalogEntry:
     provenance: str
 
 
-def _completion_cubics(quadric_pair):
-    """Monomial cubics missing from the span of (x, y) * the quadric pair."""
-    basis = rref([form_to_vector(g, 3) for q in quadric_pair for g in multiples(q, 1)],
-                 ncols=4)
-    return [monomial(j, 3 - j) for j in range(4) if j not in basis.pivots]
-
-
-# The normal forms of the rows T5-T11 as factor texts, one per tail run: a
-# factor's multiples at its run's start are the generators of that degree.
-# T7's texts are templated on the start b of its run of 1s (a = b - 1), and
-# its list is longer when that run has length 1.
+# The normal forms of every row as its provenance, then one tuple of texts
+# per tail run: a text's multiples at its run's start are the generators of
+# that degree.  T1 has no runs; T4's second run holds x times the cubics that
+# (x, y) times its pencil misses.  T7's texts are templated on the start b of
+# its run of 1s (a = b - 1), and its list is longer when that run has length 1.
 _NODAL = "x^2*y + x*y^2"
-_RUN_FACTORS = {
-    "T5": [(("x",), "factor x")],
-    "T6": [(("x*y",), "factor x*y"), (("x^2",), "factor x^2")],
-    "T7": [(("x*y", "x^{b}"), "pair (x*y, x^{b})"),
-           (("x^2", "x*y^{a}"), "pair (x^2, x*y^{a})")],
+_NORMAL_FORMS = {
+    "T1": [("power of the maximal ideal",)],
+    "T2": [("square pattern [1,1]", ("x^2", "y^2")),
+           ("square pattern [2]", ("x*y", "y^2"))],
+    "T3": [("cube pattern [1,1,1]", ("x^3", "y^3", "x^2*y - x*y^2")),
+           ("cube pattern [2,1]", ("x^3", "x*y^2", "y^3")),
+           ("cube pattern [3]", ("x^2*y", "x*y^2", "y^3"))],
+    "T4": [("pencil <x*y, y^2> times x", ("x^2*y", "x*y^2"), ("x^4",)),
+           ("pencil <x^2 + x*y, y^2> times x", ("x^3 + x^2*y", "x*y^2"), ()),
+           ("pencil <x^2, x*y + y^2> times x", ("x^3", "x^2*y + x*y^2"), ()),
+           ("pencil <x^2, x*y> times x", ("x^3", "x^2*y"), ("x*y^3",)),
+           ("pencil <x^2, y^2> times x", ("x^3", "x*y^2"), ())],
+    "T5": [("factor x", ("x",))],
+    "T6": [("factor x*y", ("x*y",)), ("factor x^2", ("x^2",))],
+    "T7": [("pair (x*y, x^{b})", ("x*y",), ("x^{b}",)),
+           ("pair (x^2, x*y^{a})", ("x^2",), ("x*y^{a}",))],
     # (x^2, x*y^(b-1) + y^b) is isomorphic to (x^2, y^b) in characteristic 0.
-    "T7, l=1": [(("x*y", "x^{b} + y^{b}"), "pair (x*y, x^{b} + y^{b})"),
-                (("x*y", "x^{b}"), "pair (x*y, x^{b})"),
-                (("x^2", "x*y^{a} + y^{b}"), "pair (x^2, x*y^{a} + y^{b})"),
-                (("x^2", "x*y^{a}"), "pair (x^2, x*y^{a})"),
-                (("x^2", "y^{b}"), "pair (x^2, y^{b})")],
-    "T8": [((_NODAL,), "factor x*y*(x+y)"), (("x^2*y",), "factor x^2*y"),
-           (("x^3",), "factor x^3")],
-    "T9": [((_NODAL, "x"), "chain x | x*y*(x+y)"),
-           (("x^2*y", "x"), "chain x | x^2*y"),
-           (("x^2*y", "y"), "chain y | x^2*y"),
-           (("x^3", "x"), "chain x | x^3")],
-    "T10": [((_NODAL, "x*y"), "chain x*y | x*y*(x+y)"),
-            (("x^2*y", "x^2"), "chain x^2 | x^2*y"),
-            (("x^2*y", "x*y"), "chain x*y | x^2*y"),
-            (("x^3", "x^2"), "chain x^2 | x^3")],
-    "T11": [((_NODAL, "x*y", "x"), "chain x | x*y | x*y*(x+y)"),
-            (("x^2*y", "x^2", "x"), "chain x | x^2 | x^2*y"),
-            (("x^2*y", "x*y", "x"), "chain x | x*y | x^2*y"),
-            (("x^2*y", "x*y", "y"), "chain y | x*y | x^2*y"),
-            (("x^3", "x^2", "x"), "chain x | x^2 | x^3")],
+    "T7, l=1": [("pair (x*y, x^{b} + y^{b})", ("x*y",), ("x^{b} + y^{b}",)),
+                ("pair (x*y, x^{b})", ("x*y",), ("x^{b}",)),
+                ("pair (x^2, x*y^{a} + y^{b})", ("x^2",), ("x*y^{a} + y^{b}",)),
+                ("pair (x^2, x*y^{a})", ("x^2",), ("x*y^{a}",)),
+                ("pair (x^2, y^{b})", ("x^2",), ("y^{b}",))],
+    "T8": [("factor x*y*(x+y)", (_NODAL,)), ("factor x^2*y", ("x^2*y",)),
+           ("factor x^3", ("x^3",))],
+    "T9": [("chain x | x*y*(x+y)", (_NODAL,), ("x",)),
+           ("chain x | x^2*y", ("x^2*y",), ("x",)),
+           ("chain y | x^2*y", ("x^2*y",), ("y",)),
+           ("chain x | x^3", ("x^3",), ("x",))],
+    "T10": [("chain x*y | x*y*(x+y)", (_NODAL,), ("x*y",)),
+            ("chain x^2 | x^2*y", ("x^2*y",), ("x^2",)),
+            ("chain x*y | x^2*y", ("x^2*y",), ("x*y",)),
+            ("chain x^2 | x^3", ("x^3",), ("x^2",))],
+    "T11": [("chain x | x*y | x*y*(x+y)", (_NODAL,), ("x*y",), ("x",)),
+            ("chain x | x^2 | x^2*y", ("x^2*y",), ("x^2",), ("x",)),
+            ("chain x | x*y | x^2*y", ("x^2*y",), ("x*y",), ("x",)),
+            ("chain y | x*y | x^2*y", ("x^2*y",), ("x*y",), ("y",)),
+            ("chain x | x^2 | x^3", ("x^3",), ("x^2",), ("x",))],
 }
 
 
@@ -153,50 +157,18 @@ def normal_forms(label: TypeLabel) -> list:
     nc = validate(seq).n
     target = TypeLabel(kind, label.dimension, label.params, nc)
     runs = tail_runs(seq, nc)
+    b = runs[-1][0] if runs else 0
+    single_one = kind == "T7" and label.param_dict()["l"] == 1
     entries = []
-
-    def entry(gens, provenance):
-        entries.append(CatalogEntry(target, GradedIdeal(gens, len(seq)), provenance))
-
-    if kind == "T1":
-        entry([], "power of the maximal ideal")
-    elif kind == "T2":
-        for texts, why in ((("x^2", "y^2"), "square pattern [1,1]"),
-                           (("x*y", "y^2"), "square pattern [2]")):
-            entry([parse_form(t) for t in texts], why)
-    elif kind == "T3":
-        spans = [
-            (["x^3", "y^3", "x^2*y - x*y^2"], "cube pattern [1,1,1]"),
-            (["x^3", "x*y^2", "y^3"], "cube pattern [2,1]"),
-            (["x^2*y", "x*y^2", "y^3"], "cube pattern [3]"),
-        ]
-        for texts, why in spans:
-            entry([parse_form(t) for t in texts], why)
-    elif kind == "T4":
-        pencils = [
-            ("x*y", "y^2"),
-            ("x^2 + x*y", "y^2"),
-            ("x^2", "x*y + y^2"),
-            ("x^2", "x*y"),
-            ("x^2", "y^2"),
-        ]
-        x = parse_form("x")
-        for a, b in pencils:
-            pair = (parse_form(a), parse_form(b))
-            gens = [multiply(x, q) for q in pair]
-            gens += [multiply(x, c) for c in _completion_cubics(pair)]
-            entry(gens, "pencil <%s, %s> times x" % (a, b))
-    else:
-        b = runs[-1][0]
-        single_one = kind == "T7" and label.param_dict()["l"] == 1
-        for texts, why in _RUN_FACTORS["T7, l=1" if single_one else kind]:
-            gens = []
-            for (start, _, _), text in zip(runs, texts):
+    for why, *run_texts in _NORMAL_FORMS["T7, l=1" if single_one else kind]:
+        gens = []
+        for (start, _, _), texts in zip(runs, run_texts):
+            for text in texts:
                 factor = parse_form(text.format(a=b - 1, b=b))
                 gens += multiples(factor, start - factor.degree)
-            entry(gens, why.format(a=b - 1, b=b))
-    for e in entries:
-        _check_row_reduced(e.ideal, InvalidParameters)
+        entry = CatalogEntry(target, GradedIdeal(gens, len(seq)), why.format(a=b - 1, b=b))
+        _check_row_reduced(entry.ideal, InvalidParameters)
+        entries.append(entry)
     return entries
 
 
@@ -555,16 +527,19 @@ def verify_catalog(label: TypeLabel) -> CatalogReport:
 # ---------------------------------------------------------------------------
 # Sequence-constrained random ideals.
 #
-# Two strategies share the retry budget.  The structured-generic one follows
-# the run skeleton (principal components along runs, random forms elsewhere)
-# and produces generic-looking ideals, but some shapes force sub-generic
-# growth at degrees outside any run -- (1, 2, 3, 4, 2, 1) needs a degree-4
-# component whose multiples span only 5 of the 6 quintics -- and rejection
-# alone can never hit that stratum.  The principal-chain fallback realizes
-# every valid sequence by a divisibility chain of random factors with
-# deg c_d = t_d, at the cost of being maximally factored.  Each I_d is built
-# from I_(d-1) as ``component`` builds it, into the ideal's memo; along a run
-# it is h * S_(d - deg h) for the run's factor h, inserted at the start only.
+# One builder, ``_try_sample``, realizes a run skeleton: each run's random
+# factor is a multiple of the next run's, I_d is that factor's principal
+# component along the run, and random forms fill the degrees elsewhere.  The
+# structured-generic skeleton takes the tail runs of length >= 2 and gives
+# generic-looking ideals, but some shapes force sub-generic growth at degrees
+# outside any run -- (1, 2, 3, 4, 2, 1) needs a degree-4 component whose
+# multiples span only 5 of the 6 quintics -- and rejection alone seldom hits
+# that stratum.  The last tries of the retry budget make every tail
+# degree its own run: the factors form a divisibility chain with
+# deg c_d = t_d, which realizes every valid sequence at the cost of being
+# maximally factored.  Each I_d is built from I_(d-1) as ``component``
+# builds it, into the ideal's memo; along a run it is h * S_(d - deg h) for
+# the run's factor h, inserted at the start only.
 # ---------------------------------------------------------------------------
 
 _RETRY_BUDGET = 64
@@ -578,19 +553,18 @@ def _random_form(rng, degree):
             return binary_form(cs)
 
 
-def _try_sample(seq: HSSequence, rng):
-    entries = seq.entries
-    nc = seq.n
+def _try_sample(entries, rng, runs):
     last = len(entries) - 1
-    # the runs of length >= 2; one of value nc also holds degree nc - 1
-    runs = [r for r in tail_runs(entries, nc) if r[1] > r[0] or r[2] == nc]
 
     # each run's factor, keyed by the run's start, is a multiple of the next
+    # one's, and the same form when their values are equal
     factors = {}
     h = None
     for start, _, value in reversed(runs):
-        h = _random_form(rng, value) if h is None else \
-            multiply(_random_form(rng, value - h.degree), h)
+        if h is None:
+            h = _random_form(rng, value)
+        elif value > h.degree:
+            h = multiply(_random_form(rng, value - h.degree), h)
         factors[start] = h
 
     generators = []
@@ -631,29 +605,6 @@ def _try_sample(seq: HSSequence, rng):
     return ideal
 
 
-def _principal_chain_sample(seq: HSSequence, rng):
-    """I_d = (c_d)_d for a random divisibility chain with deg c_d = t_d."""
-    entries = seq.entries
-    nc = seq.n
-    last = len(entries) - 1
-    chain = {}
-    above = None
-    for d in range(last, nc - 1, -1):
-        extra = entries[d] - (entries[d + 1] if d < last else 0)
-        if above is None:
-            chain[d] = _random_form(rng, entries[d])
-        elif extra:
-            chain[d] = multiply(_random_form(rng, extra), above)
-        else:
-            chain[d] = above
-        above = chain[d]
-    generators = []
-    for d in range(nc, last + 1):
-        c = chain[d]
-        generators.extend(multiples(c, d - c.degree))
-    return GradedIdeal(generators, truncation=last + 1)
-
-
 def sample_ideal(seq, seed: int) -> GradedIdeal:
     """A pseudo-random ideal realizing the sequence, deterministic in the
     seed; its sequence is checked on the bases the sampler built.  Every
@@ -663,12 +614,13 @@ def sample_ideal(seq, seed: int) -> GradedIdeal:
     if len(seq.entries) > MAX_ROW_REDUCED:
         raise InvalidParameters("sequence of length %d; at most %d can be sampled"
                                 % (len(seq.entries), MAX_ROW_REDUCED))
+    entries, n = seq.entries, seq.n
+    # the runs of length >= 2; one of value n also holds degree n - 1
+    structured = [r for r in tail_runs(entries, n) if r[1] > r[0] or r[2] == n]
+    chain = [(d, d, entries[d]) for d in range(n, len(entries))]
     rng = random.Random(seed)
     for attempt in range(_RETRY_BUDGET):
-        if attempt < _GENERIC_TRIES:
-            ideal = _try_sample(seq, rng)
-        else:
-            ideal = _principal_chain_sample(seq, rng)
-        if ideal is not None and hilbert_samuel(ideal) == seq.entries:
+        ideal = _try_sample(entries, rng, structured if attempt < _GENERIC_TRIES else chain)
+        if ideal is not None and hilbert_samuel(ideal) == entries:
             return ideal
-    raise SamplingFailed(seq.entries, _RETRY_BUDGET)
+    raise SamplingFailed(entries, _RETRY_BUDGET)

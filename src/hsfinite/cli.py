@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 domain error (invalid
 sequence, not Artinian, no catalog), 4 sampling failure.  ``--json`` switches
-any command to machine output; all output is deterministic (no timestamps,
-sorted keys).
+every command but ``diagram`` to machine output; all output is deterministic
+(no timestamps, sorted keys).
 """
 
 from __future__ import annotations

@@ -379,10 +379,20 @@ class TestSampler:
 
     def test_sub_generic_growth_outside_runs(self):
         # degree 4 must be a non-generic 3-dimensional space for t_5 = 1 to be
-        # reachable: only the factor-chain stratum realizes this shape
+        # reachable, which random forms seldom give: seeds 0-3 exhaust the
+        # structured tries, and the sampler then makes every tail degree its
+        # own run, a factor chain with deg c_d = t_d; seed 4's fourth try
+        # draws three quartics with the common factor x
+        entries = (1, 2, 3, 4, 2, 1)
         for seed in range(5):
-            ideal = sample_ideal(validate((1, 2, 3, 4, 2, 1)), seed)
-            assert hilbert_samuel(ideal) == (1, 2, 3, 4, 2, 1)
+            ideal = sample_ideal(validate(entries), seed)
+            assert hilbert_samuel(ideal) == entries
+            memo = ideal._components
+            assert set(range(len(entries))) <= memo.keys()
+            for d, comp in memo.items():
+                assert spaces_equal(comp.basis, reference_component(ideal, d))
+            shape = (1, 1) if seed == 4 else (entries[4], entries[5])
+            assert (common_factor(ideal, 4).degree, common_factor(ideal, 5).degree) == shape
 
     def test_memoized_components_match_the_reference(self):
         """The sampler leaves the bases it built in the ideal's memo, and
@@ -403,6 +413,24 @@ class TestSampler:
                     fresh = GradedIdeal(ideal.generators, ideal.truncation)
                     assert hilbert_samuel(fresh) == entries
         assert checked > 700
+
+    def test_chain_runs_of_equal_value_share_their_factor(self):
+        # the last tries make every tail degree its own run; a degree of the
+        # same value as the next keeps that degree's factor, drawing nothing
+        import hsfinite.catalog as cat
+
+        entries = (1, 2, 3, 3, 2, 2, 1, 1)
+        n = validate(entries).n
+        chain = [(d, d, entries[d]) for d in range(n, len(entries))]
+        ideal = cat._try_sample(entries, random.Random(0), chain)
+        assert hilbert_samuel(ideal) == entries
+        # the first multiple of c_d is x^(d - t_d) * c_d
+        factors = {}
+        for g in ideal.generators:
+            factors.setdefault(g.degree, g.coeffs[g.degree - entries[g.degree]:])
+        assert sorted(factors) == list(range(n, len(entries)))
+        for d in range(n, len(entries) - 1):
+            assert (factors[d] == factors[d + 1]) == (entries[d] == entries[d + 1])
 
     def test_failure_is_reported_not_silent(self):
         with pytest.raises(SamplingFailed) as info:
