@@ -27,8 +27,8 @@ carrying one ideal onto the other, so the tester works in three layers:
    primitive key and are tried once.  Every candidate is verified before
    being reported: each generator's image lies in the target's component
    of its degree, which for ideals of one finite colength proves equality.
-   The check stays in the integers: the generators become integer lists
-   once, each key maps them one at a time by the Horner kernel of
+   The check stays in the integers: each key maps the ideal's integer
+   generator lists one at a time by the Horner kernel of
    ``forms.substitute_forms`` and stops at the first image off the
    target's component, found by its complement functionals
    (``RowBasis.annihilator``) in O(d^2) with no elimination.
@@ -49,6 +49,7 @@ from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
 from .forms import (
     BinaryForm,
     LinearChange,
+    _convolve,
     _exact_quotient,
     _form_gcd,
     _maps_point,
@@ -59,11 +60,8 @@ from .forms import (
     _primitive_key,
     _primitive_point,
     _RootData,
-    _scaled,
     _substitution,
     _trim,
-    binary_form,
-    multiply,
     parse_form,
 )
 from .ideals import (
@@ -74,6 +72,7 @@ from .ideals import (
     _extend,
     _factor_list,
     _pairing_list,
+    _shifts,
     component,
     form_to_vector,
     format_ideal,
@@ -445,10 +444,10 @@ def _carries_into(left: GradedIdeal, right: GradedIdeal):
     """The test ``are_isomorphic`` runs on each candidate key (a, b, c, d):
     is every generator of ``left`` of degree below ``len(seq)`` mapped into
     ``right``?  For ideals of one sequence this is ``equal_ideals`` of the
-    image and ``right``, by its proof.  The generators become integer lists
-    once, and each key stops at the first image outside ``right``."""
+    image and ``right``, by its proof.  The generators are read as their
+    integer lists, and each key stops at the first image outside ``right``."""
     below = len(hilbert_samuel(left))
-    lists = [_scaled(g.coeffs)[0] for g in left.generators if g.degree < below]
+    lists = [v for v, _ in left._lists if len(v) <= below]
 
     def carries(key):
         image = _substitution(*key)
@@ -546,11 +545,12 @@ _RETRY_BUDGET = 64
 _GENERIC_TRIES = 48
 
 
-def _random_form(rng, degree):
+def _random_list(rng, degree):
+    """A nonzero integer list of a form of ``degree``, entries in -9..9."""
     while True:
         cs = [rng.randint(-9, 9) for _ in range(degree + 1)]
         if any(cs):
-            return binary_form(cs)
+            return cs
 
 
 def _try_sample(entries, rng, runs):
@@ -562,9 +562,9 @@ def _try_sample(entries, rng, runs):
     h = None
     for start, _, value in reversed(runs):
         if h is None:
-            h = _random_form(rng, value)
-        elif value > h.degree:
-            h = multiply(_random_form(rng, value - h.degree), h)
+            h = _random_list(rng, value)
+        elif value >= len(h):
+            h = _convolve(_random_list(rng, value + 1 - len(h)), h)
         factors[start] = h
 
     generators = []
@@ -574,9 +574,9 @@ def _try_sample(entries, rng, runs):
         if d in factors:
             # its multiples span I_d if the rows carried in are multiples of
             # it: forms below take the next run's factor as their constraint
-            run_forms = multiples(factors[d], d - factors[d].degree)
-            generators.extend(run_forms)
-            basis = _extend(built, d, [form_to_vector(g, d) for g in run_forms])
+            run_rows = _shifts(factors[d], d + 1 - len(factors[d]))
+            generators.extend(run_rows)
+            basis = _extend(built, d, run_rows)
             if basis.rank != target_rank:
                 return None
         else:
@@ -591,16 +591,15 @@ def _try_sample(entries, rng, runs):
                 if tries > 32:
                     return None
                 if constraint is None:
-                    cand = _random_form(rng, d)
+                    cand = _random_list(rng, d)
                 else:
-                    cand = multiply(constraint, _random_form(rng, d - constraint.degree))
-                vec = form_to_vector(cand, d)
-                if contains(basis, vec):
+                    cand = _convolve(constraint, _random_list(rng, d + 1 - len(constraint)))
+                if contains(basis, cand):
                     continue
                 generators.append(cand)
-                basis = rref([vec], base=basis)
+                basis = rref([cand], base=basis)
         built[d] = GradedComponent(d, basis)
-    ideal = GradedIdeal(generators, truncation=last + 1)
+    ideal = GradedIdeal._of_lists([(g, 1) for g in generators], truncation=last + 1)
     ideal._components.update(built)  # each is the RREF ``component`` would build
     return ideal
 

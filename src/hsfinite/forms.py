@@ -19,8 +19,11 @@ run on integer lists, Euclid as Brown's primitive remainder sequence, and
 ``_RootData`` reads an integer list, so the invariant layer in ``catalog``
 never builds a form.  ``Fraction`` returns only in the forms handed back,
 built by ``_rational``, which shares one constant per integer in
-[-256, 256], or by ``_monic_form``; ``parse_form`` sums integral terms as
-ints and makes a ``Fraction`` only for a ``num/den`` term.
+[-256, 256], as ``_form_of`` does for an integer list over a denominator,
+or by ``_monic_form``.  The text parser ``_parse_list`` reads an integer
+list over the lcm of the ``num/den`` terms' denominators and builds no
+``Fraction``; ``parse_form`` is ``_form_of`` that list, and
+``ideals.parse_ideal_text`` keeps the list and builds no form.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ def _rational(n, den=1):
     return Fraction(n) if q is None else q
 
 
+def _form_of(p, den) -> BinaryForm:
+    """The form with coefficients p[i] / den, for an integer list p and an
+    int den > 0."""
+    if not any(p):
+        return ZERO
+    return BinaryForm(tuple(_rational(v, den) for v in p))
+
+
 def binary_form(coeffs) -> BinaryForm:
     """Build a form from ascending x-power coefficients, normalizing the
     all-zero vector to the canonical zero form."""
@@ -96,8 +107,7 @@ def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return ZERO
     p, den_f = _scaled(f.coeffs)
     q, den_g = _scaled(g.coeffs)
-    den = den_f * den_g
-    return BinaryForm(tuple(_rational(v, den) for v in _convolve(p, q)))
+    return _form_of(_convolve(p, q), den_f * den_g)
 
 
 def monic(f: BinaryForm) -> BinaryForm:
@@ -255,9 +265,8 @@ def substitute_forms(forms, change: LinearChange) -> list:
     each form is scaled to an integer list, mapped by the integer matrix
     ``den * change``, and its scale and den^degree are divided out at the
     end."""
-    entries = (change.a, change.b, change.c, change.d)
-    den = math.lcm(*(v.denominator for v in entries))
-    image = _substitution(*(v.numerator * (den // v.denominator) for v in entries))
+    entries, den = _scaled((change.a, change.b, change.c, change.d))
+    image = _substitution(*entries)
     out = []
     for f in forms:
         if f.is_zero:
@@ -266,7 +275,7 @@ def substitute_forms(forms, change: LinearChange) -> list:
         p, scale_f = _scaled(f.coeffs)
         total = scale_f * den ** f.degree
         # nonzero, since an invertible change maps nonzero forms to nonzero forms
-        out.append(BinaryForm(tuple(_rational(v, total) for v in image(p))))
+        out.append(_form_of(image(p), total))
     return out
 
 
@@ -347,7 +356,8 @@ def _primitive(p):
 
 
 def _scaled(coeffs):
-    """(ints, den): a rational list times its common denominator den."""
+    """(ints, den): a list of ints and Fractions times its common
+    denominator den."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -674,11 +684,8 @@ def _fail(what, pos, text):
 _SHORT_DIGITS = 640
 
 
-def _number(digits, default, m, group):
-    """The number of a digit run of ``_TERM``'s match m in ``group``, or
-    ``default`` when the group did not match."""
-    if digits is None:
-        return default
+def _number(digits, m, group):
+    """The number of the digit run of ``_TERM``'s match m in ``group``."""
     if len(digits) <= _SHORT_DIGITS:
         return int(digits)
     return parse_natural(digits, "the number at position %d" % m.start(group))
@@ -686,7 +693,16 @@ def _number(digits, default, m, group):
 
 def parse_form(text: str) -> BinaryForm:
     """Parse polynomial text into a binary form, rejecting inhomogeneous input."""
+    return _form_of(*_parse_list(text))
+
+
+def _parse_list(text: str) -> tuple:
+    """(ints, den): the coefficient list of polynomial text, as
+    ``BinaryForm.coeffs`` orders it, times den > 0, the lcm of the
+    denominators of its nonzero ``num/den`` terms; ints is empty when every
+    term's coefficient is zero."""
     terms = []
+    common = 1
     pos = 0
     while not terms or pos < len(text):
         m = _TERM.match(text, pos)
@@ -697,29 +713,29 @@ def parse_form(text: str) -> BinaryForm:
             _fail("a coefficient or variable", m.start("sign"), text)
         if not (num or x or y):
             _fail("a coefficient or variable", m.end(), text)
-        num = _number(num, 1, m, "num")
-        den = _number(den, 1, m, "den")
+        num = _number(num, m, "num") if num else 1
+        den = _number(den, m, "den") if den else 1
         if den == 0:
             _fail("a nonzero denominator", m.start("den"), text)
-        xp = _number(xp, 1 if x else 0, m, "xp")
-        yp = _number(yp, 1 if y else 0, m, "yp")
+        xp = _number(xp, m, "xp") if xp else 1 if x else 0
+        yp = _number(yp, m, "yp") if yp else 1 if y else 0
         if max(xp, yp) > MAX_EXPONENT:
             _fail("an exponent of at most %d" % MAX_EXPONENT, m.start("sign"), text)
-        coeff = -num if sign == "-" else num
-        terms.append((coeff if den == 1 else Fraction(coeff, den), xp, yp))
+        if den != 1 and num:
+            common = math.lcm(common, den)
+        terms.append((-num if sign == "-" else num, den, xp, yp))
         pos = m.end()
-    degrees = {xp + yp for coeff, xp, yp in terms if coeff != 0}
+    degrees = {xp + yp for num, _, xp, yp in terms if num}
     if len(degrees) > 1:
         raise InhomogeneousInput(
             "terms of degrees %s in %r" % (sorted(degrees), text))
     if not degrees:
-        return ZERO
-    d = degrees.pop()
-    cs = [0] * (d + 1)
-    for coeff, xp, yp in terms:
-        if coeff != 0:
-            cs[xp] += coeff
-    return binary_form(cs)
+        return [], 1
+    cs = [0] * (degrees.pop() + 1)
+    for num, den, xp, _ in terms:
+        if num:
+            cs[xp] += num * (common // den)
+    return cs, common
 
 
 def _format_coeff(c: Fraction) -> str:

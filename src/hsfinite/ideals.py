@@ -2,10 +2,15 @@
 
 An ideal is a list of nonzero homogeneous generators plus an optional
 truncation degree D, which adjoins every form of degree >= D (the power of
-the maximal ideal (x, y)^D).  Graded components are row spaces, column i
-holding x^i y^(d-i) as in ``BinaryForm.coeffs``, built on demand and
-memoized; past the degree where the sequence persists, a component is
-written down as the multiples of the persistent factor.  The common factor
+the maximal ideal (x, y)^D).  Each generator is held as an integer
+coefficient list with a positive denominator: ideals are read from text,
+sampled and substituted as such lists, which the components, the sequence,
+``equal_ideals`` and the witness check in ``catalog`` read directly, and
+the ``BinaryForm`` generators are built only when first read.  Graded
+components are row spaces, column i holding x^i y^(d-i) as in
+``BinaryForm.coeffs``, built on demand and memoized; past the degree where
+the sequence persists, a component is written down as the multiples of the
+persistent factor.  The common factor
 of a component and the power pairing are integer coefficient lists
 (``_factor_list``, ``_pairing_list``) read off the primitive integer rows,
 which ``common_factor`` and ``power_pairing`` return as monic forms.
@@ -23,14 +28,15 @@ from .errors import EmptyComponent, NotArtinian, PairingUndefined, ParseError, p
 from .forms import (
     BinaryForm,
     _form_gcd,
+    _form_of,
     _monic_form,
+    _parse_list,
     _rational,
+    _scaled,
+    _substitution,
     binary_form,
     format_form,
-    gcd_forms,
     monomial,
-    parse_form,
-    substitute_forms,
 )
 from .rational_linalg import RowBasis, contains, identity_basis, rref, spaces_equal
 
@@ -44,6 +50,12 @@ def multiples(form: BinaryForm, cofactor_degree: int) -> list:
     """m * form, form nonzero, over ``monomials(cofactor_degree)`` in order, as shifts."""
     pad = (_rational(0),) * cofactor_degree
     return [BinaryForm(pad[:i] + form.coeffs + pad[i:]) for i in range(len(pad), -1, -1)]
+
+
+def _shifts(p, k: int) -> list:
+    """The integer lists of ``multiples(form, k)`` for the integer list p of
+    a form, in order."""
+    return [[0] * i + list(p) + [0] * (k - i) for i in range(k, -1, -1)]
 
 
 def form_to_vector(f: BinaryForm, degree: int) -> tuple:
@@ -78,7 +90,12 @@ class GradedIdeal:
     components are filled by ``component``; the sequence by ``hilbert_samuel``,
     or by ``substitute_ideal`` when it builds an image of an ideal whose
     sequence is already known; the structural analysis by the isomorphism
-    tester in ``catalog``."""
+    tester in ``catalog``; the ``generators`` view on its first read.
+
+    The generators are stored as ``_lists``, (integer list, positive
+    denominator) pairs whose quotients are the coefficients; the lists are
+    never mutated.  The constructor takes forms and keeps them as the view;
+    ``_of_lists`` takes the pairs of a producer that built valid ones."""
 
     def __init__(self, generators, truncation: int | None = None):
         gens = tuple(generators)
@@ -93,11 +110,31 @@ class GradedIdeal:
             truncation = operator.index(truncation)
             if truncation < 1:
                 raise ValueError("truncation degree must be >= 1")
-        self.generators = gens
+        self._start(tuple(_scaled(g.coeffs) for g in gens), truncation)
+        self._generators = gens
+
+    @classmethod
+    def _of_lists(cls, pairs, truncation: int | None = None) -> "GradedIdeal":
+        """The ideal of (integer list, positive denominator) pairs, each a
+        nonzero list of length >= 2, unchecked."""
+        ideal = cls.__new__(cls)
+        ideal._start(tuple(pairs), truncation)
+        return ideal
+
+    def _start(self, pairs, truncation):
+        self._lists = pairs
         self.truncation = truncation
+        self._generators = None
         self._components: dict = {}
         self._sequence = None
         self._analysis = None
+
+    @property
+    def generators(self) -> tuple:
+        """The generators as forms, built from ``_lists`` on first read."""
+        if self._generators is None:
+            self._generators = tuple(_form_of(v, den) for v, den in self._lists)
+        return self._generators
 
     def __repr__(self):
         gens = ", ".join(format_form(g) for g in self.generators)
@@ -137,14 +174,12 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
         elif (d < degree and d - 2 in memo  # a skip needs degrees to skip
               and memo[d - 1].rank == memo[d - 2].rank + 1
               and d - 1 > _top_generator_degree(ideal)):
-            h = tuple(_factor_list(memo[d - 1].basis))
-            span = degree + 1 - len(h)
-            rows = [(0,) * j + h + (0,) * (span - j) for j in range(span + 1)]
+            h = _factor_list(memo[d - 1].basis)
+            rows = _shifts(h, degree + 1 - len(h))
             memo[degree] = GradedComponent(degree, rref(rows, ncols=degree + 1))
             return memo[degree]
         else:
-            rows = [form_to_vector(g, d) for g in ideal.generators if g.degree == d]
-            basis = _extend(memo, d, rows)
+            basis = _extend(memo, d, [v for v, _ in ideal._lists if len(v) == d + 1])
         memo[d] = GradedComponent(d, basis)
     return memo[degree]
 
@@ -166,7 +201,7 @@ def _extend(memo: dict, d: int, rows) -> RowBasis:
 def _top_generator_degree(ideal: GradedIdeal) -> int:
     """Highest degree of a generator below the truncation, 0 if none."""
     cut = ideal.truncation
-    return max((g.degree for g in ideal.generators if cut is None or g.degree < cut),
+    return max((len(v) - 1 for v, _ in ideal._lists if cut is None or len(v) <= cut),
                default=0)
 
 
@@ -187,11 +222,13 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     if ideal._sequence is not None:
         return ideal._sequence
     if ideal.truncation is None:
-        if not ideal.generators:
+        if not ideal._lists:
             raise NotArtinian("no generators and no truncation")
-        g = reduce(gcd_forms, ideal.generators)
-        if g.degree >= 1:
-            raise NotArtinian("not Artinian: common factor %s" % format_form(g))
+        g = reduce(_form_gcd, [v for v, _ in ideal._lists])
+        if len(g) > 1:
+            # a lone generator is its own common factor, named as it is given
+            factor = ideal.generators[0] if len(ideal._lists) == 1 else _monic_form(g)
+            raise NotArtinian("not Artinian: common factor %s" % format_form(factor))
     last = _top_generator_degree(ideal)
     # I_d is full by the truncation.  Without one, the generators have no
     # common factor, so I_last, spanned by their multiples, holds two coprime
@@ -266,9 +303,15 @@ def power_pairing(ideal: GradedIdeal, m: int) -> BinaryForm:
 def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:
     """Apply a linear substitution to every generator; truncation is stable
     because (x, y)^D is preserved by any invertible change.  The image
-    inherits the source's memoized sequence, if one was computed."""
-    image = GradedIdeal(substitute_forms(ideal.generators, change),
-                        ideal.truncation)
+    inherits the source's memoized sequence, if one was computed.  The
+    integer lists are mapped by the kernel of ``forms.substitute_forms``:
+    with den the common denominator of the matrix, a list of degree d over
+    its denominator s maps by den * change to a list over s * den^d."""
+    entries, den = _scaled((change.a, change.b, change.c, change.d))
+    mapped = _substitution(*entries)
+    image = GradedIdeal._of_lists(
+        [(mapped(v), s * den ** (len(v) - 1)) for v, s in ideal._lists],
+        ideal.truncation)
     # an invertible linear change is a graded automorphism of K[x, y]
     image._sequence = ideal._sequence
     return image
@@ -288,9 +331,8 @@ def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
     seq = hilbert_samuel(left)
     if seq != hilbert_samuel(right):
         return False
-    return all(contains(component(right, g.degree).basis,
-                        form_to_vector(g, g.degree))
-               for g in left.generators if g.degree < len(seq))
+    return all(contains(component(right, len(v) - 1).basis, v)
+               for v, _ in left._lists if len(v) <= len(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +385,15 @@ def parse_ideal_text(text: str) -> GradedIdeal:
                 raise ParseError("line %d: truncation degree must be between 1 and %d"
                                  % (lineno, MAX_TRUNCATION))
             continue
-        form = parse_form(line)
-        if form.is_zero:
+        cs, den = _parse_list(line)
+        if not any(cs):
             raise ParseError("line %d: zero generator" % lineno)
-        if form.degree < 1:
+        if len(cs) < 2:
             raise ParseError("line %d: constant generator" % lineno)
-        generators.append(form)
+        generators.append((cs, den))
     if not generators and truncation is None:
         raise ParseError("ideal file needs at least one generator or a truncate line")
-    ideal = GradedIdeal(generators, truncation)
+    ideal = GradedIdeal._of_lists(generators, truncation)
     _check_row_reduced(ideal, ParseError)
     return ideal
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from hsfinite import (
     multiplicity_partition,
     normal_forms,
     parse_form,
+    parse_ideal_text,
     pencil_discriminant,
     power_pairing,
     sample_ideal,
@@ -309,6 +311,40 @@ class TestAreIsomorphic:
             m = _random_change(rng)
             verdict = are_isomorphic(base, substitute_ideal(base, m))
             assert verdict.kind == "isomorphic"
+
+    def test_hot_path_builds_no_generator_forms(self, monkeypatch):
+        # parsing, sampling, substituting, the sequence, the invariants and
+        # the witness check all read the integer lists; the generator forms
+        # are built only for a caller that reads them
+        rng = random.Random(31)
+        pairs = [("x^2\ny^3\n", "x^2 + 2*x*y + y^2\n1/2*x^3 - y^3\n")]
+        for entries in ((1, 2, 2, 1), (1, 2, 3, 3), (1, 2, 1, 1, 1)):
+            for entry in normal_forms(label_for(entries)):
+                moved = substitute_ideal(entry.ideal, _random_change(rng))
+                pairs.append((format_ideal(entry.ideal), format_ideal(moved)))
+        samples = [(entries, seed, _random_change(rng))
+                   for entries in ((1, 2, 2, 1), (1, 2, 3, 2, 1)) for seed in range(3)]
+        changes = [LinearChange(Fraction(1, 2), 1, 3, Fraction(-2, 3))]
+
+        def forbidden(ideal):
+            raise AssertionError("the generator forms were built")
+
+        built = []
+        verdicts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedIdeal, "generators", property(forbidden))
+            for a, b in pairs:
+                left, right = parse_ideal_text(a), parse_ideal_text(b)
+                verdicts.append(are_isomorphic(left, right).kind)
+                built += [left, right]
+            for entries, seed, m in samples:
+                sample = sample_ideal(entries, seed)
+                for change in [m] + changes:
+                    image = substitute_ideal(sample, change)
+                    verdicts.append(are_isomorphic(sample, image).kind)
+                    built += [sample, image]
+        assert "isomorphic" in verdicts and "distinguished" not in verdicts
+        assert all(ideal._generators is None for ideal in built)
 
 
 class TestVerifyCatalog:

@@ -63,6 +63,10 @@ class TestHs:
         assert code == 3 and out == ""
         assert err == "error: not Artinian: common factor x*y\n"
 
+    def test_not_artinian_common_factor_of_two_generators(self, capsys, tmp_path):
+        path = write(tmp_path, "xxy.ideal", "x^2*y\nx*y^2\n")
+        assert run(capsys, "hs", path) == (3, "", "error: not Artinian: common factor x*y\n")
+
     def test_truncation_only(self, capsys, tmp_path):
         path = write(tmp_path, "t3.ideal", "truncate: 3\n")
         assert run(capsys, "hs", path) == (0, "(1, 2, 3)\n", "")

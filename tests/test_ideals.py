@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import ideals as ideals_module
+from hsfinite.forms import substitute_forms
 from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
@@ -168,6 +170,14 @@ class TestHilbertSamuel:
             hilbert_samuel(ideal("x*y"))
         with pytest.raises(NotArtinian):
             hilbert_samuel(GradedIdeal([]))
+
+    def test_common_factor_of_several_generators_is_monic(self):
+        # the gcd is folded over the integer lists and made monic for the message
+        for make in (lambda: ideal("x^2*y", "x*y^2"),
+                     lambda: parse_ideal_text("x^2*y\nx*y^2\n"),
+                     lambda: parse_ideal_text("-2*x^2*y\n3/5*x^2*y^2 + 6/5*x*y^3\n")):
+            with pytest.raises(NotArtinian, match=r"^not Artinian: common factor x\*y$"):
+                hilbert_samuel(make())
 
     def test_truncation_rescues_common_factor(self):
         assert hilbert_samuel(ideal("x*y", truncate=4)) == (1, 2, 2, 2)
@@ -369,6 +379,24 @@ class TestSubstituteAndEquality:
             fresh = GradedIdeal(moved.generators, moved.truncation)
             assert hilbert_samuel(fresh) == expected
             assert hilbert_samuel(moved) == hilbert_samuel(fresh)
+
+    def test_image_forms_are_the_substituted_forms(self):
+        # the view of an image built from integer lists equals substitute_forms
+        # of the source's forms, for fractional changes and fractional sources
+        changes = (LinearChange(2, 1, 1, 1),
+                   LinearChange(Fraction(1, 2), 3, Fraction(-2, 3), 1),
+                   LinearChange(0, Fraction(5, 4), 7, Fraction(1, 3)))
+        sources = (ideal("x^2 - 3/2*x*y", "y^3", truncate=6),
+                   parse_ideal_text("1/3*x^2 + x*y - 5/6*y^2\n2*x^3 - 7/4*y^3\n"))
+        for base in sources:
+            for m in changes:
+                image = substitute_ideal(base, m)
+                again = substitute_ideal(image, m)
+                for source, moved in ((base, image), (image, again)):
+                    assert list(moved.generators) == substitute_forms(source.generators, m)
+                    assert all(type(c) is Fraction
+                               for g in moved.generators for c in g.coeffs)
+                assert moved.truncation == base.truncation
 
     def test_image_inherits_a_computed_sequence_only(self):
         base = ideal("x^2 + x*y", "y^3 - x^3")
