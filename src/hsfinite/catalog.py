@@ -15,15 +15,18 @@ carrying one ideal onto the other, so the tester works in three layers:
    ``power_pairing`` and ``pencil_discriminant`` wrap the same helpers.
 
 2. A bounded witness search over exact substitutions: candidates are
-   integer matrices, built from multiplicity-compatible matchings of the
-   rational root points carried by the invariant forms, padded from a
-   fixed point palette when one or two points are pinned; with none
-   pinned, only the identity and the swap are tried.  The points are
-   primitive integer pairs from ``_RootData`` on, sorted in the order of
-   their ``Fraction`` forms (``forms._point_key``), which ``marked_roles``
-   and ``rational_root_points`` show.  Each candidate maps three right
-   points onto their left partners, since a substitution moves the roots
-   of a form by its inverse.  Matrices equal up to scale share one
+   integer matrices on the rational root points carried by the invariant
+   forms.  Each point has a signature, its (role, multiplicity) pairs,
+   which a substitution keeps.  Each candidate maps an injective triple of
+   right points onto the first three left points of the same signatures,
+   since a substitution moves the roots of a form by its inverse, padded
+   from a fixed point palette when there are only one or two points; with
+   none, only the identity and the swap are tried.  A map is kept when it
+   sends every right point onto a left point of its signature, and at most
+   800 maps are computed per pair.  The points are primitive integer pairs
+   from ``_RootData`` on, sorted in the order of their ``Fraction`` forms
+   (``forms._point_key``), which ``marked_roles`` and
+   ``rational_root_points`` show.  Matrices equal up to scale share one
    primitive key and are tried once.  Every candidate is verified before
    being reported: each generator's image lies in the target's component
    of its degree, which for ideals of one finite colength proves equality.
@@ -52,7 +55,6 @@ from .forms import (
     _convolve,
     _exact_quotient,
     _form_gcd,
-    _maps_point,
     _monic_form,
     _normalize_point,
     _point_key,
@@ -343,48 +345,22 @@ def format_change(change: LinearChange) -> str:
 _PALETTE = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1))
 
 
-def _role_matchings(roles_left, roles_right):
-    """All multiplicity-compatible point bijections, as consistent injective
-    maps; empty when the rational root data cannot correspond."""
-    if [tag for tag, _ in roles_left] != [tag for tag, _ in roles_right]:
-        return []
-    per_role = []
-    for (_, pts_l), (_, pts_r) in zip(roles_left, roles_right):
-        mults = sorted(pts_l.values())
-        if mults != sorted(pts_r.values()):
-            return []
-        group_maps = [[]]
-        for mult in sorted(set(mults)):
-            left, right = (sorted((p for p, m in pts.items() if m == mult),
-                                  key=_point_key)
-                           for pts in (pts_l, pts_r))
-            new = []
-            for perm in itertools.permutations(right):
-                pairs = list(zip(left, perm))
-                new.extend(base + pairs for base in group_maps)
-                if len(new) > 256:
-                    break
-            group_maps = new
-        per_role.append(group_maps)
-    matchings = []
-    for combo in itertools.product(*per_role):
-        pin = {}
-        used = {}
-        ok = True
-        for pairs in combo:
-            for p, q in pairs:
-                if pin.get(p, q) != q or used.get(q, p) != p:
-                    ok = False
-                    break
-                pin[p] = q
-                used[q] = p
-            if not ok:
-                break
-        if ok:
-            matchings.append([(p, pin[p]) for p in sorted(pin, key=_point_key)])
-        if len(matchings) >= 256:
-            break
-    return matchings
+def _signatures(roles):
+    """{point: signature} over the rational role points, a point's signature
+    being its (role index, multiplicity) pairs; a substitution keeps them."""
+    signatures = {}
+    for index, (_, pts) in enumerate(roles):
+        for pt, mult in pts.items():
+            signatures[pt] = signatures.get(pt, ()) + ((index, mult),)
+    return signatures
+
+
+def _keeps_signatures(m, right, left):
+    """Does the point map m send every right point onto a left point of its
+    signature?"""
+    (a, b), (c, d) = m
+    return all(left.get(_primitive_point(a * u + b * v, c * u + d * v)) == sig
+               for (u, v), sig in right.items())
 
 
 def _candidate_changes(analysis_left, analysis_right):
@@ -394,33 +370,40 @@ def _candidate_changes(analysis_left, analysis_right):
 
     A substitution moves the roots of a form by its inverse, so a change
     that carries the left ideal onto the right one maps each right root
-    point onto its left partner: every candidate is the map of three right
-    points onto three left points, the pinned ones first, padded from the
-    palette, and pins past the third are checked on it.  A matching that
-    pins no point is skipped: padding it only guesses at PGL(2, Q)."""
+    point onto a left point of its signature.  The first three left points
+    fix the map: each injective choice of same-signature right points as
+    their images gives one candidate, padded from the palette when there
+    are fewer than three points, and kept only if it sends every right
+    point onto a left point of its signature.  With no point, padding would
+    only guess at PGL(2, Q), so nothing past the swap is tried.  At most
+    800 point maps are computed."""
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
+    left = _signatures(analysis_left.integer_roles)
+    right = _signatures(analysis_right.integer_roles)
+    if not left or sorted(left.values()) != sorted(right.values()):
+        return
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
+    ps = sorted(left, key=_point_key)[:3]
+    rights = sorted(right, key=_point_key)
+    need = 3 - len(ps)
     budget = 800
-    for pins in _role_matchings(analysis_left.integer_roles,
-                                analysis_right.integer_roles):
-        if not pins:
+    for qs in itertools.product(*([q for q in rights if right[q] == left[p]] for p in ps)):
+        if len(set(qs)) < len(qs):
             continue
-        ps, qs = zip(*pins)
-        need = max(3 - len(pins), 0)
         combos = itertools.product(
             itertools.permutations([p for p in _PALETTE if p not in ps], need),
             itertools.permutations([q for q in _PALETTE if q not in qs], need))
         for extra_l, extra_r in itertools.islice(combos, 64):
             if budget <= 0:
                 return
-            m = _point_map_matrix((*qs, *extra_r)[:3], (*ps, *extra_l)[:3])
-            if m is None or not all(_maps_point(m, q, p) for p, q in pins[3:]):
+            budget -= 1
+            m = _point_map_matrix((*qs, *extra_r), (*ps, *extra_l))
+            if m is None or not _keeps_signatures(m, right, left):
                 continue
             key = _primitive_key(m)
             if key not in seen:
                 seen.add(key)
-                budget -= 1
                 yield key
 
 

@@ -238,12 +238,6 @@ def _point_order(p, q):
 _point_key = functools.cmp_to_key(_point_order)
 
 
-def _maps_point(m, p, q):
-    iu = m[0][0] * p[0] + m[0][1] * p[1]
-    iv = m[1][0] * p[0] + m[1][1] * p[1]
-    return iu * q[1] - iv * q[0] == 0 and (iu != 0 or iv != 0)
-
-
 def _primitive_key(matrix) -> tuple:
     """The entries (a, b, c, d) of a nonzero integer matrix divided by their
     gcd, first nonzero one positive: equal for matrices equal up to scale."""

@@ -106,6 +106,9 @@ class GradedIdeal:
                 raise ValueError("zero generator")
             if g.degree < 1:
                 raise ValueError("constant generator makes the quotient trivial")
+            for c in g.coeffs:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
         if truncation is not None:
             truncation = operator.index(truncation)
             if truncation < 1:
@@ -226,9 +229,7 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
             raise NotArtinian("no generators and no truncation")
         g = reduce(_form_gcd, [v for v, _ in ideal._lists])
         if len(g) > 1:
-            # a lone generator is its own common factor, named as it is given
-            factor = ideal.generators[0] if len(ideal._lists) == 1 else _monic_form(g)
-            raise NotArtinian("not Artinian: common factor %s" % format_form(factor))
+            raise NotArtinian("not Artinian: common factor %s" % format_form(_monic_form(g)))
     last = _top_generator_degree(ideal)
     # I_d is full by the truncation.  Without one, the generators have no
     # common factor, so I_last, spanned by their multiples, holds two coprime

@@ -4,8 +4,12 @@ primitive integer points and yields their primitive integer keys; the
 reference below builds the left-to-right map on ``Fraction`` points and
 takes its adjugate, the same map up to scale.  A substitution moves the
 roots of a form by its inverse, so only a map from right points onto left
-points can carry the pins.  The changes of the keys and the reference must
-agree element for element, so that the same witness is found first.  On
+points can carry the pins.  The stream sends image triples of the first
+three left points, by signature; the reference pins its points through its
+own enumerator of every multiplicity-compatible bijection,
+``_role_matchings``, capped at 256 maps.  The changes of the keys and the
+reference must agree element for element where no cap is reached, so that
+the same witness is found first.  On
 every key, the integer test that ``are_isomorphic`` runs must agree with
 ``equal_ideals`` of the ``substitute_ideal`` image.
 
@@ -38,8 +42,8 @@ from hsfinite import (
     substitute_ideal,
     validate,
 )
-from hsfinite.catalog import _analyze, _candidate_changes, _carries_into, _role_matchings
-from hsfinite.forms import (_adjugate, _maps_point, _normalize_point, _point_map_matrix,
+from hsfinite.catalog import _analyze, _candidate_changes, _carries_into
+from hsfinite.forms import (_adjugate, _normalize_point, _point_key, _point_map_matrix,
                             _primitive_point)
 
 _REFERENCE_PALETTE = tuple(_normalize_point(p) for p in (
@@ -58,6 +62,56 @@ def _reference_primitive_change(matrix):
     if lead < 0:
         ints = [-v for v in ints]
     return LinearChange(*ints)
+
+
+def _maps_point(m, p, q):
+    iu = m[0][0] * p[0] + m[0][1] * p[1]
+    iv = m[1][0] * p[0] + m[1][1] * p[1]
+    return iu * q[1] - iv * q[0] == 0 and (iu != 0 or iv != 0)
+
+
+def _role_matchings(roles_left, roles_right):
+    """All multiplicity-compatible point bijections, as consistent injective
+    maps; empty when the rational root data cannot correspond."""
+    if [tag for tag, _ in roles_left] != [tag for tag, _ in roles_right]:
+        return []
+    per_role = []
+    for (_, pts_l), (_, pts_r) in zip(roles_left, roles_right):
+        mults = sorted(pts_l.values())
+        if mults != sorted(pts_r.values()):
+            return []
+        group_maps = [[]]
+        for mult in sorted(set(mults)):
+            left, right = (sorted((p for p, m in pts.items() if m == mult),
+                                  key=_point_key)
+                           for pts in (pts_l, pts_r))
+            new = []
+            for perm in itertools.permutations(right):
+                pairs = list(zip(left, perm))
+                new.extend(base + pairs for base in group_maps)
+                if len(new) > 256:
+                    break
+            group_maps = new
+        per_role.append(group_maps)
+    matchings = []
+    for combo in itertools.product(*per_role):
+        pin = {}
+        used = {}
+        ok = True
+        for pairs in combo:
+            for p, q in pairs:
+                if pin.get(p, q) != q or used.get(q, p) != p:
+                    ok = False
+                    break
+                pin[p] = q
+                used[q] = p
+            if not ok:
+                break
+        if ok:
+            matchings.append([(p, pin[p]) for p in sorted(pin, key=_point_key)])
+        if len(matchings) >= 256:
+            break
+    return matchings
 
 
 def _reference_candidate_changes(analysis_left, analysis_right):
@@ -244,6 +298,42 @@ def test_pins_past_the_third_are_checked(fourth, keys):
     for a, b, c, d in stream[2:]:
         m = ((a, b), (c, d))
         assert any(all(_maps_point(m, q, p) for p, q in pins) for pins in matchings)
+
+
+def test_seven_points_past_the_old_caps():
+    """x*y*(x - y)*...*(x - 5*y) has seven simple rational roots, against
+    its image under x -> 2x + y, y -> x + y.  The bijection enumerator of the
+    reference stops at 256 bijections, which send the first three left points
+    to only 11 image triples, none a witness; the stream tries all 210
+    triples and finds one, both ways round."""
+    left = _ideal("x^6*y - 15*x^5*y^2 + 85*x^4*y^3 - 225*x^3*y^4"
+                  " + 274*x^2*y^5 - 120*x*y^6", "truncate: 9")
+    right = substitute_ideal(left, LinearChange(2, 1, 1, 1))
+    a_left, a_right = _analyze(left), _analyze(right)
+    assert not any(equal_ideals(substitute_ideal(left, change), right)
+                   for change in _reference_candidate_changes(a_left, a_right))
+    for source, target in ((left, right), (right, left)):
+        verdict = are_isomorphic(source, target)
+        assert verdict.kind == "isomorphic"
+        assert equal_ideals(substitute_ideal(source, verdict.witness), target)
+
+
+def test_thirty_points_compute_at_most_800_point_maps(monkeypatch):
+    """Thirty simple points against an integer transform of them: 24360
+    image triples, of which 800 point maps are computed: the one bound, not
+    the triples, ends the stream."""
+    calls = []
+
+    def counting(ps, qs):
+        calls.append(None)
+        return _point_map_matrix(ps, qs)
+
+    monkeypatch.setattr("hsfinite.catalog._point_map_matrix", counting)
+    points = [(1, k) for k in range(30)]
+    left = _simple_points(*points)
+    right = _simple_points(*((2 * u + v, u + v) for u, v in points))
+    keys = list(_candidate_changes(left, right))
+    assert len(calls) == 800 and keys[:2] == [(1, 0, 0, 1), (0, 1, 1, 0)]
 
 
 def test_catalog_pairs_with_equal_invariants():

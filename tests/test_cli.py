@@ -67,6 +67,10 @@ class TestHs:
         path = write(tmp_path, "xxy.ideal", "x^2*y\nx*y^2\n")
         assert run(capsys, "hs", path) == (3, "", "error: not Artinian: common factor x*y\n")
 
+    def test_not_artinian_lone_generator_is_named_monic(self, capsys, tmp_path):
+        path = write(tmp_path, "2xx.ideal", "2*x^2\n")
+        assert run(capsys, "hs", path) == (3, "", "error: not Artinian: common factor x^2\n")
+
     def test_truncation_only(self, capsys, tmp_path):
         path = write(tmp_path, "t3.ideal", "truncate: 3\n")
         assert run(capsys, "hs", path) == (0, "(1, 2, 3)\n", "")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import ideals as ideals_module
-from hsfinite.forms import substitute_forms
+from hsfinite.forms import BinaryForm, substitute_forms
 from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
@@ -178,6 +178,17 @@ class TestHilbertSamuel:
                      lambda: parse_ideal_text("-2*x^2*y\n3/5*x^2*y^2 + 6/5*x*y^3\n")):
             with pytest.raises(NotArtinian, match=r"^not Artinian: common factor x\*y$"):
                 hilbert_samuel(make())
+
+    def test_lone_generator_named_by_its_monic_form(self, monkeypatch):
+        # one generator or several, the message names the monic gcd, and
+        # no generator form is built for it
+        def forbidden(ideal):
+            raise AssertionError("the generator forms were built")
+
+        monkeypatch.setattr(GradedIdeal, "generators", property(forbidden))
+        for text in ("2*x^2\n", "2*x^2\n4*x^2*y\n", "-3/2*x^2\n"):
+            with pytest.raises(NotArtinian, match=r"^not Artinian: common factor x\^2$"):
+                hilbert_samuel(parse_ideal_text(text))
 
     def test_truncation_rescues_common_factor(self):
         assert hilbert_samuel(ideal("x*y", truncate=4)) == (1, 2, 2, 2)
@@ -501,3 +512,9 @@ class TestIdealText:
         for bad in (2.7, 3.0, "3"):
             with pytest.raises(TypeError):
                 GradedIdeal([monomial(1, 0)], truncation=bad)
+
+    def test_coefficients_must_be_ints_or_fractions(self):
+        with pytest.raises(TypeError, match="coefficient 1.5 is not"):
+            GradedIdeal([BinaryForm((1.5, 2.0))])
+        assert GradedIdeal([BinaryForm((1, Fraction(1, 2)))], truncation=2)._lists == \
+            (([2, 1], 2),)
