@@ -311,7 +311,9 @@ def _substitution(a, b, c, d):
 # remainder sequence (Brown, J. ACM 18, 1971): the pseudo-remainder of
 # lead(q)^(deg p - deg q + 1) * p by q is an integer list, and dividing it
 # by its content keeps the coefficients from growing along the sequence.
-# Rationals return only at the boundary, in the monic results.
+# A large input to Yun is first tested for a squarefree p modulo a prime,
+# where no coefficient grows at all.  Rationals return only at the
+# boundary, in the monic results.
 # ---------------------------------------------------------------------------
 
 
@@ -422,11 +424,48 @@ def _minus_deriv(d, c):
     return _trim(out)
 
 
+# The prime 2^61 - 1, and the sizes past which ``_squarefree`` first tries
+# to prove p squarefree modulo it: below both, the remainder sequence is
+# faster than the reduction.
+_MODULUS = 2 ** 61 - 1
+_MODULAR_DEGREE = 16
+_MODULAR_BITS = 64
+
+
+def _coprime_mod(p, q):
+    """Is gcd(p mod m, q mod m) a nonzero constant, m = ``_MODULUS``?
+    Euclid over Z/m for trimmed integer lists p and q."""
+    m = _MODULUS
+    a = _trim([c % m for c in p])
+    b = _trim([c % m for c in q])
+    while b:
+        if len(b) == 1:
+            return True
+        inv = pow(b[-1], -1, m)
+        b = [c * inv % m for c in b]  # monic
+        n = len(b) - 1
+        for shift in range(len(a) - 1 - n, -1, -1):
+            c = a[shift + n]
+            if c:
+                for k in range(n):
+                    a[shift + k] = (a[shift + k] - c * b[k]) % m
+        a, b = b, _trim(a[:n])
+    return False
+
+
 def _squarefree(p):
     """Yun's squarefree decomposition of a primitive integer list: list of
     (primitive squarefree layer, mult) with p = prod layer^mult.  Every gcd
     is primitive and divides exactly, so every quotient stays an integer
-    list."""
+    list.
+
+    A p of degree above ``_MODULAR_DEGREE`` or with a coefficient wider
+    than ``_MODULAR_BITS`` bits is first tested modulo the prime m =
+    ``_MODULUS`` (Brown, J. ACM 18, 1971).  When m does not divide the lead
+    of p, a repeated factor g of p over Q, primitive, divides p and p' over
+    the integers and keeps its degree mod m, as lead(g) divides lead(p): so
+    a constant gcd of p and p' mod m proves p squarefree, and p is its one
+    layer.  Otherwise the remainder sequence decides."""
     if _deg(p) < 1:
         return []
     # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
@@ -437,6 +476,10 @@ def _squarefree(p):
         c, b, a = p
         return [(_primitive([b, 2 * a]), 2)] if b * b == 4 * a * c else [(p, 1)]
     dp = _deriv(p)
+    if ((_deg(p) > _MODULAR_DEGREE
+         or max(map(abs, p)).bit_length() > _MODULAR_BITS)
+            and p[-1] % _MODULUS and _coprime_mod(p, dp)):
+        return [(p, 1)]
     g = _gcd(p, dp)
     c = _exact_quotient(p, g)
     d = _minus_deriv(_exact_quotient(dp, g), c)

@@ -157,8 +157,10 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
     degree d).  x times an RREF basis is an RREF basis, so it goes to
     ``rref`` as the reduced base and only y*C and the generators are
     inserted.  When I_(d-2) is not memoized (past a skip, below), C is every
-    row of I_(d-1).  From the truncation degree on the component is the
-    whole space, without row reduction.  Once the sequence persists at
+    row of I_(d-1).  When I_(d-1) is zero, I_d is the span of the
+    generators of degree d, so a zero degree below the lowest generator
+    calls no ``rref`` at all.  From the truncation degree on the component
+    is the whole space, without row reduction.  Once the sequence persists at
     d - 1 (see ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), and the
     degree asked for is row-reduced from the multiples of h, skipping those
     between."""
@@ -189,9 +191,14 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
 
 def _extend(memo: dict, d: int, rows) -> RowBasis:
     """I_d as ``component`` builds it, C as defined there, from ``memo``'s
-    I_(d-1) and I_(d-2) if held: ``rows`` and y*C inserted into x*I_(d-1)."""
-    if not d:
-        return rref(rows, ncols=1)
+    I_(d-1) and I_(d-2) if held: ``rows`` and y*C inserted into x*I_(d-1).
+    At d = 0 or when I_(d-1) is zero, I_d is the span of ``rows`` alone:
+    the zero basis with no row reduction when there are none, else
+    ``rows`` reduced with no base and no y-rows."""
+    if not d or not memo[d - 1].rank:
+        if not rows:
+            return RowBasis(d + 1, integer_rows=(), pivots=())
+        return rref(rows, ncols=d + 1)
     lower = memo[d - 1].basis
     led = {p + 1 for p in memo[d - 2].basis.pivots} if d - 2 in memo else ()
     rows = list(rows) + [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
@@ -259,8 +266,18 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
 
 def _factor_list(basis: RowBasis):
     """The GCD of a nonzero component as integer coefficients, its y-power
-    as trailing zeros, by ``_form_gcd`` over the integer rows."""
-    return reduce(_form_gcd, basis.integer_rows)
+    as trailing zeros, by ``_form_gcd`` over the integer rows.
+
+    The fold starts from the last row with its first r - 1 entries dropped,
+    r the rank.  Its pivot is at least r - 1, so that row is x^(r-1) * c,
+    and c's x-valuation is at least the first pivot, the x-valuation of
+    the gcd: dropping x^(r-1) leaves the gcd as it is.  Where a run starts,
+    the component is h * S_(r-1) and c is h itself, so each step of the
+    fold is one exact pseudo-division, not a remainder sequence.  The
+    result, primitive with a positive lead, is the fold over all the rows;
+    a basis of one row gives that row, as it always did."""
+    rows = basis.integer_rows
+    return reduce(_form_gcd, rows[:-1], list(rows[-1][len(rows) - 1:]))
 
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:

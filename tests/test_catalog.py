@@ -1,9 +1,11 @@
 """Normal-form catalogs, invariants, the isomorphism tester and the sampler."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from hsfinite import (
     format_ideal,
     hilbert_samuel,
     multiplicity_partition,
+    multiply,
     normal_forms,
     parse_form,
     parse_ideal_text,
@@ -278,6 +281,23 @@ class TestStructuralInvariant:
             assert structural_invariant(substitute_ideal(base, m)) == \
                 structural_invariant(base)
 
+    def test_large_coefficient_image_analyses_quickly(self):
+        # x*y*(x - y)*...*(x - 98*y) under x -> 2x + y, y -> x + y: its run's
+        # factor has degree 100 and coefficients of about 500 bits, and is
+        # proved squarefree modulo a prime, not by a remainder sequence
+        import hsfinite.catalog as cat
+
+        f = functools.reduce(multiply, [F("x"), F("y")] + [F("x - %d*y" % k)
+                                                           for k in range(1, 99)])
+        base = GradedIdeal([f], truncation=102)
+        text = format_ideal(substitute_ideal(base, LinearChange(2, 1, 1, 1)))
+        image = parse_ideal_text(text)
+        start = time.perf_counter()
+        analysis = cat._analyze(image)
+        assert time.perf_counter() - start < 2
+        assert analysis.invariant == structural_invariant(base)
+        assert analysis.invariant.run_data == ((100, 101, 100, (1,) * 100),)
+
 
 class TestAreIsomorphic:
     def test_theta_distinguishes_the_square_patterns(self):
@@ -345,6 +365,28 @@ class TestAreIsomorphic:
                     built += [sample, image]
         assert "isomorphic" in verdicts and "distinguished" not in verdicts
         assert all(ideal._generators is None for ideal in built)
+
+    def test_identity_and_swap_keys_are_not_substituted(self, monkeypatch):
+        # the identity maps each generator list to itself and the swap to
+        # its reverse, so neither key reaches the Horner kernel
+        import hsfinite.catalog as cat
+
+        keys = []
+        real = cat._substitution
+        monkeypatch.setattr(cat, "_substitution", lambda *key: keys.append(key) or real(*key))
+        base = GradedIdeal([F("x^2"), F("x*y^2 + y^3")], truncation=4)
+        pairs = [(base, base),
+                 (base, substitute_ideal(base, LinearChange(0, 1, 1, 0))),
+                 (base, substitute_ideal(base, LinearChange(3, 0, -1, 1))),
+                 (GradedIdeal([F("x^2"), F("y^2")], truncation=3),
+                  GradedIdeal([F("x*y"), F("x^2 - y^2")], truncation=3))]
+        verdicts = [are_isomorphic(a, b) for a, b in pairs]
+        assert [v.kind for v in verdicts] == ["isomorphic"] * 3 + ["unknown"]
+        assert [v.witness.matrix() for v in verdicts[:2]] == [((1, 0), (0, 1)),
+                                                              ((0, 1), (1, 0))]
+        for (a, b), v in zip(pairs[:3], verdicts):
+            assert componentwise_equal(substitute_ideal(a, v.witness), b)
+        assert keys and not {(1, 0, 0, 1), (0, 1, 1, 0)} & set(keys)
 
 
 class TestVerifyCatalog:

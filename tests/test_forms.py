@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from hsfinite import (
     scale,
     substitute,
 )
+from hsfinite import forms as forms_module
 from hsfinite.cli import main
 from hsfinite.errors import MAX_DIGITS
 from hsfinite.forms import (
@@ -392,3 +394,54 @@ class TestFractionBoundary:
         assert [list(g.coeffs) for g in images] == \
             [_fraction_substitute(f, change) for f in forms]
         assert all(_all_fractions(g) for g in images)
+
+
+def _squarefree_gated_at(p, degree, bits):
+    """``_squarefree`` with the modular check tried past these sizes."""
+    with mock.patch.object(forms_module, "_MODULAR_DEGREE", degree), \
+            mock.patch.object(forms_module, "_MODULAR_BITS", bits):
+        return forms_module._squarefree(p)
+
+
+factor_lists = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-2 ** 100, 2 ** 100)),
+    min_size=2, max_size=4).filter(lambda p: p[-1])
+
+
+class TestModularSquarefree:
+    """Past a size gate, ``_squarefree`` first proves p squarefree modulo
+    2^61 - 1 and returns p as its one layer; the layers must be those of
+    the remainder sequence alone."""
+
+    @PROPERTIES
+    @given(st.lists(st.tuples(factor_lists, st.integers(1, 3)), min_size=1, max_size=3))
+    def test_layers_match_the_remainder_sequence(self, factors):
+        p = [1]
+        for f, mult in factors:
+            for _ in range(mult):
+                p = forms_module._convolve(p, f)
+        p = forms_module._primitive(p)
+        reference = _squarefree_gated_at(p, math.inf, math.inf)  # never tried
+        assert forms_module._squarefree(p) == reference
+        assert _squarefree_gated_at(p, -1, -1) == reference  # always tried
+
+    def test_gate(self, monkeypatch):
+        calls = []
+        real = forms_module._coprime_mod
+        monkeypatch.setattr(forms_module, "_coprime_mod",
+                            lambda p, q: calls.append(len(p)) or real(p, q))
+        wide = forms_module._convolve([3, 2 ** 70 + 1], [5, -7, 2 ** 65])
+        points = [1]
+        for k in range(1, 18):
+            points = forms_module._convolve(points, [-k, 1])
+        # squarefree and past the gate: p is its one layer, decided mod m
+        assert forms_module._squarefree(wide) == [(wide, 1)]
+        assert forms_module._squarefree(points) == [(points, 1)]
+        assert calls == [4, 18]
+        # small inputs, and a lead that 2^61 - 1 divides, take Euclid only
+        assert forms_module._squarefree([6, 11, 6, 1]) == [([6, 11, 6, 1], 1)]
+        divisible = [2 ** 70 + 1, 0, 1, forms_module._MODULUS]
+        assert forms_module._squarefree(divisible) == [(divisible, 1)]
+        square = forms_module._convolve(wide, wide)
+        assert forms_module._squarefree(square) == [(wide, 2)]
+        assert calls == [4, 18, 7]

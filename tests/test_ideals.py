@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import ideals as ideals_module
-from hsfinite.forms import BinaryForm, substitute_forms
+from hsfinite.forms import BinaryForm, _form_gcd, substitute_forms
 from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
@@ -129,12 +129,17 @@ class TestComponent:
         the rows of I_(d-1) whose pivots x*I_(d-2) does not lead: x*I_(d-1)
         goes to ``rref`` as a reduced base, and only r_(d-1) - r_(d-2)
         y-rows and the generators are inserted.  Past a skipped degree,
-        I_(d-2) is not memoized and every row of I_(d-1) is shifted by y."""
+        I_(d-2) is not memoized and every row of I_(d-1) is shifted by y.
+        A degree whose component below is zero holds only its generators:
+        the zero degrees below the lowest generator call no ``rref``, and
+        the lowest one reduces its generators with no base."""
         calls = []
+        degrees = []
 
         def recording(rows, ncols=None, base=None):
             rows = list(rows)
             calls.append((len(rows), None if base is None else base.rank))
+            degrees.append((ncols if base is None else base.ncols) - 1)
             return rref(rows, ncols, base)
 
         monkeypatch.setattr(ideals_module, "rref", recording)
@@ -143,9 +148,11 @@ class TestComponent:
         for d in range(9):
             assert component(case, d).basis == reference_component(case, d)
         gens = [sum(g.degree == d for g in case.generators) for d in range(9)]
-        assert calls == [(gens[0], None)] + [
-            (gens[d] + ranks[d - 1] - (ranks[d - 2] if d > 1 else 0), ranks[d - 1])
-            for d in range(1, 9)]
+        low = min(g.degree for g in case.generators)
+        assert min(degrees) == low == 3
+        assert calls == [(gens[low], None)] + [
+            (gens[d] + ranks[d - 1] - ranks[d - 2], ranks[d - 1])
+            for d in range(low + 1, 9)]
         # fewer rows than the x- and y-multiples of every row below
         assert sum(rows for rows, _ in calls) < sum(gens) + 2 * sum(ranks[:8])
 
@@ -315,6 +322,26 @@ class TestFactorStructure:
                     assert common_factor(i, d) == monic(reduce(gcd_forms, forms)), (i, d)
                     checked += 1
         assert checked > 1000
+
+    def test_factor_list_is_the_fold_over_every_row(self):
+        """``_factor_list`` seeds its fold with the last integer row divided
+        by x^(r-1); it must give the fold of ``_form_gcd`` over all the rows,
+        kept here as the reference, on every nonzero component of three
+        samples of each sequence of colength 3-11 and of an integer
+        transform of each."""
+        rng = random.Random(13)
+        samples = [sample_ideal(entries, seed) for colength in range(3, 12)
+                   for entries in enumerate_sequences(colength) for seed in range(3)]
+        images = [substitute_ideal(s, _random_change(rng)) for s in samples]
+        checked = 0
+        for i in samples + images:
+            for d in range(len(hilbert_samuel(i))):
+                basis = component(i, d).basis
+                if basis.rank:
+                    reference = list(reduce(_form_gcd, basis.integer_rows))
+                    assert list(ideals_module._factor_list(basis)) == reference, (i, d)
+                    checked += basis.rank > 1
+        assert checked > 600
 
     def test_verify_factor_structure(self):
         assert verify_factor_structure(ideal("x^2", truncate=5), 3)
