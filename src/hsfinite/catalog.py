@@ -380,8 +380,10 @@ def _candidate_changes(analysis_left, analysis_right):
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
     left = _signatures(analysis_left.integer_roles)
+    if not left:
+        return
     right = _signatures(analysis_right.integer_roles)
-    if not left or sorted(left.values()) != sorted(right.values()):
+    if sorted(left.values()) != sorted(right.values()):
         return
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
     ps = sorted(left, key=_point_key)[:3]

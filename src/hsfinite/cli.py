@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 domain error (invalid
-sequence, not Artinian, no catalog), 4 sampling failure.  ``--json`` switches
-every command but ``diagram`` to machine output; all output is deterministic
-(no timestamps, sorted keys).
+Exit codes: 0 success, 1 usage, 2 parse or I/O error, 3 domain error
+(invalid sequence, not Artinian, no catalog), 4 sampling failure.
+``--json`` switches every command but ``diagram`` to machine output; all
+output is deterministic (no timestamps, sorted keys).
 """
 
 from __future__ import annotations
@@ -194,61 +194,90 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def build_parser():
+def _hs_arguments(p):
+    p.add_argument("path")
+    p.add_argument("--json", action="store_true")
+
+
+def _classify_arguments(p):
+    p.add_argument("sequence")
+    p.add_argument("--json", action="store_true")
+
+
+def _enumerate_arguments(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--colength", type=int)
+    group.add_argument("--max-colength", type=int)
+    p.add_argument("--json", action="store_true")
+
+
+def _catalog_arguments(p):
+    p.add_argument("sequence")
+    p.add_argument("--out", required=True)
+    p.add_argument("--json", action="store_true")
+
+
+def _iso_arguments(p):
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--json", action="store_true")
+
+
+def _diagram_arguments(p):
+    p.add_argument("sequence")
+
+
+def _sample_arguments(p):
+    p.add_argument("sequence")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--out", default=".")
+    p.add_argument("--json", action="store_true")
+
+
+# every command once, in the order the full help lists them:
+# name -> (help, handler, adds the command's arguments)
+_COMMANDS = {
+    "hs": ("Hilbert-Samuel sequence of an ideal file", cmd_hs, _hs_arguments),
+    "classify": ("finite/infinite verdict for a sequence", cmd_classify,
+                 _classify_arguments),
+    "enumerate": ("all valid sequences of a colength", cmd_enumerate,
+                  _enumerate_arguments),
+    "catalog": ("write and verify the normal-form catalog", cmd_catalog,
+                _catalog_arguments),
+    "iso": ("isomorphism verdict for two ideal files", cmd_iso, _iso_arguments),
+    "diagram": ("staircase diagram of a sequence", cmd_diagram, _diagram_arguments),
+    "sample": ("random ideals realizing a sequence", cmd_sample, _sample_arguments),
+}
+
+
+def build_parser(only=None):
+    """The ``hsfinite`` parser with every command, or with only the command
+    named ``only``.  The top-level usage line names no command, so the
+    one-command parser prints what the full one prints for any command line
+    that starts with that command."""
     parser = _Parser(prog="hsfinite",
                      description="Hilbert-Samuel sequences of graded quotients "
                                  "of K[x, y] and their finite-type catalogs")
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser("hs", help="Hilbert-Samuel sequence of an ideal file")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hs)
-
-    p = sub.add_parser("classify", help="finite/infinite verdict for a sequence")
-    p.add_argument("sequence")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("enumerate", help="all valid sequences of a colength")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--colength", type=int)
-    group.add_argument("--max-colength", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("catalog", help="write and verify the normal-form catalog")
-    p.add_argument("sequence")
-    p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("iso", help="isomorphism verdict for two ideal files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("diagram", help="staircase diagram of a sequence")
-    p.add_argument("sequence")
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("sample", help="random ideals realizing a sequence")
-    p.add_argument("sequence")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--out", default=".")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sample)
-
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # building every command's parser took longer than a catalog's own
+    # work, so only the named command's is built; any other first word gets
+    # the full parser, for its help, usage or "invalid choice" error
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hsfinite import parse_ideal_text
+from hsfinite import cli
 from hsfinite.cli import MAX_SAMPLE_COUNT, main
 from hsfinite.ideals import MAX_ROW_REDUCED, MAX_TRUNCATION
 from hsfinite.sequences import MAX_COLENGTH
@@ -103,7 +104,10 @@ class TestHs:
         assert err.count("\n") == 1
 
     def test_missing_file(self, capsys, tmp_path):
-        assert run(capsys, "hs", str(tmp_path / "nope.ideal"))[0] == 2
+        # an I/O error is exit code 2 with one error line, no traceback
+        path = str(tmp_path / "nope.ideal")
+        assert run(capsys, "hs", path) == (
+            2, "", "error: [Errno 2] No such file or directory: %r\n" % path)
 
     @pytest.mark.parametrize("degree", [MAX_TRUNCATION, MAX_TRUNCATION + 1])
     def test_truncation_limit(self, tmp_path, degree):
@@ -242,6 +246,12 @@ class TestCatalog:
     def test_infinite_has_no_catalog(self, capsys, tmp_path):
         code, _, err = run(capsys, "catalog", "1,2,3,2,1", "--out", str(tmp_path / "x"))
         assert code == 3 and "no catalog" in err
+
+    def test_unwritable_out_is_an_io_error(self, capsys, tmp_path):
+        blocker = write(tmp_path, "file", "")
+        out_dir = os.path.join(blocker, "sub")
+        assert run(capsys, "catalog", "1,2,1", "--out", out_dir) == (
+            2, "", "error: [Errno 20] Not a directory: %r\n" % out_dir)
 
     def test_json_mirror(self, capsys, tmp_path):
         code, out, _ = run(capsys, "catalog", "1,2,1", "--out",
@@ -436,3 +446,63 @@ class TestUsageAndDeterminism:
         for text in corpus:
             ideal = parse_ideal_text(text)
             assert format_ideal(ideal) == text
+
+
+class TestOneCommandParser:
+    """``main`` builds only the parser of the command it runs; every output
+    must equal that of the parser with all the commands."""
+
+    VALID = {
+        "hs": ["{sq}"],
+        "classify": ["1,2,1"],
+        "enumerate": ["--colength", "5"],
+        "catalog": ["1,2,1", "--out", "{out}"],
+        "iso": ["{sq}", "{xy}"],
+        "diagram": ["1,2,1"],
+        "sample": ["1,2,1", "--out", "{out}"],
+    }
+    CASES = [[], ["-h"], ["--help"], ["bogus"], ["--json", "classify", "1,2,1"]] + [
+        [command, *tail]
+        for command, valid in VALID.items()
+        for tail in (["-h"], [], [*valid, "--bogus"], valid)]
+
+    @pytest.fixture
+    def argv(self, request, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        names = {"sq": write(tmp_path, "sq.ideal", "x^2\ny^2\n"),
+                 "xy": write(tmp_path, "xy.ideal", "x*y\nx^2 + y^2\n"),
+                 "out": str(tmp_path / "out")}
+        return [word.format(**names) for word in request.param]
+
+    def full_parser_run(self, capsys, monkeypatch, argv):
+        full = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda only=None: full())
+            return run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", CASES, indirect=True, ids=" ".join)
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        assert got[0] in (0, 1)
+        assert got == self.full_parser_run(capsys, monkeypatch, argv)
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["hsfinite", "catalog", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        got = (exc.value.code, *capsys.readouterr())
+        assert got[0] == 0 and got[1].startswith("usage: hsfinite catalog ")
+        assert got == self.full_parser_run(capsys, monkeypatch, ["catalog", "-h"])
+
+    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
+        assert len(built) == 2
