@@ -32,7 +32,7 @@ carrying one ideal onto the other, so the tester works in three layers:
    of its degree, which for ideals of one finite colength proves equality.
    The check stays in the integers: each key maps the ideal's integer
    generator lists one at a time by the Horner kernel of
-   ``forms.substitute_forms`` and stops at the first image off the
+   ``forms.substitute`` and stops at the first image off the
    target's component, found by its complement functionals
    (``RowBasis.annihilator``) in O(d^2) with no elimination.
    A ``LinearChange`` is built only for the witness reported.
@@ -62,6 +62,7 @@ from .forms import (
     _primitive_key,
     _primitive_point,
     _RootData,
+    _scaled,
     _substitution,
     _trim,
     parse_form,
@@ -174,9 +175,9 @@ def normal_forms(label: TypeLabel) -> list:
 
 
 def _discriminant(p, q):
-    """disc(a*p + b*q) for the coefficient lists (ints or Fractions) of two
-    independent quadratics, as the coefficient list of a quadratic in
-    (a, b): member c2*x^2 + c1*x*y + c0*y^2 has discriminant c1^2 - 4*c2*c0."""
+    """disc(a*p + b*q) for the integer coefficient lists of two independent
+    quadratics, as the integer coefficient list of a quadratic in (a, b):
+    member c2*x^2 + c1*x*y + c0*y^2 has discriminant c1^2 - 4*c2*c0."""
     a2 = p[1] ** 2 - 4 * p[2] * p[0]
     b2 = q[1] ** 2 - 4 * q[2] * q[0]
     ab = 2 * p[1] * q[1] - 4 * (p[2] * q[0] + p[0] * q[2])
@@ -193,7 +194,10 @@ def pencil_discriminant(p1: BinaryForm, p2: BinaryForm) -> BinaryForm:
             raise InvalidPencil("pencil members must be nonzero quadratics")
     if rref([form_to_vector(p1, 2), form_to_vector(p2, 2)]).rank != 2:
         raise InvalidPencil("pencil members must be linearly independent")
-    return _monic_form(_discriminant(p1.coeffs, p2.coeffs))
+    # one common denominator for both members: scaling them apart would
+    # rescale b against a and move the roots (a : b)
+    both = _scaled(p1.coeffs + p2.coeffs)[0]
+    return _monic_form(_discriminant(both[:3], both[3:]))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,15 @@ search in ``catalog``, which maps one form by homogeneous Horner in
 O(degree^2)), division, gcds (``_form_gcd``) and squarefree decomposition
 run on integer lists, Euclid as Brown's primitive remainder sequence, and
 ``_RootData`` reads an integer list, so the invariant layer in ``catalog``
-never builds a form.  ``Fraction`` returns only in the forms handed back,
-built by ``_rational``, which shares one constant per integer in
-[-256, 256], as ``_form_of`` does for an integer list over a denominator,
-or by ``_monic_form``.  The text parser ``_parse_list`` reads an integer
-list over the lcm of the ``num/den`` terms' denominators and builds no
-``Fraction``; ``parse_form`` is ``_form_of`` that list, and
-``ideals.parse_ideal_text`` keeps the list and builds no form.
+never builds a form.  Integers and ``Fraction`` values meet in two places:
+``_scaled`` turns exact scalars into an integer list over a common
+denominator, refusing any value that is not an ``int`` or a ``Fraction``
+(``_exact``), and ``_form_of`` builds the form of an integer list over a
+denominator, sharing one ``Fraction`` constant per integer in [-256, 256].
+The text parser ``_parse_list`` reads an integer list over the lcm of the
+``num/den`` terms' denominators and builds no ``Fraction``; ``parse_form``
+is ``_form_of`` that list, and ``ideals.parse_ideal_text`` keeps the list
+and builds no form.
 """
 
 from __future__ import annotations
@@ -72,33 +74,40 @@ def _rational(n, den=1):
 
 def _form_of(p, den) -> BinaryForm:
     """The form with coefficients p[i] / den, for an integer list p and an
-    int den > 0."""
+    int den != 0: the one builder of a form from integers."""
     if not any(p):
         return ZERO
     return BinaryForm(tuple(_rational(v, den) for v in p))
 
 
+def _exact(c):
+    """c, when it is an int or a Fraction; any other value is refused."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+
+
+def _scaled(coeffs):
+    """(ints, den): a list of ints and Fractions times its common
+    denominator den; a value of any other type is a TypeError."""
+    den = math.lcm(*(_exact(c).denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def binary_form(coeffs) -> BinaryForm:
-    """Build a form from ascending x-power coefficients, normalizing the
-    all-zero vector to the canonical zero form."""
-    exact = (c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
-    cs = tuple(c if c.denominator != 1 else _rational(c.numerator) for c in exact)
-    if all(c == 0 for c in cs):
-        return ZERO
-    return BinaryForm(cs)
+    """Build a form from ascending x-power coefficients, ints and Fractions,
+    normalizing the all-zero vector to the canonical zero form."""
+    return _form_of(*_scaled(tuple(coeffs)))
 
 
 def monomial(x_power: int, y_power: int) -> BinaryForm:
-    cs = [Fraction(0)] * (x_power + y_power + 1)
-    cs[x_power] = Fraction(1)
-    return BinaryForm(tuple(cs))
+    return _form_of([0] * x_power + [1] + [0] * y_power, 1)
 
 
 def scale(f: BinaryForm, c) -> BinaryForm:
-    c = Fraction(c)
-    if c == 0 or f.is_zero:
-        return ZERO
-    return BinaryForm(tuple(a * c for a in f.coeffs))
+    c = _exact(c)
+    p, den = _scaled(f.coeffs)
+    return _form_of([c.numerator * v for v in p], den * c.denominator)
 
 
 def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -114,14 +123,7 @@ def monic(f: BinaryForm) -> BinaryForm:
     """Scale so the first nonzero coefficient from the x^d end equals 1."""
     if f.is_zero:
         raise ValueError("the zero form has no monic normalization")
-    return _monic_form(f.coeffs)
-
-
-def y_valuation(f: BinaryForm) -> int:
-    if f.is_zero:
-        raise ValueError("zero form has no valuation")
-    top = max(i for i, c in enumerate(f.coeffs) if c != 0)
-    return f.degree - top
+    return _monic_form(_scaled(f.coeffs)[0])
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class LinearChange:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(_exact(getattr(self, name))))
         if self.determinant == 0:
             raise SingularChange("substitution matrix has determinant 0")
 
@@ -249,28 +251,16 @@ def _primitive_key(matrix) -> tuple:
 
 
 def substitute(f: BinaryForm, change: LinearChange) -> BinaryForm:
-    """f(a*x + b*y, c*x + d*y): same degree, exact coefficients."""
-    return substitute_forms([f], change)[0]
-
-
-def substitute_forms(forms, change: LinearChange) -> list:
-    """Images of ``forms`` under ``change``, in order, by the integer kernel
-    ``_substitution``: with ``den`` the common denominator of the matrix,
-    each form is scaled to an integer list, mapped by the integer matrix
+    """f(a*x + b*y, c*x + d*y): same degree, exact coefficients, by the
+    integer kernel ``_substitution``: with ``den`` the common denominator of
+    the matrix, f is scaled to an integer list, mapped by the integer matrix
     ``den * change``, and its scale and den^degree are divided out at the
     end."""
+    if f.is_zero:
+        return ZERO
     entries, den = _scaled((change.a, change.b, change.c, change.d))
-    image = _substitution(*entries)
-    out = []
-    for f in forms:
-        if f.is_zero:
-            out.append(ZERO)
-            continue
-        p, scale_f = _scaled(f.coeffs)
-        total = scale_f * den ** f.degree
-        # nonzero, since an invertible change maps nonzero forms to nonzero forms
-        out.append(_form_of(image(p), total))
-    return out
+    p, scale_f = _scaled(f.coeffs)
+    return _form_of(_substitution(*entries)(p), scale_f * den ** f.degree)
 
 
 def _substitution(a, b, c, d):
@@ -351,13 +341,6 @@ def _primitive(p):
     return p if g == 1 else [c // g for c in p]
 
 
-def _scaled(coeffs):
-    """(ints, den): a list of ints and Fractions times its common
-    denominator den."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _integer_list(coeffs):
     """The primitive integer list of a nonzero rational list, trimmed."""
     return _primitive(_trim(_scaled(coeffs)[0]))
@@ -390,10 +373,9 @@ def _exact_quotient(p, q):
 
 
 def _monic_form(p) -> BinaryForm:
-    """The monic form of a nonzero coefficient list (ints or Fractions): p
-    divided by its last nonzero entry."""
-    lead = next(c for c in reversed(p) if c)
-    return BinaryForm(tuple(Fraction(c, lead) for c in p))
+    """The monic form of a nonzero integer list: p divided by its last
+    nonzero entry."""
+    return _form_of(p, next(c for c in reversed(p) if c))
 
 
 def _gcd(p, q):
@@ -495,23 +477,19 @@ def _squarefree(p):
     return out
 
 
-def _padded(p, degree) -> BinaryForm:
-    """The form of ``degree`` with coefficient list p: p times a y-power."""
-    return binary_form(list(p) + [0] * (degree + 1 - len(p)))
-
-
 def _quotient(f, h):
-    """Coefficient list of f / h for nonzero forms, or None when h does not
-    divide f."""
-    if h.degree > f.degree or y_valuation(h) > y_valuation(f):
-        return None
-    quo = _exact_quotient(_integer_list(f.coeffs), _integer_list(h.coeffs))
+    """(ints, den) of f / h for nonzero forms, or None when h does not
+    divide f.  The zeros ``_integer_list`` trims are the y-valuation: h must
+    trim no more of them than f, and the quotient gets the difference."""
+    p = _integer_list(f.coeffs)
+    q = _integer_list(h.coeffs)
+    shift = len(f.coeffs) - len(p) - (len(h.coeffs) - len(q))
+    quo = _exact_quotient(p, q) if shift >= 0 else None
     if quo is None:
         return None
     # quo is a scalar multiple of f / h, whose lead is lead(f) / lead(h)
-    scale = (next(c for c in reversed(f.coeffs) if c)
-             / (next(c for c in reversed(h.coeffs) if c) * quo[-1]))
-    return [scale * c for c in quo]
+    scale = Fraction(f.coeffs[len(p) - 1]) / (h.coeffs[len(q) - 1] * quo[-1])
+    return [scale.numerator * c for c in quo] + [0] * shift, scale.denominator
 
 
 def divides(h: BinaryForm, f: BinaryForm) -> bool:
@@ -530,7 +508,7 @@ def form_divide(f: BinaryForm, h: BinaryForm) -> BinaryForm:
     quo = _quotient(f, h)
     if quo is None:
         raise ValueError("%s does not divide %s" % (format_form(h), format_form(f)))
-    return _padded(quo, f.degree - h.degree)
+    return _form_of(*quo)
 
 
 def _form_gcd(p, q):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import comb
 
@@ -61,7 +60,7 @@ def _shifts(p, k: int) -> list:
 def form_to_vector(f: BinaryForm, degree: int) -> tuple:
     """A form's row in the component of ``degree``: its coefficient list."""
     if f.is_zero:
-        return (Fraction(0),) * (degree + 1)
+        return (_rational(0),) * (degree + 1)
     if f.degree != degree:
         raise ValueError("form of degree %d in component %d" % (f.degree, degree))
     return f.coeffs
@@ -106,9 +105,6 @@ class GradedIdeal:
                 raise ValueError("zero generator")
             if g.degree < 1:
                 raise ValueError("constant generator makes the quotient trivial")
-            for c in g.coeffs:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
         if truncation is not None:
             truncation = operator.index(truncation)
             if truncation < 1:
@@ -322,7 +318,7 @@ def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:
     """Apply a linear substitution to every generator; truncation is stable
     because (x, y)^D is preserved by any invertible change.  The image
     inherits the source's memoized sequence, if one was computed.  The
-    integer lists are mapped by the kernel of ``forms.substitute_forms``:
+    integer lists are mapped by the kernel of ``forms.substitute``:
     with den the common denominator of the matrix, a list of degree d over
     its denominator s maps by den * change to a list over s * den^d."""
     entries, den = _scaled((change.a, change.b, change.c, change.d))

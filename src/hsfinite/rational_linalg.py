@@ -14,8 +14,9 @@ with a positive pivot.  That scaling is unique, so the integer rows are as
 canonical as the grid: span equality is a literal comparison of them
 instead of a pair of containment checks.  Callers that continue the
 arithmetic (the next graded component, the common factor of a component)
-read them and never leave the integers; the unit-pivot ``Fraction`` grid is
-built only for a caller that reads it.
+read them and never leave the integers; the unit-pivot ``Fraction`` grid
+``rows`` is built only for a caller that reads it, by ``forms._form_of``,
+and ``_integer_row`` scales a ``Fraction`` row by ``forms._scaled``.
 
 Membership needs no elimination: ``RowBasis.annihilator`` reads one integer
 functional per free column off the integer rows, and together they cut out
@@ -26,11 +27,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .forms import _form_of, _scaled
 
 
 def _integer_row(vec):
@@ -39,8 +38,7 @@ def _integer_row(vec):
     try:
         gcd(*vec)  # takes ints only: the row's type test, in one C call
     except TypeError:
-        scale = lcm(*(c.denominator for c in vec))
-        return [c.numerator * (scale // c.denominator) for c in vec]
+        return _scaled(vec)[0]
     return vec
 
 
@@ -59,30 +57,20 @@ class RowBasis:
 
     The basis is stored as ``integer_rows``, each row as the primitive
     integer row with a positive pivot, and ``pivots``, their pivot columns.
-    ``rows``, the unit-pivot ``Fraction`` grid, is built on first read.  A
-    basis built from ``rows`` alone derives the rest from them.  Two bases
-    are equal when their column counts and integer rows are."""
+    ``rows``, the unit-pivot ``Fraction`` grid, is built on first read.  The
+    constructor takes the integer rows and pivots of an RREF grid
+    unchecked.  Two bases are equal when their column counts and integer
+    rows are."""
 
-    def __init__(self, ncols: int, rows=None, integer_rows=None, pivots=None):
+    def __init__(self, ncols: int, integer_rows: tuple, pivots: tuple):
         self.ncols = ncols
-        if integer_rows is None:
-            self.rows = tuple(rows)
-            pivots = tuple(next((j for j, c in enumerate(row) if c), None)
-                           for row in self.rows)
-            if None in pivots:
-                raise ValueError("row %d is zero: a basis has no zero rows"
-                                 % pivots.index(None))
-            integer_rows = tuple(_primitive_row(_integer_row(row), col)
-                                 for row, col in zip(self.rows, pivots))
         self.integer_rows = integer_rows
         self.pivots = pivots
 
     @functools.cached_property
     def rows(self) -> tuple:
-        return tuple(
-            tuple(_ZERO if a == 0 else _ONE if a == row[col] else Fraction(a, row[col])
-                  for a in row)
-            for row, col in zip(self.integer_rows, self.pivots))
+        return tuple(_form_of(row, row[col]).coeffs
+                     for row, col in zip(self.integer_rows, self.pivots))
 
     @functools.cached_property
     def annihilator(self) -> tuple:

@@ -31,6 +31,7 @@ from hsfinite import (
     parse_ideal_text,
     pencil_discriminant,
     power_pairing,
+    rational_root_points,
     sample_ideal,
     sequence_for_label,
     spaces_equal,
@@ -224,6 +225,15 @@ class TestPencilDiscriminant:
             pencil_discriminant(F("x^3"), F("y^2"))
         with pytest.raises(InvalidPencil):
             pencil_discriminant(F("x^2"), F("2*x^2"))
+
+    def test_members_share_one_scale(self):
+        # p1 + p2 = (x + y)^2 / 3 and p1 = x^2 / 2 are the squares, at
+        # (a : b) = (1 : 1) and (1 : 0); clearing each member's denominator
+        # on its own would rescale b against a and move (1 : 1) to (1 : 1/3)
+        p1 = F("1/2*x^2")
+        p2 = F("-1/6*x^2 + 2/3*x*y + 1/3*y^2")
+        assert rational_root_points(pencil_discriminant(p1, p2)) == \
+            [((1, 0), 1), ((1, 1), 1)]
 
     def test_pattern_invariant_under_simultaneous_substitution(self):
         from hsfinite import substitute

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsfinite import (
+    BinaryForm,
+    GradedIdeal,
     InhomogeneousInput,
     LinearChange,
     ParseError,
@@ -27,6 +29,7 @@ from hsfinite import (
     parse_ideal_text,
     parse_sequence_text,
     rational_root_points,
+    rref,
     scale,
     substitute,
 )
@@ -42,7 +45,6 @@ from hsfinite.forms import (
     _primitive_key,
     _primitive_point,
     _rational,
-    substitute_forms,
 )
 
 
@@ -265,6 +267,24 @@ class TestDivision:
             assert divides(h, multiply(f, h))
             assert form_divide(multiply(f, h), h) == f
 
+    def test_quotient_of_integer_coefficients_is_exact(self):
+        # forms built with plain ints divide to Fractions, not floats
+        q = form_divide(BinaryForm((0, 2)), BinaryForm((3,)))
+        assert q == F("2/3*x") and _all_fractions(q)
+        q = form_divide(BinaryForm((0, 2)), BinaryForm((0, 3)))
+        assert q == F("2/3") and _all_fractions(q)
+
+    def test_y_valuations_decide_division(self):
+        assert divides(F("y^2"), F("x*y^2"))
+        assert form_divide(F("x*y^2"), F("y^2")) == F("x")
+        assert not divides(F("y^2"), F("x^2*y"))
+        with pytest.raises(ValueError):
+            form_divide(F("x^2*y"), F("y^2"))
+        # a divisor of higher degree, whether it shares the factor or not
+        assert not divides(F("x^2"), F("x"))
+        assert not divides(F("y^2"), F("x"))
+        assert not divides(F("x*y^2"), F("x*y"))
+
 
 pairs = st.tuples(st.integers(-24, 24), st.integers(-24, 24)).filter(lambda uv: uv != (0, 0))
 points = pairs.map(lambda uv: _primitive_point(*uv))
@@ -390,10 +410,26 @@ class TestFractionBoundary:
            st.tuples(*[exact_coefficients] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
     def test_substitute_forms_is_fraction_arithmetic(self, forms, entries):
         change = LinearChange(*entries)
-        images = substitute_forms(forms, change)
+        images = [substitute(f, change) for f in forms]
         assert [list(g.coeffs) for g in images] == \
             [_fraction_substitute(f, change) for f in forms]
         assert all(_all_fractions(g) for g in images)
+
+    def test_non_exact_scalars_are_refused(self):
+        # floats, strings and other types never become coefficients: each
+        # is a TypeError that names the value
+        refused = [
+            (lambda: binary_form([0.1, 1]), "0.1"),
+            (lambda: binary_form(["1/3", 2]), "'1/3'"),
+            (lambda: scale(F("x"), 0.1), "0.1"),
+            (lambda: LinearChange(0.5, 0, 0, 1), "0.5"),
+            (lambda: rref([[0.5, 1]]), "0.5"),
+            (lambda: GradedIdeal([BinaryForm((0.5, 1))]), "0.5"),
+        ]
+        for build, value in refused:
+            with pytest.raises(TypeError, match="coefficient %s is not an int or a Fraction"
+                               % value):
+                build()
 
 
 def _squarefree_gated_at(p, degree, bits):

@@ -1,10 +1,13 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no private
+helper of the package is left unread.
 
 No linter ships with the package, so this scans every module of
 ``src/hsfinite`` and ``tests`` with ``ast``.  A name counts as used when it
 is read anywhere in the module, including inside a quoted annotation.  The
 package ``__init__`` is skipped, since its imports are the public
-re-exports.
+re-exports.  A module-level private name (``_...``) of ``src/hsfinite``
+must be read somewhere in the package outside its own definition; reads
+from tests do not count, so a helper that only tests call is dead code.
 """
 
 import ast
@@ -47,6 +50,37 @@ def used_names(tree):
                 used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
                             if isinstance(n, ast.Name))
     return used
+
+
+def package_trees():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                yield name, ast.parse(handle.read(), filename=name)
+
+
+def defined_names(statement):
+    """The names a module-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return {node.id for target in targets if target is not None
+            for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_every_private_helper_is_read():
+    defined = {}
+    read = set()
+    for name, tree in package_trees():
+        for statement in tree.body:
+            own = defined_names(statement)
+            defined.update((n, "%s:%d" % (name, statement.lineno)) for n in own
+                           if n.startswith("_") and not n.startswith("__"))
+            read.update(node.id for node in ast.walk(statement)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id not in own)
+    dead = sorted("%s (%s)" % (n, where) for n, where in defined.items() if n not in read)
+    assert not dead, "private names nothing in the package reads: %s" % ", ".join(dead)
 
 
 @pytest.mark.parametrize("path", list(modules()))

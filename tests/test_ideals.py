@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from componentwise import reference_component
 from hsfinite import ideals as ideals_module
-from hsfinite.forms import BinaryForm, _form_gcd, substitute_forms
+from hsfinite.forms import BinaryForm, _form_gcd
 from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
@@ -42,6 +42,7 @@ from hsfinite import (
     power_pairing,
     rref,
     sample_ideal,
+    substitute,
     substitute_ideal,
     validate,
     verify_factor_structure,
@@ -419,8 +420,9 @@ class TestSubstituteAndEquality:
             assert hilbert_samuel(moved) == hilbert_samuel(fresh)
 
     def test_image_forms_are_the_substituted_forms(self):
-        # the view of an image built from integer lists equals substitute_forms
-        # of the source's forms, for fractional changes and fractional sources
+        # the view of an image built from integer lists equals substitute of
+        # each of the source's forms, for fractional changes and fractional
+        # sources
         changes = (LinearChange(2, 1, 1, 1),
                    LinearChange(Fraction(1, 2), 3, Fraction(-2, 3), 1),
                    LinearChange(0, Fraction(5, 4), 7, Fraction(1, 3)))
@@ -431,7 +433,8 @@ class TestSubstituteAndEquality:
                 image = substitute_ideal(base, m)
                 again = substitute_ideal(image, m)
                 for source, moved in ((base, image), (image, again)):
-                    assert list(moved.generators) == substitute_forms(source.generators, m)
+                    assert list(moved.generators) == \
+                        [substitute(g, m) for g in source.generators]
                     assert all(type(c) is Fraction
                                for g in moved.generators for c in g.coeffs)
                 assert moved.truncation == base.truncation
