@@ -80,7 +80,6 @@ from .ideals import (
     form_to_vector,
     format_ideal,
     hilbert_samuel,
-    multiples,
 )
 from .rational_linalg import contains, rref
 from .sequences import (HSSequence, TypeLabel, row_dimension, sequence_for_label,
@@ -166,9 +165,10 @@ def normal_forms(label: TypeLabel) -> list:
         gens = []
         for (start, _, _), texts in zip(runs, run_texts):
             for text in texts:
-                factor = parse_form(text.format(a=b - 1, b=b))
-                gens += multiples(factor, start - factor.degree)
-        entry = CatalogEntry(target, GradedIdeal(gens, len(seq)), why.format(a=b - 1, b=b))
+                factor, den = _scaled(parse_form(text.format(a=b - 1, b=b)).coeffs)
+                gens += [(v, den) for v in _shifts(factor, start + 1 - len(factor))]
+        entry = CatalogEntry(target, GradedIdeal._of_lists(gens, len(seq)),
+                             why.format(a=b - 1, b=b))
         _check_row_reduced(entry.ideal, InvalidParameters)
         entries.append(entry)
     return entries

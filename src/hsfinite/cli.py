@@ -251,11 +251,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(only=None):
-    """The ``hsfinite`` parser with every command, or with only the command
-    named ``only``.  The top-level usage line names no command, so the
-    one-command parser prints what the full one prints for any command line
-    that starts with that command."""
+def build_parser():
+    """The ``hsfinite`` parser with every command."""
     parser = _Parser(prog="hsfinite",
                      description="Hilbert-Samuel sequences of graded quotients "
                                  "of K[x, y] and their finite-type catalogs")
@@ -263,21 +260,36 @@ def build_parser(only=None):
                                 parser_class=_Parser)
     sub.required = True
     for name, (help_text, handler, add_arguments) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv):
+    """The parsed command line, as ``build_parser().parse_args`` gives it.
+
+    The full parser is eight argparse parsers, and building them cost more
+    than a catalog call spends parsing, so a command line that starts with
+    a command goes to that command's parser alone.  The full parser would
+    hand that parser every later word, under the prog ``hsfinite
+    <command>`` its subparsers action gives it, so help, usage and errors
+    are the same.  Words it leaves over, and a command line that starts
+    with no command, go to the full parser, for the top-level usage and
+    its errors."""
+    if argv and argv[0] in _COMMANDS:
+        _, handler, add_arguments = _COMMANDS[argv[0]]
+        parser = _Parser(prog="hsfinite " + argv[0])
+        add_arguments(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command, args.func = argv[0], handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # building every command's parser took longer than a catalog's own
-    # work, so only the named command's is built; any other first word gets
-    # the full parser, for its help, usage or "invalid choice" error
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as exc:

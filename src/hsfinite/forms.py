@@ -3,7 +3,8 @@
 A binary form is a homogeneous polynomial in x and y.  Coefficients are exact
 rationals and ``coeffs[i]`` multiplies ``x^i * y^(degree - i)``, so the tuple
 length pins the degree even when leading entries vanish (forms divisible by
-y).  The zero form is the empty tuple, project-wide.
+y).  The zero form is the empty tuple, project-wide; ``is_zero`` also
+holds for an all-zero tuple built directly.
 
 Root data over the algebraic closure is computed without ever materializing a
 root: squarefree decomposition (Yun's algorithm, valid in characteristic 0)
@@ -25,7 +26,10 @@ denominator, sharing one ``Fraction`` constant per integer in [-256, 256].
 The text parser ``_parse_list`` reads an integer list over the lcm of the
 ``num/den`` terms' denominators and builds no ``Fraction``; ``parse_form``
 is ``_form_of`` that list, and ``ideals.parse_ideal_text`` keeps the list
-and builds no form.
+and builds no form.  The printer ``_format_list`` writes an integer list
+over a denominator, reducing each coefficient by a gcd: ``format_form`` is
+``_format_list`` of ``_scaled``, and ``ideals.format_ideal`` prints the
+lists it keeps, again with no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class BinaryForm:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def __str__(self):
         return format_form(self)
@@ -301,8 +305,8 @@ def _substitution(a, b, c, d):
 # remainder sequence (Brown, J. ACM 18, 1971): the pseudo-remainder of
 # lead(q)^(deg p - deg q + 1) * p by q is an integer list, and dividing it
 # by its content keeps the coefficients from growing along the sequence.
-# A large input to Yun is first tested for a squarefree p modulo a prime,
-# where no coefficient grows at all.  Rationals return only at the
+# A large input to Euclid is first tested for a constant gcd modulo a
+# prime, where no coefficient grows at all.  Rationals return only at the
 # boundary, in the monic results.
 # ---------------------------------------------------------------------------
 
@@ -378,22 +382,6 @@ def _monic_form(p) -> BinaryForm:
     return _form_of(p, next(c for c in reversed(p) if c))
 
 
-def _gcd(p, q):
-    """Primitive gcd of two nonzero trimmed integer lists, by the primitive
-    remainder sequence: each member is divided by its content."""
-    if len(p) < len(q):
-        p, q = q, p
-    while True:
-        q = _primitive(q)
-        if len(q) == 1:
-            return q
-        power = q[-1] ** (len(p) - len(q) + 1)
-        _, r = _divide([power * c for c in p], q)
-        if not r:
-            return q
-        p, q = q, r
-
-
 def _deriv(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
 
@@ -406,9 +394,10 @@ def _minus_deriv(d, c):
     return _trim(out)
 
 
-# The prime 2^61 - 1, and the sizes past which ``_squarefree`` first tries
-# to prove p squarefree modulo it: below both, the remainder sequence is
-# faster than the reduction.
+# The prime 2^61 - 1, and the degree and lead width past which ``_gcd``
+# first tries to prove a constant gcd modulo it: below both, the remainder
+# sequence is faster than the reduction.  Reading only the lead keeps the
+# gate at one int operation on the many small gcds.
 _MODULUS = 2 ** 61 - 1
 _MODULAR_DEGREE = 16
 _MODULAR_BITS = 64
@@ -435,19 +424,40 @@ def _coprime_mod(p, q):
     return False
 
 
+def _gcd(p, q):
+    """Primitive gcd of two nonzero trimmed integer lists, by the primitive
+    remainder sequence: each member is divided by its content.
+
+    When the longer list has degree above ``_MODULAR_DEGREE`` or a lead
+    wider than ``_MODULAR_BITS`` bits, and the prime m = ``_MODULUS``
+    divides neither lead, the gcd is first computed modulo m
+    (Brown, J. ACM 18, 1971).  The primitive gcd g of p and q over Z has a
+    lead dividing both leads, so g keeps its degree mod m, and g mod m
+    divides both reductions: a constant gcd mod m makes g constant, and
+    [1] is returned.  Otherwise the remainder sequence decides, so the size
+    gate only chooses which path is tried first."""
+    if len(p) < len(q):
+        p, q = q, p
+    if ((_deg(p) > _MODULAR_DEGREE or p[-1].bit_length() > _MODULAR_BITS)
+            and p[-1] % _MODULUS and q[-1] % _MODULUS and _coprime_mod(p, q)):
+        return [1]
+    while True:
+        q = _primitive(q)
+        if len(q) == 1:
+            return q
+        power = q[-1] ** (len(p) - len(q) + 1)
+        _, r = _divide([power * c for c in p], q)
+        if not r:
+            return q
+        p, q = q, r
+
+
 def _squarefree(p):
     """Yun's squarefree decomposition of a primitive integer list: list of
     (primitive squarefree layer, mult) with p = prod layer^mult.  Every gcd
     is primitive and divides exactly, so every quotient stays an integer
-    list.
-
-    A p of degree above ``_MODULAR_DEGREE`` or with a coefficient wider
-    than ``_MODULAR_BITS`` bits is first tested modulo the prime m =
-    ``_MODULUS`` (Brown, J. ACM 18, 1971).  When m does not divide the lead
-    of p, a repeated factor g of p over Q, primitive, divides p and p' over
-    the integers and keeps its degree mod m, as lead(g) divides lead(p): so
-    a constant gcd of p and p' mod m proves p squarefree, and p is its one
-    layer.  Otherwise the remainder sequence decides."""
+    list.  A large squarefree p is proved so by ``_gcd``'s modular test of
+    p and p', and is then its one layer."""
     if _deg(p) < 1:
         return []
     # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
@@ -458,10 +468,6 @@ def _squarefree(p):
         c, b, a = p
         return [(_primitive([b, 2 * a]), 2)] if b * b == 4 * a * c else [(p, 1)]
     dp = _deriv(p)
-    if ((_deg(p) > _MODULAR_DEGREE
-         or max(map(abs, p)).bit_length() > _MODULAR_BITS)
-            and p[-1] % _MODULUS and _coprime_mod(p, dp)):
-        return [(p, 1)]
     g = _gcd(p, dp)
     c = _exact_quotient(p, g)
     d = _minus_deriv(_exact_quotient(dp, g), c)
@@ -753,35 +759,37 @@ def _parse_list(text: str) -> tuple:
     return cs, common
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def format_form(f: BinaryForm) -> str:
     """Canonical printer: terms in decreasing x-power, coefficients in lowest
     terms, '-' folded into the separators (never '+ -')."""
     if f.is_zero:
         return "0"
-    d = f.degree
+    return _format_list(*_scaled(f.coeffs))
+
+
+def _format_list(p, den) -> str:
+    """``format_form`` of the form with coefficients p[i] / den, for an
+    integer list p and an int den > 0, with no ``Fraction`` built; the
+    empty string when every entry of p is zero."""
+    d = len(p) - 1
     chunks = []
     for i in range(d, -1, -1):
-        c = f.coeffs[i]
-        if c == 0:
+        v = p[i]
+        if not v:
             continue
         pieces = []
-        mag = abs(c)
+        mag = abs(v)
         j = d - i
-        if mag != 1 or (i == 0 and j == 0):
-            pieces.append(_format_coeff(mag))
+        if mag != den or (i == 0 and j == 0):  # mag == den is a coefficient of +-1
+            g = math.gcd(mag, den)
+            pieces.append(str(mag // g) if g == den else "%d/%d" % (mag // g, den // g))
         if i >= 1:
             pieces.append("x" if i == 1 else "x^%d" % i)
         if j >= 1:
             pieces.append("y" if j == 1 else "y^%d" % j)
         body = "*".join(pieces)
         if not chunks:
-            chunks.append(body if c > 0 else "-" + body)
+            chunks.append(body if v > 0 else "-" + body)
         else:
-            chunks.append((" + " if c > 0 else " - ") + body)
+            chunks.append((" + " if v > 0 else " - ") + body)
     return "".join(chunks)

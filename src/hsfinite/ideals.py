@@ -28,6 +28,7 @@ from .forms import (
     BinaryForm,
     _form_gcd,
     _form_of,
+    _format_list,
     _monic_form,
     _parse_list,
     _rational,
@@ -413,7 +414,9 @@ def parse_ideal_text(text: str) -> GradedIdeal:
 
 
 def format_ideal(ideal: GradedIdeal) -> str:
-    lines = [format_form(g) for g in ideal.generators]
+    """The ideal file text of an ideal, each generator printed from its
+    integer list, so no form is built."""
+    lines = [_format_list(v, den) for v, den in ideal._lists]
     if ideal.truncation is not None:
         lines.append("truncate: %d" % ideal.truncation)
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from hsfinite import (
     LinearChange,
     NoCatalog,
     SamplingFailed,
+    StructuralInvariant,
     are_isomorphic,
     classify,
     common_factor,
@@ -307,6 +308,35 @@ class TestStructuralInvariant:
         assert time.perf_counter() - start < 2
         assert analysis.invariant == structural_invariant(base)
         assert analysis.invariant.run_data == ((100, 101, 100, (1,) * 100),)
+
+    # The sampled rows of these sequences share no factor, so every gcd of a
+    # component's rows is constant, proved modulo a prime; the remainder
+    # sequences alone took about a minute per pair.  The expected
+    # invariants are the ones the remainder sequences computed.
+    PYRAMID = tuple(range(1, 41)) + tuple(range(39, 0, -1))
+    PLATEAU = tuple(range(1, 31)) + (30,) * 60 + tuple(range(29, 0, -1))
+
+    @pytest.mark.parametrize("pair, expected", [
+        ("pyramid", StructuralInvariant(
+            sequence=PYRAMID,
+            run_data=tuple((d, d, 79 - d, ()) for d in range(40, 79)),
+            pairwise_gcd=((),) * 741, theta_pattern=(1,) * 78, pencil_patterns=())),
+        ("plateau", StructuralInvariant(
+            sequence=PLATEAU,
+            run_data=((30, 89, 30, (1,) * 30),)
+            + tuple((d, d, 119 - d, ()) for d in range(90, 119)),
+            pairwise_gcd=((),) * 435, theta_pattern=(1,) * 118, pencil_patterns=())),
+    ])
+    def test_long_sampled_sequences_analyse_quickly(self, pair, expected):
+        if pair == "pyramid":  # a sample against its image under [[1, 1], [0, 1]]
+            left = sample_ideal(validate(self.PYRAMID), 0)
+            right = substitute_ideal(left, LinearChange(1, 1, 0, 1))
+        else:  # two samples
+            left, right = (sample_ideal(validate(self.PLATEAU), k) for k in (0, 1))
+        start = time.perf_counter()
+        assert structural_invariant(left) == structural_invariant(right) == expected
+        assert are_isomorphic(left, right).kind == "unknown"
+        assert time.perf_counter() - start < 10
 
 
 class TestAreIsomorphic:

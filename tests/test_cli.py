@@ -449,8 +449,9 @@ class TestUsageAndDeterminism:
 
 
 class TestOneCommandParser:
-    """``main`` builds only the parser of the command it runs; every output
-    must equal that of the parser with all the commands."""
+    """A command line that starts with a command is parsed by that command's
+    parser alone; every output must equal that of the parser with all the
+    commands, ``build_parser().parse_args``, dispatched as ``main`` does."""
 
     VALID = {
         "hs": ["{sq}"],
@@ -464,7 +465,32 @@ class TestOneCommandParser:
     CASES = [[], ["-h"], ["--help"], ["bogus"], ["--json", "classify", "1,2,1"]] + [
         [command, *tail]
         for command, valid in VALID.items()
-        for tail in (["-h"], [], [*valid, "--bogus"], valid)]
+        for tail in (["-h"], [], [*valid, "--bogus"], valid)] + [
+        # "--" before and after the positionals
+        ["classify", "--", "1,2,1"],
+        ["classify", "1,2,1", "--"],
+        ["catalog", "--", "1,2,1", "--out", "{out}"],
+        ["catalog", "1,2,1", "--out", "{out}", "--"],
+        ["iso", "{sq}", "--", "{xy}"],
+        ["hs", "{sq}", "--json", "--"],
+        ["classify", "--", "--json"],
+        # "=" values, abbreviations and option values that look like options
+        ["catalog", "1,2,1", "--out={out}"],
+        ["catalog", "1,2,1", "--ou", "{out}"],
+        ["catalog", "1,2,1", "--out="],
+        ["catalog", "1,2,1", "--out"],
+        ["sample", "1,2,1", "--out", "{out}", "--seed", "-1", "--count=2"],
+        ["classify", "1,2,1", "--js"],
+        ["classify", "--he"],
+        # a leftover word, and options before the positional
+        ["classify", "1,2,1", "extra"],
+        ["diagram", "1,2,1", "--json"],
+        ["iso", "{sq}", "{xy}", "{sq}"],
+        ["classify", "--json", "1,2,1"],
+        ["catalog", "--out", "{out}", "1,2,1"],
+        ["catalog", "--json", "--out", "{out}", "1,2,1", "-h"],
+        ["enumerate", "--colength", "5", "--max-colength", "6"],
+    ]
 
     @pytest.fixture
     def argv(self, request, tmp_path, monkeypatch):
@@ -475,16 +501,25 @@ class TestOneCommandParser:
         return [word.format(**names) for word in request.param]
 
     def full_parser_run(self, capsys, monkeypatch, argv):
-        full = cli.build_parser
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_parser", lambda only=None: full())
+            patch.setattr(cli, "_parse", lambda words: cli.build_parser().parse_args(words))
             return run(capsys, *argv)
 
     @pytest.mark.parametrize("argv", CASES, indirect=True, ids=" ".join)
     def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
         got = run(capsys, *argv)
-        assert got[0] in (0, 1)
+        assert got[0] in (0, 1, 2)
         assert got == self.full_parser_run(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", CASES, indirect=True, ids=" ".join)
+    def test_same_namespace_as_the_full_parser(self, capsys, argv):
+        def parsed(parse):
+            try:
+                return vars(parse(argv))
+            except SystemExit as exc:
+                return exc.code, *capsys.readouterr()
+
+        assert parsed(cli._parse) == parsed(cli.build_parser().parse_args)
 
     def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -495,7 +530,8 @@ class TestOneCommandParser:
         assert got[0] == 0 and got[1].startswith("usage: hsfinite catalog ")
         assert got == self.full_parser_run(capsys, monkeypatch, ["catalog", "-h"])
 
-    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+    @staticmethod
+    def count_parsers(monkeypatch):
         built = []
         init = cli._Parser.__init__
 
@@ -504,5 +540,17 @@ class TestOneCommandParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counting)
+        return built
+
+    def test_a_command_builds_one_parser(self, capsys, monkeypatch):
+        built = self.count_parsers(monkeypatch)
         assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
-        assert len(built) == 2
+        assert len(built) == 1
+
+    def test_a_leftover_word_builds_the_full_parser(self, capsys, monkeypatch):
+        built = self.count_parsers(monkeypatch)
+        code, out, err = run(capsys, "classify", "1,2,1", "extra")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: hsfinite [-h] command ...\n")
+        assert err.endswith("hsfinite: error: unrecognized arguments: extra\n")
+        assert len(built) == 1 + 1 + len(cli._COMMANDS)

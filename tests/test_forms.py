@@ -148,6 +148,12 @@ class TestParsing:
         assert format_form(F("2*x^3 - y^3")) == "2*x^3 - y^3"
         assert format_form(scale(F("x"), Fraction(-1, 2))) == "-1/2*x"
 
+    def test_all_zero_coefficients_are_the_zero_form(self):
+        zero = BinaryForm((0, 0))
+        assert zero.is_zero
+        assert format_form(zero) == "0"
+        assert format_form(BinaryForm((Fraction(0),) * 3)) == "0"
+
 
 class TestArithmetic:
     def test_multiply_examples(self):
@@ -432,11 +438,17 @@ class TestFractionBoundary:
                 build()
 
 
-def _squarefree_gated_at(p, degree, bits):
-    """``_squarefree`` with the modular check tried past these sizes."""
+def _gated_at(function, degree, bits, *args):
+    """``function(*args)`` with ``_gcd``'s modular check tried past these
+    sizes."""
     with mock.patch.object(forms_module, "_MODULAR_DEGREE", degree), \
             mock.patch.object(forms_module, "_MODULAR_BITS", bits):
-        return forms_module._squarefree(p)
+        return function(*args)
+
+
+def _squarefree_gated_at(p, degree, bits):
+    """``_squarefree`` with the modular check tried past these sizes."""
+    return _gated_at(forms_module._squarefree, degree, bits, p)
 
 
 factor_lists = st.lists(
@@ -445,9 +457,10 @@ factor_lists = st.lists(
 
 
 class TestModularSquarefree:
-    """Past a size gate, ``_squarefree`` first proves p squarefree modulo
-    2^61 - 1 and returns p as its one layer; the layers must be those of
-    the remainder sequence alone."""
+    """Past a size gate, ``_gcd`` first proves a constant gcd modulo
+    2^61 - 1, which makes a large squarefree p its own one layer in
+    ``_squarefree``; gcds and layers must be those of the remainder
+    sequence alone."""
 
     @PROPERTIES
     @given(st.lists(st.tuples(factor_lists, st.integers(1, 3)), min_size=1, max_size=3))
@@ -461,6 +474,21 @@ class TestModularSquarefree:
         assert forms_module._squarefree(p) == reference
         assert _squarefree_gated_at(p, -1, -1) == reference  # always tried
 
+    @PROPERTIES
+    @given(st.lists(factor_lists, min_size=1, max_size=3),
+           st.lists(factor_lists, max_size=2), st.lists(factor_lists, max_size=2))
+    def test_gcd_matches_the_remainder_sequence(self, shared, left, right):
+        p, q = [1], [1]
+        for f in shared:
+            p, q = forms_module._convolve(p, f), forms_module._convolve(q, f)
+        for f in left:
+            p = forms_module._convolve(p, f)
+        for f in right:
+            q = forms_module._convolve(q, f)
+        reference = _gated_at(forms_module._gcd, math.inf, math.inf, p, q)
+        assert forms_module._gcd(p, q) == reference
+        assert _gated_at(forms_module._gcd, -1, -1, p, q) == reference
+
     def test_gate(self, monkeypatch):
         calls = []
         real = forms_module._coprime_mod
@@ -470,7 +498,8 @@ class TestModularSquarefree:
         points = [1]
         for k in range(1, 18):
             points = forms_module._convolve(points, [-k, 1])
-        # squarefree and past the gate: p is its one layer, decided mod m
+        # squarefree and past the gate: gcd(p, p') is decided mod m, and p
+        # is its one layer
         assert forms_module._squarefree(wide) == [(wide, 1)]
         assert forms_module._squarefree(points) == [(points, 1)]
         assert calls == [4, 18]
@@ -478,6 +507,12 @@ class TestModularSquarefree:
         assert forms_module._squarefree([6, 11, 6, 1]) == [([6, 11, 6, 1], 1)]
         divisible = [2 ** 70 + 1, 0, 1, forms_module._MODULUS]
         assert forms_module._squarefree(divisible) == [(divisible, 1)]
+        # gcd(p, p') of a square is tried mod m and left to Euclid, then
+        # Yun's gcd of wide and its derivative is decided mod m
         square = forms_module._convolve(wide, wide)
         assert forms_module._squarefree(square) == [(wide, 2)]
-        assert calls == [4, 18, 7]
+        assert calls == [4, 18, 7, 4]
+        # every gcd passes the gate, also one that is no derivative's
+        assert forms_module._gcd(points, wide) == [1]
+        assert forms_module._gcd(square, wide) == forms_module._primitive(wide)
+        assert calls == [4, 18, 7, 4, 18, 7]

@@ -537,6 +537,11 @@ class TestIdealText:
         with pytest.raises(ValueError):
             GradedIdeal([monomial(1, 0)], truncation=0)
 
+    def test_all_zero_generator_rejected_directly(self):
+        # a zero generator given as coefficients, not as the empty tuple
+        with pytest.raises(ValueError, match="zero generator"):
+            GradedIdeal([BinaryForm((0, 0)), F("x^2"), F("y^2")])
+
     def test_truncation_must_be_an_integer(self):
         # no silent coercion: 2.7 is not truncated to 2, nor "3" read as 3
         for bad in (2.7, 3.0, "3"):
