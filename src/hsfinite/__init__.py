@@ -8,7 +8,6 @@ from .errors import (
     InhomogeneousInput,
     InvalidColength,
     InvalidParameters,
-    InvalidPencil,
     InvalidSequence,
     NoCatalog,
     NotArtinian,
@@ -17,23 +16,19 @@ from .errors import (
     SamplingFailed,
     SingularChange,
 )
-from .rational_linalg import RowBasis, contains, rref, spaces_equal
+from .rational_linalg import RowBasis, contains, rref
 from .forms import (
     BinaryForm,
     LinearChange,
     ZERO,
     binary_form,
-    divides,
-    form_divide,
     format_form,
     gcd_forms,
     monic,
-    monomial,
     multiplicity_partition,
     multiply,
     parse_form,
     rational_root_points,
-    scale,
     substitute,
 )
 from .ideals import (
@@ -42,15 +37,11 @@ from .ideals import (
     common_factor,
     component,
     equal_ideals,
-    form_to_vector,
     format_ideal,
     hilbert_samuel,
-    monomials,
     parse_ideal_text,
     power_pairing,
     substitute_ideal,
-    vector_to_form,
-    verify_factor_structure,
 )
 from .sequences import (
     HSSequence,
@@ -75,9 +66,7 @@ from .catalog import (
     are_isomorphic,
     format_change,
     normal_forms,
-    pencil_discriminant,
     sample_ideal,
-    structural_invariant,
     verify_catalog,
 )
 

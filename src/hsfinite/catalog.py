@@ -11,8 +11,8 @@ carrying one ideal onto the other, so the tester works in three layers:
    removal.  Any difference is a certified non-isomorphism.  They are read
    off the primitive integer rows of the components as integer coefficient
    lists, up to scale, and no ``Fraction`` form is built on the way to the
-   root data; the public ``common_factor``, ``gcd_forms``,
-   ``power_pairing`` and ``pencil_discriminant`` wrap the same helpers.
+   root data; the public ``common_factor``, ``gcd_forms`` and
+   ``power_pairing`` wrap the same helpers.
 
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices on the rational root points carried by the invariant
@@ -48,14 +48,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParameters, InvalidPencil, NoCatalog, SamplingFailed
+from .errors import InvalidParameters, NoCatalog, SamplingFailed
 from .forms import (
-    BinaryForm,
     LinearChange,
     _convolve,
     _exact_quotient,
     _form_gcd,
-    _monic_form,
     _normalize_point,
     _point_key,
     _point_map_matrix,
@@ -77,7 +75,6 @@ from .ideals import (
     _pairing_list,
     _shifts,
     component,
-    form_to_vector,
     format_ideal,
     hilbert_samuel,
 )
@@ -184,20 +181,6 @@ def _discriminant(p, q):
     if not (a2 or ab or b2):
         raise AssertionError("vanishing discriminant on an independent pencil")
     return [b2, ab, a2]
-
-
-def pencil_discriminant(p1: BinaryForm, p2: BinaryForm) -> BinaryForm:
-    """disc(a*p1 + b*p2) as a quadratic in the dual variables (a, b),
-    scalar-normalized; only its multiplicity partition is contractual."""
-    for p in (p1, p2):
-        if p.is_zero or p.degree != 2:
-            raise InvalidPencil("pencil members must be nonzero quadratics")
-    if rref([form_to_vector(p1, 2), form_to_vector(p2, 2)]).rank != 2:
-        raise InvalidPencil("pencil members must be linearly independent")
-    # one common denominator for both members: scaling them apart would
-    # rescale b against a and move the roots (a : b)
-    both = _scaled(p1.coeffs + p2.coeffs)[0]
-    return _monic_form(_discriminant(both[:3], both[3:]))
 
 
 @dataclass(frozen=True)
@@ -314,10 +297,6 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     )
     ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_roots)
     return ideal._analysis
-
-
-def structural_invariant(ideal: GradedIdeal) -> StructuralInvariant:
-    return _analyze(ideal).invariant
 
 
 @dataclass(frozen=True)

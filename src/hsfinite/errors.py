@@ -72,10 +72,6 @@ class InvalidParameters(DomainError):
     out-of-range parameters, or one too long for the row-reduction limit."""
 
 
-class InvalidPencil(DomainError):
-    """Pencil discriminant needs two independent quadratics."""
-
-
 class SamplingFailed(Exception):
     """Random ideal construction exhausted its retry budget."""
 

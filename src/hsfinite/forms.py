@@ -104,16 +104,6 @@ def binary_form(coeffs) -> BinaryForm:
     return _form_of(*_scaled(tuple(coeffs)))
 
 
-def monomial(x_power: int, y_power: int) -> BinaryForm:
-    return _form_of([0] * x_power + [1] + [0] * y_power, 1)
-
-
-def scale(f: BinaryForm, c) -> BinaryForm:
-    c = _exact(c)
-    p, den = _scaled(f.coeffs)
-    return _form_of([c.numerator * v for v in p], den * c.denominator)
-
-
 def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Product form; degrees add and the integer lists convolve."""
     if f.is_zero or g.is_zero:
@@ -345,11 +335,6 @@ def _primitive(p):
     return p if g == 1 else [c // g for c in p]
 
 
-def _integer_list(coeffs):
-    """The primitive integer list of a nonzero rational list, trimmed."""
-    return _primitive(_trim(_scaled(coeffs)[0]))
-
-
 def _divide(p, q):
     """(quotient, remainder) of integer lists p by q, trimmed q, or None when
     a quotient coefficient is not an integer."""
@@ -481,40 +466,6 @@ def _squarefree(p):
         d = _minus_deriv(_exact_quotient(d, s) if d else [], c)
         i += 1
     return out
-
-
-def _quotient(f, h):
-    """(ints, den) of f / h for nonzero forms, or None when h does not
-    divide f.  The zeros ``_integer_list`` trims are the y-valuation: h must
-    trim no more of them than f, and the quotient gets the difference."""
-    p = _integer_list(f.coeffs)
-    q = _integer_list(h.coeffs)
-    shift = len(f.coeffs) - len(p) - (len(h.coeffs) - len(q))
-    quo = _exact_quotient(p, q) if shift >= 0 else None
-    if quo is None:
-        return None
-    # quo is a scalar multiple of f / h, whose lead is lead(f) / lead(h)
-    scale = Fraction(f.coeffs[len(p) - 1]) / (h.coeffs[len(q) - 1] * quo[-1])
-    return [scale.numerator * c for c in quo] + [0] * shift, scale.denominator
-
-
-def divides(h: BinaryForm, f: BinaryForm) -> bool:
-    """Exact polynomial division test: is f = h * q for some form q?"""
-    if h.is_zero:
-        raise ValueError("division test by the zero form")
-    return f.is_zero or _quotient(f, h) is not None
-
-
-def form_divide(f: BinaryForm, h: BinaryForm) -> BinaryForm:
-    """Exact quotient f / h; raises if h does not divide f."""
-    if h.is_zero:
-        raise ZeroDivisionError("division by the zero form")
-    if f.is_zero:
-        return ZERO
-    quo = _quotient(f, h)
-    if quo is None:
-        raise ValueError("%s does not divide %s" % (format_form(h), format_form(f)))
-    return _form_of(*quo)
 
 
 def _form_gcd(p, q):

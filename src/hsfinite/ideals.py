@@ -31,44 +31,17 @@ from .forms import (
     _format_list,
     _monic_form,
     _parse_list,
-    _rational,
     _scaled,
     _substitution,
-    binary_form,
     format_form,
-    monomial,
 )
-from .rational_linalg import RowBasis, contains, identity_basis, rref, spaces_equal
-
-
-def monomials(degree: int) -> list:
-    """All monomials of a degree, highest x-power first."""
-    return [monomial(i, degree - i) for i in range(degree, -1, -1)]
-
-
-def multiples(form: BinaryForm, cofactor_degree: int) -> list:
-    """m * form, form nonzero, over ``monomials(cofactor_degree)`` in order, as shifts."""
-    pad = (_rational(0),) * cofactor_degree
-    return [BinaryForm(pad[:i] + form.coeffs + pad[i:]) for i in range(len(pad), -1, -1)]
+from .rational_linalg import RowBasis, contains, identity_basis, rref
 
 
 def _shifts(p, k: int) -> list:
-    """The integer lists of ``multiples(form, k)`` for the integer list p of
-    a form, in order."""
+    """The integer lists of the degree-k monomial multiples of a form, for
+    its integer list p, highest x-power first."""
     return [[0] * i + list(p) + [0] * (k - i) for i in range(k, -1, -1)]
-
-
-def form_to_vector(f: BinaryForm, degree: int) -> tuple:
-    """A form's row in the component of ``degree``: its coefficient list."""
-    if f.is_zero:
-        return (_rational(0),) * (degree + 1)
-    if f.degree != degree:
-        raise ValueError("form of degree %d in component %d" % (f.degree, degree))
-    return f.coeffs
-
-
-def vector_to_form(vec) -> BinaryForm:
-    return binary_form(vec)
 
 
 @dataclass(frozen=True)
@@ -79,9 +52,6 @@ class GradedComponent:
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-    def basis_forms(self) -> list:
-        return [vector_to_form(row) for row in self.basis.rows]
 
 
 class GradedIdeal:
@@ -283,13 +253,6 @@ def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
     if not basis.rank:
         raise EmptyComponent("component of degree %d is zero" % degree)
     return _monic_form(_factor_list(basis))
-
-
-def verify_factor_structure(ideal: GradedIdeal, degree: int) -> bool:
-    """Does the component equal every degree-d multiple of its own GCD?"""
-    h = common_factor(ideal, degree)
-    rows = [form_to_vector(g, degree) for g in multiples(h, degree - h.degree)]
-    return spaces_equal(rref(rows, ncols=degree + 1), component(ideal, degree).basis)
 
 
 def _pairing_list(ideal: GradedIdeal, m: int) -> list:

@@ -171,11 +171,3 @@ def contains(basis: RowBasis, vec) -> bool:
         raise ValueError("vector length %d != column count %d" % (len(vec), basis.ncols))
     return not any(sum(c * vec[j] for j, c in functional)
                    for functional in basis.annihilator)
-
-
-def spaces_equal(a: RowBasis, b: RowBasis) -> bool:
-    """Span equality, exact because the integer rows of the RREF are
-    canonical."""
-    if a.ncols != b.ncols:
-        raise ValueError("column counts differ: %d vs %d" % (a.ncols, b.ncols))
-    return a.integer_rows == b.integer_rows

@@ -10,10 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from componentwise import componentwise_equal, reference_component
+from componentwise import componentwise_equal, multiples_basis, reference_component
 from hsfinite import (
     GradedIdeal,
-    InvalidPencil,
     LinearChange,
     NoCatalog,
     SamplingFailed,
@@ -21,6 +20,7 @@ from hsfinite import (
     are_isomorphic,
     classify,
     common_factor,
+    component,
     enumerate_sequences,
     equal_ideals,
     format_ideal,
@@ -30,18 +30,15 @@ from hsfinite import (
     normal_forms,
     parse_form,
     parse_ideal_text,
-    pencil_discriminant,
     power_pairing,
-    rational_root_points,
     sample_ideal,
     sequence_for_label,
-    spaces_equal,
-    structural_invariant,
     substitute_ideal,
     validate,
     verify_catalog,
-    verify_factor_structure,
 )
+from hsfinite.catalog import _analyze, _discriminant
+from hsfinite.forms import _RootData, _scaled
 from hsfinite.sequences import TypeLabel
 
 F = parse_form
@@ -209,32 +206,32 @@ def _small_labels(max_n, max_k, max_l, max_s):
     return out
 
 
+def _disc(p1, p2):
+    """``_discriminant`` of two quadratics, their integer lists cleared of
+    denominators at one common scale."""
+    both = _scaled(p1.coeffs + p2.coeffs)[0]
+    return _discriminant(both[:3], both[3:])
+
+
 class TestPencilDiscriminant:
     def test_examples(self):
         # disc(a x^2 + b y^2) = -4ab
-        d = pencil_discriminant(F("x^2"), F("y^2"))
-        assert str(d) == "x*y" and multiplicity_partition(d) == (1, 1)
+        d = _disc(F("x^2"), F("y^2"))
+        assert d == [0, -4, 0] and _RootData(d).partition == (1, 1)
         # disc(a x^2 + b xy) = b^2
-        d = pencil_discriminant(F("x^2"), F("x*y"))
-        assert multiplicity_partition(d) == (2,)
+        assert _RootData(_disc(F("x^2"), F("x*y"))).partition == (2,)
         # disc(a xy + b y^2) = a^2
-        d = pencil_discriminant(F("x*y"), F("y^2"))
-        assert multiplicity_partition(d) == (2,)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InvalidPencil):
-            pencil_discriminant(F("x^3"), F("y^2"))
-        with pytest.raises(InvalidPencil):
-            pencil_discriminant(F("x^2"), F("2*x^2"))
+        assert _RootData(_disc(F("x*y"), F("y^2"))).partition == (2,)
 
     def test_members_share_one_scale(self):
         # p1 + p2 = (x + y)^2 / 3 and p1 = x^2 / 2 are the squares, at
         # (a : b) = (1 : 1) and (1 : 0); clearing each member's denominator
-        # on its own would rescale b against a and move (1 : 1) to (1 : 1/3)
+        # on its own rescales b against a and moves (1 : 1) to (3 : 1)
         p1 = F("1/2*x^2")
         p2 = F("-1/6*x^2 + 2/3*x*y + 1/3*y^2")
-        assert rational_root_points(pencil_discriminant(p1, p2)) == \
-            [((1, 0), 1), ((1, 1), 1)]
+        assert _RootData(_disc(p1, p2)).points == [((1, 0), 1), ((1, 1), 1)]
+        apart = _discriminant(_scaled(p1.coeffs)[0], _scaled(p2.coeffs)[0])
+        assert _RootData(apart).points == [((1, 0), 1), ((3, 1), 1)]
 
     def test_pattern_invariant_under_simultaneous_substitution(self):
         from hsfinite import substitute
@@ -245,28 +242,27 @@ class TestPencilDiscriminant:
         for _ in range(60):
             p1, p2 = pencils[rng.randrange(len(pencils))]
             m = _random_change(rng)
-            before = multiplicity_partition(pencil_discriminant(p1, p2))
-            after = multiplicity_partition(
-                pencil_discriminant(substitute(p1, m), substitute(p2, m)))
+            before = _RootData(_disc(p1, p2)).partition
+            after = _RootData(_disc(substitute(p1, m), substitute(p2, m))).partition
             assert before == after
 
 
 class TestStructuralInvariant:
     def test_principal_quadratic_run(self):
-        inv = structural_invariant(GradedIdeal([F("x^2")], truncation=5))
+        inv = _analyze(GradedIdeal([F("x^2")], truncation=5)).invariant
         assert inv.sequence == (1, 2, 2, 2, 2)
         assert inv.run_data == ((2, 4, 2, (2,)),)
         assert inv.theta_pattern is None
 
     def test_theta_and_no_runs(self):
-        inv = structural_invariant(GradedIdeal([F("x^2"), F("y^2")], truncation=3))
+        inv = _analyze(GradedIdeal([F("x^2"), F("y^2")], truncation=3)).invariant
         assert inv.theta_pattern == (1, 1)
         assert inv.pencil_patterns == ((2, (1, 1)),)
 
     def test_chain_entry_factors(self):
         label = label_for((1, 2, 3, 3, 1, 1))
         entry = next(e for e in normal_forms(label) if e.provenance == "chain x | x^2*y")
-        inv = structural_invariant(entry.ideal)
+        inv = _analyze(entry.ideal).invariant
         parts = [run[3] for run in inv.run_data]
         assert parts == [(2, 1), (1,)]
         assert inv.pairwise_gcd == ((1,),)  # x divides x^2*y
@@ -278,7 +274,7 @@ class TestStructuralInvariant:
         label = label_for((1, 2, 2) + (1,) * 30)
         entry = next(e for e in normal_forms(label) if e.provenance == "pair (x*y, x^3)")
         fresh = GradedIdeal(entry.ideal.generators, entry.ideal.truncation)
-        assert structural_invariant(fresh).sequence == (1, 2, 2) + (1,) * 30
+        assert _analyze(fresh).invariant.sequence == (1, 2, 2) + (1,) * 30
         assert max(fresh._components) == 4
 
     def test_invariant_under_substitution(self):
@@ -289,24 +285,22 @@ class TestStructuralInvariant:
         for _ in range(60):
             base = pool[rng.randrange(len(pool))]
             m = _random_change(rng)
-            assert structural_invariant(substitute_ideal(base, m)) == \
-                structural_invariant(base)
+            assert _analyze(substitute_ideal(base, m)).invariant == \
+                _analyze(base).invariant
 
     def test_large_coefficient_image_analyses_quickly(self):
         # x*y*(x - y)*...*(x - 98*y) under x -> 2x + y, y -> x + y: its run's
         # factor has degree 100 and coefficients of about 500 bits, and is
         # proved squarefree modulo a prime, not by a remainder sequence
-        import hsfinite.catalog as cat
-
         f = functools.reduce(multiply, [F("x"), F("y")] + [F("x - %d*y" % k)
                                                            for k in range(1, 99)])
         base = GradedIdeal([f], truncation=102)
         text = format_ideal(substitute_ideal(base, LinearChange(2, 1, 1, 1)))
         image = parse_ideal_text(text)
         start = time.perf_counter()
-        analysis = cat._analyze(image)
+        analysis = _analyze(image)
         assert time.perf_counter() - start < 2
-        assert analysis.invariant == structural_invariant(base)
+        assert analysis.invariant == _analyze(base).invariant
         assert analysis.invariant.run_data == ((100, 101, 100, (1,) * 100),)
 
     # The sampled rows of these sequences share no factor, so every gcd of a
@@ -334,7 +328,7 @@ class TestStructuralInvariant:
         else:  # two samples
             left, right = (sample_ideal(validate(self.PLATEAU), k) for k in (0, 1))
         start = time.perf_counter()
-        assert structural_invariant(left) == structural_invariant(right) == expected
+        assert _analyze(left).invariant == _analyze(right).invariant == expected
         assert are_isomorphic(left, right).kind == "unknown"
         assert time.perf_counter() - start < 10
 
@@ -359,7 +353,7 @@ class TestAreIsomorphic:
         # defined over an extension: no rational witness can exist
         a = GradedIdeal([F("x^2"), F("y^2")], truncation=3)
         b = GradedIdeal([F("x*y"), F("x^2 - y^2")], truncation=3)
-        assert structural_invariant(a) == structural_invariant(b)
+        assert _analyze(a).invariant == _analyze(b).invariant
         assert are_isomorphic(a, b).kind == "unknown"
 
     def test_never_wrong_on_transformed_pairs(self):
@@ -508,7 +502,7 @@ class TestSampler:
             memo = ideal._components
             assert set(range(len(entries))) <= memo.keys()
             for d, comp in memo.items():
-                assert spaces_equal(comp.basis, reference_component(ideal, d))
+                assert comp.basis == reference_component(ideal, d)
             shape = (1, 1) if seed == 4 else (entries[4], entries[5])
             assert (common_factor(ideal, 4).degree, common_factor(ideal, 5).degree) == shape
 
@@ -526,7 +520,7 @@ class TestSampler:
                     # every degree below the truncation was built by the sampler
                     assert set(range(len(entries))) <= memo.keys()
                     for d, comp in memo.items():
-                        assert spaces_equal(comp.basis, reference_component(ideal, d))
+                        assert comp.basis == reference_component(ideal, d)
                     checked += len(memo)
                     fresh = GradedIdeal(ideal.generators, ideal.truncation)
                     assert hilbert_samuel(fresh) == entries
@@ -580,4 +574,5 @@ class TestSampler:
                     continue
                 for deg in range(max(start, seq.n), end + 1):
                     assert common_factor(ideal, deg).degree == value
-                    assert verify_factor_structure(ideal, deg)
+                    assert multiples_basis(common_factor(ideal, deg), deg) == \
+                        component(ideal, deg).basis

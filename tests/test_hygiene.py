@@ -8,9 +8,12 @@ package ``__init__`` is skipped, since its imports are the public
 re-exports.  A module-level private name (``_...``) of ``src/hsfinite``
 must be read somewhere in the package outside its own definition; reads
 from tests do not count, so a helper that only tests call is dead code.
+The same holds for every name the package ``__init__`` exports, unless the
+benchmark's tracer wraps it by name (``bench/tracing.LAYERS``).
 """
 
 import ast
+import importlib.util
 import os
 
 import pytest
@@ -91,3 +94,63 @@ def test_every_import_is_used(path):
     unused = sorted("%s (line %d)" % (name, line)
                     for name, line in imported_names(tree).items() if name not in used)
     assert not unused, "%s imports names it never uses: %s" % (path, ", ".join(unused))
+
+
+def _local_names(function):
+    """The parameters of a function or lambda and every name assigned in
+    its body, nested scopes included."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    names.update(node.id for node in ast.walk(function)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    return names
+
+
+def global_reads(node, shadowed=frozenset()):
+    """The names that ``ast.Name`` loads under node read from the module
+    scope: a local variable of an enclosing function shadows its name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            and node.id not in shadowed:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from global_reads(child, shadowed)
+
+
+def traced_layers():
+    path = os.path.join(ROOT, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+# ``binary_form`` is the one public constructor of a form from coefficients
+# (it normalizes the zero form and refuses floats); the package itself builds
+# forms from integer lists and never calls it.
+UNREAD_EXPORTS = {"binary_form"}
+
+
+def test_every_export_is_read():
+    exports = {}
+    read = set()
+    for name, tree in package_trees():
+        if name == "__init__.py":
+            exports = {alias.asname or alias.name: node.module
+                       for node in tree.body if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+            continue
+        bound = set(imported_names(tree))
+        for statement in tree.body:
+            bound |= defined_names(statement)
+        for statement in tree.body:
+            own = defined_names(statement)
+            read.update(n for n in global_reads(statement) if n in bound and n not in own)
+    traced = traced_layers()
+    unread = sorted("%s.%s" % (module, n) for n, module in exports.items()
+                    if n not in read | UNREAD_EXPORTS and n not in traced.get(module, ()))
+    assert exports and not unread, \
+        "exported names nothing in the package reads: %s" % ", ".join(unread)
+    assert not UNREAD_EXPORTS & read, "the package reads a listed exception"

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from componentwise import reference_component
+from componentwise import multiples_basis, reference_component
 from hsfinite import ideals as ideals_module
 from hsfinite.forms import BinaryForm, _form_gcd
-from hsfinite.ideals import multiples
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -28,12 +27,10 @@ from hsfinite import (
     contains,
     enumerate_sequences,
     equal_ideals,
-    form_to_vector,
     format_ideal,
     gcd_forms,
     hilbert_samuel,
     monic,
-    monomial,
     multiplicity_partition,
     multiply,
     normal_forms,
@@ -45,7 +42,6 @@ from hsfinite import (
     substitute,
     substitute_ideal,
     validate,
-    verify_factor_structure,
 )
 
 F = parse_form
@@ -66,28 +62,28 @@ class TestComponent:
     def test_generators_give_their_degree(self):
         comp = component(ideal("x^2", "y^2"), 2)
         assert comp.rank == 2
-        assert contains(comp.basis, form_to_vector(F("x^2"), 2))
-        assert contains(comp.basis, form_to_vector(F("3*x^2 - y^2"), 2))
-        assert not contains(comp.basis, form_to_vector(F("x*y"), 2))
+        assert contains(comp.basis, F("x^2").coeffs)
+        assert contains(comp.basis, F("3*x^2 - y^2").coeffs)
+        assert not contains(comp.basis, F("x*y").coeffs)
 
     def test_degree_three_span_of_two_quadrics(self):
         # oracle: x*x^2, y*x^2, x*y^2, y*y^2 span all four cubics
         comp = component(ideal("x^2", "y^2"), 3)
         assert comp.rank == 4
         for mono in ("x^3", "x^2*y", "x*y^2", "y^3"):
-            assert contains(comp.basis, form_to_vector(F(mono), 3))
+            assert contains(comp.basis, F(mono).coeffs)
 
     def test_monomial_ideal_component(self):
         comp = component(ideal("x*y"), 4)
         assert comp.rank == 3
         for mono in ("x^3*y", "x^2*y^2", "x*y^3"):
-            assert contains(comp.basis, form_to_vector(F(mono), 4))
-        assert not contains(comp.basis, form_to_vector(F("x^4"), 4))
+            assert contains(comp.basis, F(mono).coeffs)
+        assert not contains(comp.basis, F("x^4").coeffs)
 
     def test_rows_follow_the_coefficient_order(self):
         # column i of a component row holds x^i * y^(d-i), as in
         # BinaryForm.coeffs, so x times a row prepends a 0
-        assert form_to_vector(F("x^2*y"), 3) == F("x^2*y").coeffs
+        assert F("x^2*y").coeffs == (0, 0, 1, 0)
         assert component(ideal("x^2*y", truncate=5), 3).basis.integer_rows == \
             ((0, 0, 1, 0),)
 
@@ -158,7 +154,7 @@ class TestComponent:
         assert sum(rows for rows, _ in calls) < sum(gens) + 2 * sum(ranks[:8])
 
         h = F("x^2*y - 2*y^3")
-        skipped = GradedIdeal(multiples(h, 1), truncation=90)
+        skipped = GradedIdeal([multiply(F("x"), h), multiply(F("y"), h)], truncation=90)
         hilbert_samuel(skipped)
         component(skipped, 60)
         calls.clear()
@@ -217,7 +213,7 @@ class TestHilbertSamuel:
     def test_persistent_tail_builds_no_more_components(self):
         # t_1 = t_2 = 1 past the generator degree 1: the sequence persists
         # up to the truncation, with components 0, 1 and 2 built
-        line = GradedIdeal([monomial(1, 0)], truncation=2000)
+        line = GradedIdeal([F("x")], truncation=2000)
         assert hilbert_samuel(line) == (1,) * 2000
         assert len(line._components) <= 3
         # a degree asked for later is still built
@@ -227,7 +223,7 @@ class TestHilbertSamuel:
         # I_d = x * S_(d-1) past the persistence degree 2, so degree 300 is
         # row-reduced from the multiples of x, and the degrees between are
         # neither built nor memoized
-        line = GradedIdeal([monomial(1, 0)], truncation=2000)
+        line = GradedIdeal([F("x")], truncation=2000)
         hilbert_samuel(line)
         start = time.perf_counter()
         far = component(line, 300)
@@ -243,7 +239,7 @@ class TestHilbertSamuel:
         # [1:0]; (h*x, h*y) persists from degree 5, with or without
         # hilbert_samuel walking up to it first
         h = F("x^2*y - 2*y^3")
-        case = GradedIdeal(multiples(h, 1), truncation=90)
+        case = GradedIdeal([multiply(F("x"), h), multiply(F("y"), h)], truncation=90)
         if walked:
             assert hilbert_samuel(case) == (1, 2, 3, 4) + (3,) * 86
         far = component(case, 60)
@@ -318,7 +314,7 @@ class TestFactorStructure:
         checked = 0
         for i in ideals:
             for d in range(len(hilbert_samuel(i)) + 1):
-                forms = component(i, d).basis_forms()
+                forms = [binary_form(row) for row in component(i, d).basis.rows]
                 if forms:
                     assert common_factor(i, d) == monic(reduce(gcd_forms, forms)), (i, d)
                     checked += 1
@@ -345,15 +341,18 @@ class TestFactorStructure:
         assert checked > 600
 
     def test_verify_factor_structure(self):
-        assert verify_factor_structure(ideal("x^2", truncate=5), 3)
-        assert not verify_factor_structure(ideal("x^2", "y^2"), 2)
+        # a component is the multiples of its own GCD exactly in a run
+        power = ideal("x^2", truncate=5)
+        assert multiples_basis(common_factor(power, 3), 3) == component(power, 3).basis
+        pencil = ideal("x^2", "y^2")
+        assert multiples_basis(common_factor(pencil, 2), 2) != component(pencil, 2).basis
 
     def test_run_forces_principal_component(self):
         # sequence (1,2,2,2): the quadric run starts at degree 2
         quad = ideal("x^2 + 3*x*y - y^2", truncate=4)
         assert hilbert_samuel(quad) == (1, 2, 2, 2)
         assert common_factor(quad, 2).degree == 2
-        assert verify_factor_structure(quad, 2)
+        assert multiples_basis(common_factor(quad, 2), 2) == component(quad, 2).basis
 
 
 class TestPowerPairing:
@@ -493,7 +492,8 @@ class TestMonomialOracle:
                 expected.append(t)
                 d += 1
 
-            built = GradedIdeal([monomial(a, b) for a, b in gens], truncate)
+            built = GradedIdeal([binary_form([0] * a + [1] + [0] * b) for a, b in gens],
+                                truncate)
             assert hilbert_samuel(built) == tuple(expected), (gens, truncate)
 
 
@@ -535,7 +535,7 @@ class TestIdealText:
         with pytest.raises(ValueError):
             GradedIdeal([binary_form((0,))])
         with pytest.raises(ValueError):
-            GradedIdeal([monomial(1, 0)], truncation=0)
+            GradedIdeal([F("x")], truncation=0)
 
     def test_all_zero_generator_rejected_directly(self):
         # a zero generator given as coefficients, not as the empty tuple
@@ -546,7 +546,7 @@ class TestIdealText:
         # no silent coercion: 2.7 is not truncated to 2, nor "3" read as 3
         for bad in (2.7, 3.0, "3"):
             with pytest.raises(TypeError):
-                GradedIdeal([monomial(1, 0)], truncation=bad)
+                GradedIdeal([F("x")], truncation=bad)
 
     def test_coefficients_must_be_ints_or_fractions(self):
         with pytest.raises(TypeError, match="coefficient 1.5 is not"):

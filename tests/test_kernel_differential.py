@@ -2,8 +2,10 @@
 
 Each wrapper over the coefficient-list kernel is compared with an
 independent computation in sympy: products with ``expand``, root
-multiplicities with ``sqf_list``, gcds with ``gcd`` (up to a scalar),
-rational roots with ``roots(filter='Q')`` and exact division with ``div``.
+multiplicities with ``sqf_list``, gcds with ``gcd`` (up to a scalar) and
+rational roots with ``roots(filter='Q')``.  Division is compared with
+``div`` on the kernel itself, ``_divide`` and ``_exact_quotient``, called
+as the pencil step of ``catalog._analyze`` calls them.
 Root data is also compared on forms with coefficients up to 10^40 over
 10^20, and on products of rational linear factors with an irreducible
 cubic, whose squarefree layers of degree 3 or more are solved p-adically.
@@ -20,15 +22,15 @@ from hypothesis import strategies as st
 
 from hsfinite import (
     binary_form,
-    divides,
-    form_divide,
     gcd_forms,
     multiplicity_partition,
     multiply,
     parse_form,
     rational_root_points,
 )
-from hsfinite.forms import _gcd, _integer_list, _monic_form
+from hsfinite.forms import (_divide, _exact_quotient, _gcd, _monic_form, _primitive,
+                            _scaled, _trim)
+from test_forms import kernel_quotient
 
 sympy = pytest.importorskip("sympy")
 x, y = sympy.symbols("x y")
@@ -205,19 +207,37 @@ def test_lifted_residue_that_is_no_root():
     assert multiplicity_partition(parse_form("x^3 - 2*y^3")) == (1, 1, 1)
 
 
+def sym_list(p):
+    """The polynomial in x of an ascending coefficient list."""
+    return sum((c * x ** i for i, c in enumerate(p)), sympy.Integer(0))
+
+
 @EXAMPLES
 @given(forms(max_degree=6), forms(max_degree=3), forms(max_degree=3), st.booleans())
 def test_division_matches_sympy_div(g, h, q, exact):
     f = multiply(h, q) if exact else g
-    quo, rem = sympy.div(sym(f), sym(h), x, y)
-    assert divides(h, f) == (rem == 0)
+    # the kernel at y = 1: lead^(deg p - deg d + 1) * p over d leaves an
+    # integer quotient and remainder, those of sympy's division scaled
+    p = _trim(_scaled(f.coeffs)[0])
+    d = _primitive(_trim(_scaled(h.coeffs)[0]))
+    quo, rem = sympy.div(sym_list(p), sym_list(d), x)
+    power = d[-1] ** max(len(p) - len(d) + 1, 0)
+    int_quo, int_rem = _divide([power * c for c in p], d)
+    assert sympy.expand(sym_list(int_quo) - power * quo) == 0
+    assert sympy.expand(sym_list(int_rem) - power * rem) == 0
+    exact_quo = _exact_quotient(p, d)
+    assert (exact_quo is None) == (rem != 0)
     if rem == 0:
-        quotient = form_divide(f, h)
-        assert quotient.degree == f.degree - h.degree
-        assert sympy.expand(sym(quotient) - quo) == 0
-    else:
-        with pytest.raises(ValueError):
-            form_divide(f, h)
+        assert sympy.expand(sym_list(exact_quo) - quo) == 0
+    # the forms, y-valuations included
+    quo, rem = sympy.div(sym(f), sym(h), x, y)
+    quotient = kernel_quotient(f, h)
+    assert (quotient is None) == (rem != 0)
+    if rem == 0:
+        assert len(quotient) == f.degree - h.degree + 1
+        ratio = sympy.cancel(sum(c * x ** i * y ** (len(quotient) - 1 - i)
+                                 for i, c in enumerate(quotient)) / quo)
+        assert ratio != 0 and not ratio.free_symbols
 
 
 def _reference_divmod(num, den):
@@ -266,7 +286,8 @@ def large_gcd_pairs(draw):
 @given(large_gcd_pairs())
 def test_integer_gcd_matches_fraction_euclid_and_sympy(pair):
     f, g = pair
-    core = _gcd(_integer_list(f.coeffs), _integer_list(g.coeffs))
+    core = _gcd(_primitive(_trim(_scaled(f.coeffs)[0])),
+                _primitive(_trim(_scaled(g.coeffs)[0])))
     assert math.gcd(*core) == 1 and core[-1] > 0
     assert list(_monic_form(core).coeffs) == _reference_gcd(f.coeffs, g.coeffs)
     # the gcd of the forms at y = 1, up to a scalar

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsfinite import contains, rref, spaces_equal
+from hsfinite import contains, rref
 
 
 def test_proportional_rows_collapse():
@@ -57,12 +57,14 @@ def test_contains_examples():
 
 
 def test_spaces_equal_examples():
-    assert spaces_equal(rref([[1, 1], [0, 1]]), rref([[1, 0], [0, 1]]))
-    assert not spaces_equal(rref([[1, 2]]), rref([[1, 3]]))
+    # two bases are equal when they span one space: their RREF is canonical
+    assert rref([[1, 1], [0, 1]]) == rref([[1, 0], [0, 1]])
+    assert rref([[1, 2]]) != rref([[1, 3]])
     # span{x^2, x^2 + y^2} = span{x^2, y^2} as coefficient rows
-    assert spaces_equal(rref([[1, 0, 0], [1, 0, 1]]), rref([[1, 0, 0], [0, 0, 1]]))
-    with pytest.raises(ValueError):
-        spaces_equal(rref([[1, 2]]), rref([[1, 2, 3]]))
+    assert rref([[1, 0, 0], [1, 0, 1]]) == rref([[1, 0, 0], [0, 0, 1]])
+    # spaces of different column counts are never equal
+    assert rref([[1, 2]]) != rref([[1, 2, 3]])
+    assert rref([], ncols=2) != rref([], ncols=3)
 
 
 def _random_matrix(rng, rows, cols):
@@ -105,7 +107,7 @@ def test_spaces_equal_is_equivalence_on_shuffled_spans():
         if len(mixed) >= 2:
             factor = Fraction(rng.randint(-3, 3))
             mixed[0] = [a + factor * b for a, b in zip(mixed[0], mixed[1])]
-        assert spaces_equal(rref(mat), rref(mixed))
+        assert rref(mat) == rref(mixed)
 
 
 def _reference_rref(rows, width):

@@ -71,8 +71,8 @@ def _regenerated(ig):
     generator degree's component."""
     fresh = GradedIdeal(ig.generators, ig.truncation)
     degrees = sorted({g.degree for g in ig.generators})
-    return GradedIdeal([f for d in degrees for f in component(fresh, d).basis_forms()],
-                       ig.truncation)
+    return GradedIdeal([binary_form(row) for d in degrees
+                        for row in component(fresh, d).basis.rows], ig.truncation)
 
 
 def _agree(left, right):
