@@ -32,7 +32,6 @@ from .forms import (
     substitute,
 )
 from .ideals import (
-    GradedComponent,
     GradedIdeal,
     common_factor,
     component,

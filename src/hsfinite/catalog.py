@@ -67,7 +67,6 @@ from .forms import (
 )
 from .ideals import (
     MAX_ROW_REDUCED,
-    GradedComponent,
     GradedIdeal,
     _check_row_reduced,
     _extend,
@@ -260,7 +259,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     run_factors = []
     run_roots = []
     for start, end, value in tail_runs(seq, nc):
-        factor = _factor_list(component(ideal, start).basis)
+        factor = _factor_list(component(ideal, start))
         part = ()
         if len(factor) > 1:
             roots = _RootData(factor)
@@ -277,7 +276,7 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     for d in range(nc, len(seq)):
         if d + 1 - seq[d] != 2:  # the rank, read off the sequence
             continue
-        basis = component(ideal, d).basis
+        basis = component(ideal, d)
         h = _factor_list(basis)
         if len(h) != d - 1:  # the members divided by h are not quadratics
             continue
@@ -425,7 +424,7 @@ def _carries_into(left: GradedIdeal, right: GradedIdeal):
 
     def carries(key):
         image = _KNOWN_IMAGES.get(key) or _substitution(*key)
-        return all(contains(component(right, len(p) - 1).basis, image(p))
+        return all(contains(component(right, len(p) - 1), image(p))
                    for p in lists)
 
     return carries
@@ -572,7 +571,7 @@ def _try_sample(entries, rng, runs):
                     continue
                 generators.append(cand)
                 basis = rref([cand], base=basis)
-        built[d] = GradedComponent(d, basis)
+        built[d] = basis
     ideal = GradedIdeal._of_lists([(g, 1) for g in generators], truncation=last + 1)
     ideal._components.update(built)  # each is the RREF ``component`` would build
     return ideal

@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 usage, 2 parse or I/O error, 3 domain error
 (invalid sequence, not Artinian, no catalog), 4 sampling failure.
 ``--json`` switches every command but ``diagram`` to machine output; all
-output is deterministic (no timestamps, sorted keys).
+output is deterministic (no timestamps, sorted keys).  ``main`` parses
+every command line with one full parser, built on its first call and kept
+for the process, so help, usage and errors always come from that parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,7 +239,7 @@ def _sample_arguments(p):
 
 
 # every command once, in the order the full help lists them:
-# name -> (help, handler, adds the command's arguments)
+# name -> (help, handler, adds the command's arguments to its subparser)
 _COMMANDS = {
     "hs": ("Hilbert-Samuel sequence of an ideal file", cmd_hs, _hs_arguments),
     "classify": ("finite/infinite verdict for a sequence", cmd_classify,
@@ -266,30 +269,13 @@ def build_parser():
     return parser
 
 
-def _parse(argv):
-    """The parsed command line, as ``build_parser().parse_args`` gives it.
-
-    The full parser is eight argparse parsers, and building them cost more
-    than a catalog call spends parsing, so a command line that starts with
-    a command goes to that command's parser alone.  The full parser would
-    hand that parser every later word, under the prog ``hsfinite
-    <command>`` its subparsers action gives it, so help, usage and errors
-    are the same.  Words it leaves over, and a command line that starts
-    with no command, go to the full parser, for the top-level usage and
-    its errors."""
-    if argv and argv[0] in _COMMANDS:
-        _, handler, add_arguments = _COMMANDS[argv[0]]
-        parser = _Parser(prog="hsfinite " + argv[0])
-        add_arguments(parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command, args.func = argv[0], handler
-            return args
-    return build_parser().parse_args(argv)
+# one full parser per process: parsing leaves it unchanged, so every call
+# reuses it; ``build_parser`` still returns a fresh one
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -122,26 +122,31 @@ def monic(f: BinaryForm) -> BinaryForm:
 
 @dataclass(frozen=True)
 class LinearChange:
-    """Invertible substitution x -> a*x + b*y, y -> c*x + d*y."""
+    """Invertible substitution x -> a*x + b*y, y -> c*x + d*y.  Entries are
+    kept as given, ints and Fractions, with any int subclass made a plain
+    int, so that each prints as a number."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: int | Fraction
+    b: int | Fraction
+    c: int | Fraction
+    d: int | Fraction
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(_exact(getattr(self, name))))
+            value = _exact(getattr(self, name))
+            if isinstance(value, int):  # a bool becomes the int it stands for
+                object.__setattr__(self, name, int(value))
         if self.determinant == 0:
             raise SingularChange("substitution matrix has determinant 0")
 
     @property
-    def determinant(self) -> Fraction:
+    def determinant(self) -> int | Fraction:
         return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "LinearChange":
         det = self.determinant
-        return LinearChange(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return LinearChange(Fraction(self.d, det), Fraction(-self.b, det),
+                            Fraction(-self.c, det), Fraction(self.a, det))
 
     def matrix(self):
         return ((self.a, self.b), (self.c, self.d))

@@ -19,7 +19,6 @@ which ``common_factor`` and ``power_pairing`` return as monic forms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
@@ -42,16 +41,6 @@ def _shifts(p, k: int) -> list:
     """The integer lists of the degree-k monomial multiples of a form, for
     its integer list p, highest x-power first."""
     return [[0] * i + list(p) + [0] * (k - i) for i in range(k, -1, -1)]
-
-
-@dataclass(frozen=True)
-class GradedComponent:
-    degree: int
-    basis: RowBasis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
 
 
 class GradedIdeal:
@@ -113,7 +102,7 @@ class GradedIdeal:
         return "GradedIdeal(%s; truncate %d)" % (gens, self.truncation)
 
 
-def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
+def component(ideal: GradedIdeal, degree: int) -> RowBasis:
     """RREF basis of the degree-d piece, memoized.  Missing degrees are built
     upward from the highest memoized one below: I_d = x*I_(d-1) + y*I_(d-1) +
     span(generators of degree d), and most of y*I_(d-1) lies in x*I_(d-1)
@@ -146,13 +135,13 @@ def component(ideal: GradedIdeal, degree: int) -> GradedComponent:
         elif (d < degree and d - 2 in memo  # a skip needs degrees to skip
               and memo[d - 1].rank == memo[d - 2].rank + 1
               and d - 1 > _top_generator_degree(ideal)):
-            h = _factor_list(memo[d - 1].basis)
+            h = _factor_list(memo[d - 1])
             rows = _shifts(h, degree + 1 - len(h))
-            memo[degree] = GradedComponent(degree, rref(rows, ncols=degree + 1))
+            memo[degree] = rref(rows, ncols=degree + 1)
             return memo[degree]
         else:
             basis = _extend(memo, d, [v for v, _ in ideal._lists if len(v) == d + 1])
-        memo[d] = GradedComponent(d, basis)
+        memo[d] = basis
     return memo[degree]
 
 
@@ -166,8 +155,8 @@ def _extend(memo: dict, d: int, rows) -> RowBasis:
         if not rows:
             return RowBasis(d + 1, integer_rows=(), pivots=())
         return rref(rows, ncols=d + 1)
-    lower = memo[d - 1].basis
-    led = {p + 1 for p in memo[d - 2].basis.pivots} if d - 2 in memo else ()
+    lower = memo[d - 1]
+    led = {p + 1 for p in memo[d - 2].pivots} if d - 2 in memo else ()
     rows = list(rows) + [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
                          if p not in led]
     base = RowBasis(d + 1, integer_rows=tuple((0,) + row for row in lower.integer_rows),
@@ -249,7 +238,7 @@ def _factor_list(basis: RowBasis):
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
     """Monic GCD of a basis of the degree-d component; see ``_factor_list``."""
-    basis = component(ideal, degree).basis
+    basis = component(ideal, degree)
     if not basis.rank:
         raise EmptyComponent("component of degree %d is zero" % degree)
     return _monic_form(_factor_list(basis))
@@ -257,7 +246,7 @@ def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
 
 def _pairing_list(ideal: GradedIdeal, m: int) -> list:
     """``power_pairing`` as an integer coefficient list, up to scale."""
-    basis = component(ideal, m).basis
+    basis = component(ideal, m)
     if basis.rank != m:
         raise PairingUndefined("t_%d = %d, pairing needs 1" % (m, m + 1 - basis.rank))
     # the one complement functional, weighted as (a*x + b*y)^m expands
@@ -309,7 +298,7 @@ def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
     seq = hilbert_samuel(left)
     if seq != hilbert_samuel(right):
         return False
-    return all(contains(component(right, len(v) - 1).basis, v)
+    return all(contains(component(right, len(v) - 1), v)
                for v, _ in left._lists if len(v) <= len(seq))
 
 

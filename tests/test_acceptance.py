@@ -245,7 +245,7 @@ def test_criterion_07_factor_structure_on_samples():
             for degree in range(start, end + 1):
                 h = common_factor(ideal, degree)
                 assert h.degree == value, (entries, seed)
-                assert multiples_basis(h, degree) == component(ideal, degree).basis, \
+                assert multiples_basis(h, degree) == component(ideal, degree), \
                     (entries, seed)
                 runs_checked += 1
     assert runs_checked >= 100

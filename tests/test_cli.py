@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -449,9 +450,10 @@ class TestUsageAndDeterminism:
 
 
 class TestOneCommandParser:
-    """A command line that starts with a command is parsed by that command's
-    parser alone; every output must equal that of the parser with all the
-    commands, ``build_parser().parse_args``, dispatched as ``main`` does."""
+    """``main`` parses every command line with one full parser, built once
+    and reused for the process; every output must equal that of a freshly
+    built parser, ``build_parser().parse_args``, dispatched as ``main``
+    does, after the shared parser has read every earlier case."""
 
     VALID = {
         "hs": ["{sq}"],
@@ -492,17 +494,21 @@ class TestOneCommandParser:
         ["enumerate", "--colength", "5", "--max-colength", "6"],
     ]
 
-    @pytest.fixture
-    def argv(self, request, tmp_path, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    @staticmethod
+    def filled(tmp_path, case):
         names = {"sq": write(tmp_path, "sq.ideal", "x^2\ny^2\n"),
                  "xy": write(tmp_path, "xy.ideal", "x*y\nx^2 + y^2\n"),
                  "out": str(tmp_path / "out")}
-        return [word.format(**names) for word in request.param]
+        return [word.format(**names) for word in case]
+
+    @pytest.fixture
+    def argv(self, request, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        return self.filled(tmp_path, request.param)
 
     def full_parser_run(self, capsys, monkeypatch, argv):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_parse", lambda words: cli.build_parser().parse_args(words))
+            patch.setattr(cli, "_parser", cli.build_parser)
             return run(capsys, *argv)
 
     @pytest.mark.parametrize("argv", CASES, indirect=True, ids=" ".join)
@@ -519,7 +525,7 @@ class TestOneCommandParser:
             except SystemExit as exc:
                 return exc.code, *capsys.readouterr()
 
-        assert parsed(cli._parse) == parsed(cli.build_parser().parse_args)
+        assert parsed(cli._parser().parse_args) == parsed(cli.build_parser().parse_args)
 
     def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -542,15 +548,48 @@ class TestOneCommandParser:
         monkeypatch.setattr(cli._Parser, "__init__", counting)
         return built
 
-    def test_a_command_builds_one_parser(self, capsys, monkeypatch):
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
         built = self.count_parsers(monkeypatch)
+        cli._parser.cache_clear()
         assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
-        assert len(built) == 1
+        assert len(built) == 1 + len(cli._COMMANDS) == 8
+        assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
+        assert len(built) == 8
 
-    def test_a_leftover_word_builds_the_full_parser(self, capsys, monkeypatch):
-        built = self.count_parsers(monkeypatch)
+    def test_a_leftover_word_gets_the_top_level_error(self, capsys):
         code, out, err = run(capsys, "classify", "1,2,1", "extra")
         assert (code, out) == (1, "")
         assert err.startswith("usage: hsfinite [-h] command ...\n")
         assert err.endswith("hsfinite: error: unrecognized arguments: extra\n")
-        assert len(built) == 1 + 1 + len(cli._COMMANDS)
+
+    def test_threads_share_the_parser(self, tmp_path):
+        fresh = cli.build_parser()
+        expected = {}
+        for case in self.CASES:
+            argv = self.filled(tmp_path, case)
+            try:
+                expected[tuple(argv)] = vars(fresh.parse_args(argv))
+            except SystemExit:
+                pass  # help and usage errors print, and are not parsed here
+        assert len(expected) == 18
+        parser = cli._parser()
+        mismatches = []
+
+        def parse_rounds():
+            for _ in range(50):
+                for argv, namespace in expected.items():
+                    if vars(parser.parse_args(list(argv))) != namespace:
+                        mismatches.append(argv)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse_rounds) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

@@ -14,10 +14,12 @@ from hsfinite import (
     BinaryForm,
     GradedIdeal,
     InhomogeneousInput,
+    IsoVerdict,
     LinearChange,
     ParseError,
     SingularChange,
     binary_form,
+    format_change,
     format_form,
     gcd_forms,
     monic,
@@ -442,6 +444,22 @@ class TestFractionBoundary:
         assert [list(g.coeffs) for g in images] == \
             [_fraction_substitute(f, change) for f in forms]
         assert all(_all_fractions(g) for g in images)
+
+    def test_change_entries_are_kept_as_given(self):
+        # ints stay ints and Fractions stay Fractions; a bool becomes the
+        # int it stands for, so the matrix, its text and its JSON print 1
+        change = LinearChange(True, 0, Fraction(1, 2), Fraction(3))
+        assert [type(v) for row in change.matrix() for v in row] == \
+            [int, int, Fraction, Fraction]
+        assert change.matrix() == ((1, 0), (Fraction(1, 2), 3))
+        assert format_change(change) == "[[1, 0], [1/2, 3]]"
+        assert IsoVerdict("isomorphic", witness=change).to_dict()["witness"] == \
+            [["1", "0"], ["1/2", "3"]]
+        # an inverse divides as Fractions, also when every entry is an int
+        inverse = LinearChange(2, 1, 1, 3).inverse()
+        assert inverse.matrix() == ((Fraction(3, 5), Fraction(-1, 5)),
+                                    (Fraction(-1, 5), Fraction(2, 5)))
+        assert all(type(v) is Fraction for row in inverse.matrix() for v in row)
 
     def test_non_exact_scalars_are_refused(self):
         # floats, strings and other types never become coefficients: each

@@ -116,7 +116,7 @@ def reference_analysis(ideal):
         h = common_factor(ideal, d)
         if h.degree != d - 2:  # the members divided by h are not quadratics
             continue
-        p, q = (_long_divide(row, h.coeffs) for row in component(ideal, d).basis.rows)
+        p, q = (_long_divide(row, h.coeffs) for row in component(ideal, d).rows)
         # member a*p + b*q has the coefficients c_k = p_k*a + q_k*b
         l0, l1, l2 = zip(p, q)
         disc = binary_form([s - 4 * t for s, t in zip(_times(l1, l1), _times(l2, l0))])

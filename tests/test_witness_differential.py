@@ -72,7 +72,7 @@ def _regenerated(ig):
     fresh = GradedIdeal(ig.generators, ig.truncation)
     degrees = sorted({g.degree for g in ig.generators})
     return GradedIdeal([binary_form(row) for d in degrees
-                        for row in component(fresh, d).basis.rows], ig.truncation)
+                        for row in component(fresh, d).rows], ig.truncation)
 
 
 def _agree(left, right):
