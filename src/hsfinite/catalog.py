@@ -53,7 +53,6 @@ from .forms import (
     LinearChange,
     _convolve,
     _exact_quotient,
-    _form_gcd,
     _normalize_point,
     _point_key,
     _point_map_matrix,
@@ -250,25 +249,29 @@ class _Analysis:
 def _analyze(ideal: GradedIdeal) -> _Analysis:
     """Each form on the way to ``_RootData`` is an integer list, a multiple
     of the monic form its public counterpart returns; the partitions and
-    points do not depend on that scale."""
+    points do not depend on that scale.
+
+    The pairwise gcds of the run factors need no gcd.  Let h_d be the gcd
+    of I_d, nonzero from degree n on.  For f in I_d, x*f and y*f lie in
+    I_(d+1), so h_(d+1) divides both, hence their gcd f; so h_(d+1)
+    divides h_d.  The run factors thus form a divisibility chain, each
+    dividing every earlier one, and gcd(f_i, f_j) for i < j is f_j up to a
+    unit: its partition is the one in ``run_data[j]``."""
     if ideal._analysis is not None:
         return ideal._analysis
     seq = hilbert_samuel(ideal)
     nc = HSSequence(seq).n  # components below it are zero
     run_data = []
-    run_factors = []
     run_roots = []
     for start, end, value in tail_runs(seq, nc):
         factor = _factor_list(component(ideal, start))
         part = ()
         if len(factor) > 1:
             roots = _RootData(factor)
-            run_roots.append((len(run_factors), roots))
+            run_roots.append((len(run_data), roots))
             part = roots.partition
-        run_factors.append(factor)
         run_data.append((start, end, value, part))
-    pair_gcds = [_RootData(_form_gcd(f, g)).partition
-                 for f, g in itertools.combinations(run_factors, 2)]
+    pair_gcds = [later[3] for _, later in itertools.combinations(run_data, 2)]
     # theta is the power pairing in the first degree m >= 1 with t_m = 1
     theta_roots = _RootData(_pairing_list(ideal, seq.index(1, 1))) if 1 in seq[1:] else None
     pencil_patterns = []
@@ -567,10 +570,11 @@ def _try_sample(entries, rng, runs):
                     cand = _random_list(rng, d)
                 else:
                     cand = _convolve(constraint, _random_list(rng, d + 1 - len(constraint)))
-                if contains(basis, cand):
+                extended = rref([cand], base=basis)
+                if extended.rank == basis.rank:  # cand lies in I_d already
                     continue
                 generators.append(cand)
-                basis = rref([cand], base=basis)
+                basis = extended
         built[d] = basis
     ideal = GradedIdeal._of_lists([(g, 1) for g in generators], truncation=last + 1)
     ideal._components.update(built)  # each is the RREF ``component`` would build

@@ -59,6 +59,16 @@ def _read_ideal(path):
     return parse_ideal_text(text)
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path`` as its UTF-8 bytes, newlines untranslated,
+    so a file has the same bytes on every platform.  The one unbuffered raw
+    write is repeated on what is left, as a raw write may be short."""
+    data = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0) as handle:
+        while data:
+            data = data[handle.write(data):]
+
+
 def _label_payload(label):
     return {
         "finite": label.finite,
@@ -137,13 +147,11 @@ def cmd_catalog(args):
     paths = []
     for i, entry in enumerate(data["entries"], start=1):
         path = os.path.join(args.out, "entry_%d.ideal" % i)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# %s\n%s" % (entry["provenance"], entry["ideal"]))
+        _write_text(path, "# %s\n%s" % (entry["provenance"], entry["ideal"]))
         paths.append(path)
     report_path = os.path.join(args.out, "report.json")
     text = json.dumps(data, indent=2, sort_keys=True)
-    with open(report_path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    _write_text(report_path, text + "\n")
     if args.json:
         print(text)
         return EXIT_OK
@@ -185,9 +193,8 @@ def cmd_sample(args):
         ideal = sample_ideal(seq, args.seed + i)  # may refuse the sequence
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sample_%d.ideal" % (i + 1))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# sequence %s  seed %d\n%s" % (format_sequence(seq.entries),
-                                                          args.seed + i, format_ideal(ideal)))
+        _write_text(path, "# sequence %s  seed %d\n%s" % (format_sequence(seq.entries),
+                                                           args.seed + i, format_ideal(ideal)))
         paths.append(path)
     if args.json:
         _emit_json({"sequence": list(seq.entries), "files": paths})
@@ -195,63 +202,6 @@ def cmd_sample(args):
         for path in paths:
             print("wrote %s" % path)
     return EXIT_OK
-
-
-def _hs_arguments(p):
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-
-def _classify_arguments(p):
-    p.add_argument("sequence")
-    p.add_argument("--json", action="store_true")
-
-
-def _enumerate_arguments(p):
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--colength", type=int)
-    group.add_argument("--max-colength", type=int)
-    p.add_argument("--json", action="store_true")
-
-
-def _catalog_arguments(p):
-    p.add_argument("sequence")
-    p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-
-
-def _iso_arguments(p):
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-
-
-def _diagram_arguments(p):
-    p.add_argument("sequence")
-
-
-def _sample_arguments(p):
-    p.add_argument("sequence")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--out", default=".")
-    p.add_argument("--json", action="store_true")
-
-
-# every command once, in the order the full help lists them:
-# name -> (help, handler, adds the command's arguments to its subparser)
-_COMMANDS = {
-    "hs": ("Hilbert-Samuel sequence of an ideal file", cmd_hs, _hs_arguments),
-    "classify": ("finite/infinite verdict for a sequence", cmd_classify,
-                 _classify_arguments),
-    "enumerate": ("all valid sequences of a colength", cmd_enumerate,
-                  _enumerate_arguments),
-    "catalog": ("write and verify the normal-form catalog", cmd_catalog,
-                _catalog_arguments),
-    "iso": ("isomorphism verdict for two ideal files", cmd_iso, _iso_arguments),
-    "diagram": ("staircase diagram of a sequence", cmd_diagram, _diagram_arguments),
-    "sample": ("random ideals realizing a sequence", cmd_sample, _sample_arguments),
-}
 
 
 def build_parser():
@@ -262,10 +212,47 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     sub.required = True
-    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+
+    p = sub.add_parser("hs", help="Hilbert-Samuel sequence of an ideal file")
+    p.add_argument("path")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_hs)
+
+    p = sub.add_parser("classify", help="finite/infinite verdict for a sequence")
+    p.add_argument("sequence")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_classify)
+
+    p = sub.add_parser("enumerate", help="all valid sequences of a colength")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--colength", type=int)
+    group.add_argument("--max-colength", type=int)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("catalog", help="write and verify the normal-form catalog")
+    p.add_argument("sequence")
+    p.add_argument("--out", required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_catalog)
+
+    p = sub.add_parser("iso", help="isomorphism verdict for two ideal files")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_iso)
+
+    p = sub.add_parser("diagram", help="staircase diagram of a sequence")
+    p.add_argument("sequence")
+    p.set_defaults(func=cmd_diagram)
+
+    p = sub.add_parser("sample", help="random ideals realizing a sequence")
+    p.add_argument("sequence")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--out", default=".")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_sample)
     return parser
 
 

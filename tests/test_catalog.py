@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from componentwise import componentwise_equal, multiples_basis, reference_component
 from hsfinite import (
@@ -38,8 +40,9 @@ from hsfinite import (
     verify_catalog,
 )
 from hsfinite.catalog import _analyze, _discriminant
-from hsfinite.forms import _RootData, _scaled
-from hsfinite.sequences import TypeLabel
+from hsfinite.forms import _exact_quotient, _RootData, _scaled, _trim
+from hsfinite.ideals import _factor_list
+from hsfinite.sequences import TypeLabel, tail_runs
 
 F = parse_form
 
@@ -543,6 +546,22 @@ class TestSampler:
         assert sorted(factors) == list(range(n, len(entries)))
         for d in range(n, len(entries) - 1):
             assert (factors[d] == factors[d + 1]) == (entries[d] == entries[d + 1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([e for c in range(3, 13) for e in enumerate_sequences(c)]),
+           st.integers(0, 10 ** 6))
+    def test_run_factors_form_a_divisibility_chain(self, entries, seed):
+        """The gcd h_d of I_d divides x*f and y*f for each f in I_(d-1), so
+        h_d divides h_(d-1): every run factor divides each earlier one,
+        which ``_analyze`` reads its pairwise gcds from."""
+        ideal = sample_ideal(entries, seed)
+        factors = [_factor_list(component(ideal, start))
+                   for start, _, _ in tail_runs(entries, validate(entries).n)]
+        for f, h in itertools.combinations(factors, 2):
+            core = _trim(list(h))  # h = core * y^k, and y^k must divide f
+            k = len(h) - len(core)
+            assert len(f) - len(_trim(list(f))) >= k
+            assert _exact_quotient(f[:len(f) - k], core) is not None
 
     def test_failure_is_reported_not_silent(self):
         with pytest.raises(SamplingFailed) as info:

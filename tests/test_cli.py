@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, exit codes, JSON schemas."""
 
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import threading
 
 import pytest
 
-from hsfinite import parse_ideal_text
+from hsfinite import format_ideal, parse_ideal_text, sample_ideal, validate
 from hsfinite import cli
 from hsfinite.cli import MAX_SAMPLE_COUNT, main
 from hsfinite.ideals import MAX_ROW_REDUCED, MAX_TRUNCATION
@@ -254,6 +255,49 @@ class TestCatalog:
         assert run(capsys, "catalog", "1,2,1", "--out", out_dir) == (
             2, "", "error: [Errno 20] Not a directory: %r\n" % out_dir)
 
+    def test_out_naming_a_file_is_an_io_error(self, capsys, tmp_path):
+        blocker = write(tmp_path, "file", "")
+        assert run(capsys, "catalog", "1,2,1", "--out", blocker) == (
+            2, "", "error: [Errno 17] File exists: %r\n" % blocker)
+
+    @staticmethod
+    def check_files(out_dir, out):
+        """report.json is the ``--json`` stdout, and each entry file the
+        provenance line and the ideal of its report entry, byte for byte."""
+        entries = json.loads(out)["entries"]
+        assert sorted(os.listdir(out_dir)) == sorted(
+            ["report.json"] + ["entry_%d.ideal" % i for i in range(1, len(entries) + 1)])
+        assert (out_dir / "report.json").read_bytes() == out.encode("utf-8")
+        for i, entry in enumerate(entries, start=1):
+            assert (out_dir / ("entry_%d.ideal" % i)).read_bytes() == \
+                ("# " + entry["provenance"] + "\n" + entry["ideal"]).encode("utf-8")
+
+    def test_files_are_the_bytes_of_the_report(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "catalog", "1,2,2,1", "--out", str(tmp_path / "b"),
+                           "--json")
+        assert code == 0
+        self.check_files(tmp_path / "b", out)
+
+    def test_short_raw_writes_are_completed(self, capsys, tmp_path, monkeypatch):
+        # a raw write may write fewer bytes than it is given
+        writes = []
+
+        class ShortWrites(io.FileIO):
+            def write(self, data):
+                writes.append(len(data))
+                return super().write(data[:7])
+
+        def short_open(path, mode, buffering):
+            assert (mode, buffering) == ("wb", 0)
+            return ShortWrites(path, mode)
+
+        monkeypatch.setattr(cli, "open", short_open, raising=False)
+        code, out, _ = run(capsys, "catalog", "1,2,2,1", "--out", str(tmp_path / "s"),
+                           "--json")
+        assert code == 0
+        self.check_files(tmp_path / "s", out)
+        assert len(writes) > len(out) // 7
+
     def test_json_mirror(self, capsys, tmp_path):
         code, out, _ = run(capsys, "catalog", "1,2,1", "--out",
                            str(tmp_path / "catj"), "--json")
@@ -365,6 +409,18 @@ class TestSample:
         for name in files:
             ideal = parse_ideal_text((tmp_path / "s" / name).read_text())
             assert hilbert_samuel(ideal) == (1, 2, 2, 2)
+
+    def test_files_are_the_header_and_the_printed_ideal(self, capsys, tmp_path):
+        out_dir = tmp_path / "b"
+        code, _, _ = run(capsys, "sample", "1,2,2,1", "--seed", "5", "--count", "3",
+                         "--out", str(out_dir))
+        assert code == 0
+        seq = validate((1, 2, 2, 1))
+        for i in range(3):
+            expected = "# sequence (1, 2, 2, 1)  seed %d\n%s" % (
+                5 + i, format_ideal(sample_ideal(seq, 5 + i)))
+            assert (out_dir / ("sample_%d.ideal" % (i + 1))).read_bytes() == \
+                expected.encode("utf-8")
 
     def test_deterministic(self, capsys, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -552,7 +608,7 @@ class TestOneCommandParser:
         built = self.count_parsers(monkeypatch)
         cli._parser.cache_clear()
         assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
-        assert len(built) == 1 + len(cli._COMMANDS) == 8
+        assert len(built) == 8  # the top-level parser and one per command
         assert run(capsys, "classify", "1,2,1") == (0, "finite, T2, dim 2\n", "")
         assert len(built) == 8
 
