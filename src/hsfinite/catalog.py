@@ -71,6 +71,7 @@ from .ideals import (
     _extend,
     _factor_list,
     _pairing_list,
+    _persistent_factor,
     _shifts,
     component,
     format_ideal,
@@ -264,7 +265,9 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     run_data = []
     run_roots = []
     for start, end, value in tail_runs(seq, nc):
-        factor = _factor_list(component(ideal, start))
+        basis = component(ideal, start)
+        # a run of two or more persists, so no gcd: see ``_factor_list``
+        factor = _persistent_factor(basis) if end > start else _factor_list(basis)
         part = ()
         if len(factor) > 1:
             roots = _RootData(factor)
@@ -279,6 +282,8 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     for d in range(nc, len(seq)):
         if d + 1 - seq[d] != 2:  # the rank, read off the sequence
             continue
+        if d + 1 < len(seq) and seq[d + 1] == seq[d]:
+            continue  # h * S_1 with deg h = d - 1, persistent: no quadratics
         basis = component(ideal, d)
         h = _factor_list(basis)
         if len(h) != d - 1:  # the members divided by h are not quadratics

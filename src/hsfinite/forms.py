@@ -446,8 +446,8 @@ def _squarefree(p):
     """Yun's squarefree decomposition of a primitive integer list: list of
     (primitive squarefree layer, mult) with p = prod layer^mult.  Every gcd
     is primitive and divides exactly, so every quotient stays an integer
-    list.  A large squarefree p is proved so by ``_gcd``'s modular test of
-    p and p', and is then its one layer."""
+    list.  A squarefree p, whose gcd with p' is constant, is its one layer
+    at once; a large one is proved so by ``_gcd``'s modular test."""
     if _deg(p) < 1:
         return []
     # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
@@ -459,6 +459,8 @@ def _squarefree(p):
         return [(_primitive([b, 2 * a]), 2)] if b * b == 4 * a * c else [(p, 1)]
     dp = _deriv(p)
     g = _gcd(p, dp)
+    if len(g) == 1:
+        return [(p, 1)]
     c = _exact_quotient(p, g)
     d = _minus_deriv(_exact_quotient(dp, g), c)
     out = []

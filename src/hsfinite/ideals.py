@@ -53,8 +53,9 @@ class GradedIdeal:
 
     The generators are stored as ``_lists``, (integer list, positive
     denominator) pairs whose quotients are the coefficients; the lists are
-    never mutated.  The constructor takes forms and keeps them as the view;
-    ``_of_lists`` takes the pairs of a producer that built valid ones."""
+    never mutated, and are indexed by degree once, in ``_by_degree``.  The
+    constructor takes forms and keeps them as the view; ``_of_lists`` takes
+    the pairs of a producer that built valid ones."""
 
     def __init__(self, generators, truncation: int | None = None):
         gens = tuple(generators)
@@ -83,6 +84,12 @@ class GradedIdeal:
     def _start(self, pairs, truncation):
         self._lists = pairs
         self.truncation = truncation
+        # the top degree is the highest below the truncation, 0 if none
+        self._by_degree: dict = {}
+        for v, _ in pairs:
+            self._by_degree.setdefault(len(v) - 1, []).append(v)
+        self._top_degree = max((d for d in self._by_degree
+                                if truncation is None or d < truncation), default=0)
         self._generators = None
         self._components: dict = {}
         self._sequence = None
@@ -117,9 +124,9 @@ def component(ideal: GradedIdeal, degree: int) -> RowBasis:
     generators of degree d, so a zero degree below the lowest generator
     calls no ``rref`` at all.  From the truncation degree on the component
     is the whole space, without row reduction.  Once the sequence persists at
-    d - 1 (see ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), and the
-    degree asked for is row-reduced from the multiples of h, skipping those
-    between."""
+    d - 1 (see ``hilbert_samuel``), I_(d-1) = h * S_(d-1-deg h), h is read
+    off its last row (``_persistent_factor``), and the degree asked for is
+    row-reduced from the multiples of h, skipping those between."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     memo = ideal._components
@@ -134,13 +141,13 @@ def component(ideal: GradedIdeal, degree: int) -> RowBasis:
             basis = identity_basis(d + 1)
         elif (d < degree and d - 2 in memo  # a skip needs degrees to skip
               and memo[d - 1].rank == memo[d - 2].rank + 1
-              and d - 1 > _top_generator_degree(ideal)):
-            h = _factor_list(memo[d - 1])
+              and d - 1 > ideal._top_degree):
+            h = _persistent_factor(memo[d - 1])
             rows = _shifts(h, degree + 1 - len(h))
             memo[degree] = rref(rows, ncols=degree + 1)
             return memo[degree]
         else:
-            basis = _extend(memo, d, [v for v, _ in ideal._lists if len(v) == d + 1])
+            basis = _extend(memo, d, ideal._by_degree.get(d, ()))
         memo[d] = basis
     return memo[degree]
 
@@ -162,13 +169,6 @@ def _extend(memo: dict, d: int, rows) -> RowBasis:
     base = RowBasis(d + 1, integer_rows=tuple((0,) + row for row in lower.integer_rows),
                     pivots=tuple(p + 1 for p in lower.pivots))
     return rref(rows, base=base)
-
-
-def _top_generator_degree(ideal: GradedIdeal) -> int:
-    """Highest degree of a generator below the truncation, 0 if none."""
-    cut = ideal.truncation
-    return max((len(v) - 1 for v, _ in ideal._lists if cut is None or len(v) <= cut),
-               default=0)
 
 
 def hilbert_samuel(ideal: GradedIdeal) -> tuple:
@@ -193,7 +193,7 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
         g = reduce(_form_gcd, [v for v, _ in ideal._lists])
         if len(g) > 1:
             raise NotArtinian("not Artinian: common factor %s" % format_form(_monic_form(g)))
-    last = _top_generator_degree(ideal)
+    last = ideal._top_degree
     # I_d is full by the truncation.  Without one, the generators have no
     # common factor, so I_last, spanned by their multiples, holds two coprime
     # forms; they generate a complete intersection of socle degree
@@ -220,20 +220,31 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     return seq
 
 
+def _persistent_factor(basis: RowBasis):
+    """h as an integer list, up to sign, for a component h * S_(r-1) of
+    rank r: its last row with the first r - 1 entries dropped.  The
+    multiples x^i * y^(r-1-i) * h have their pivots at a + i, a the
+    x-valuation of h, so x^(r-1) * h, zero left of a + r - 1, is the last
+    row of the RREF grid, and primitive as h is."""
+    return basis.integer_rows[-1][basis.rank - 1:]
+
+
 def _factor_list(basis: RowBasis):
     """The GCD of a nonzero component as integer coefficients, its y-power
     as trailing zeros, by ``_form_gcd`` over the integer rows.
 
-    The fold starts from the last row with its first r - 1 entries dropped,
-    r the rank.  Its pivot is at least r - 1, so that row is x^(r-1) * c,
-    and c's x-valuation is at least the first pivot, the x-valuation of
-    the gcd: dropping x^(r-1) leaves the gcd as it is.  Where a run starts,
-    the component is h * S_(r-1) and c is h itself, so each step of the
-    fold is one exact pseudo-division, not a remainder sequence.  The
+    The fold starts from ``_persistent_factor`` c, the last row x^(r-1) * c
+    of pivot at least r - 1, r the rank, and c's x-valuation is at least
+    the first pivot, the x-valuation of the gcd: dropping x^(r-1) leaves
+    the gcd as it is.  c is the gcd exactly when the component is
+    h * S_(r-1), which holds where the sequence persists, t_(d+1) = t_d
+    (Gotzmann, see ``hilbert_samuel``); a caller that knows this reads c
+    and folds nothing.  Elsewhere it need not be: (x^2, y^2) has sequence
+    (1, 2, 1), and its degree-2 component has c = x but gcd 1.  The
     result, primitive with a positive lead, is the fold over all the rows;
-    a basis of one row gives that row, as it always did."""
+    a basis of one row gives that row."""
     rows = basis.integer_rows
-    return reduce(_form_gcd, rows[:-1], list(rows[-1][len(rows) - 1:]))
+    return reduce(_form_gcd, rows[:-1], list(_persistent_factor(basis)))
 
 
 def common_factor(ideal: GradedIdeal, degree: int) -> BinaryForm:
@@ -325,7 +336,7 @@ MAX_ROW_REDUCED = 200
 def _check_row_reduced(ideal: GradedIdeal, error) -> None:
     """Raise ``error`` when ``hilbert_samuel`` may row-reduce a component of
     degree ``MAX_ROW_REDUCED`` or more, by the bound derived above it."""
-    e = _top_generator_degree(ideal)
+    e = ideal._top_degree
     t = ideal.truncation
     reduced = 2 * e if t is None else min(t, 2 * e + 1)
     if reduced > MAX_ROW_REDUCED:

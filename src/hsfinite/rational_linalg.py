@@ -48,7 +48,9 @@ def _primitive_row(row, col):
     g = gcd(*row)
     if row[col] < 0:
         g = -g
-    return tuple(a // g for a in row)
+    elif g == 1:
+        return tuple(row)
+    return tuple([a // g for a in row])
 
 
 class RowBasis:

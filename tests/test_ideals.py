@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from componentwise import multiples_basis, reference_component
 from hsfinite import ideals as ideals_module
-from hsfinite.forms import BinaryForm, _form_gcd
+from hsfinite.forms import BinaryForm, _form_gcd, _RootData, _scaled
+from hsfinite.sequences import tail_runs
 from hsfinite import (
     EmptyComponent,
     GradedIdeal,
@@ -340,6 +341,56 @@ class TestFactorStructure:
                     checked += basis.rank > 1
         assert checked > 600
 
+    def test_persistent_factor_is_the_fold_along_a_run(self):
+        """On a tail run (s, e, v) with e > s, I_s = h * S_(s-v) (Gotzmann),
+        so ``_persistent_factor`` reads h off the last row with no gcd: it
+        must be ``_factor_list``'s fold up to sign, with the same
+        ``_RootData`` partition and points, on every such run of the normal
+        forms of colength 3-20 and of samples of colength 3-12, seeds 0-2."""
+        ideals = []
+        for colength in range(3, 21):
+            for entries in enumerate_sequences(colength):
+                label = classify(validate(entries))
+                if label.finite:
+                    ideals += [e.ideal for e in normal_forms(label)]
+                if colength <= 12:
+                    ideals += [sample_ideal(entries, seed) for seed in range(3)]
+        checked = 0
+        for i in ideals:
+            seq = hilbert_samuel(i)
+            for start, end, value in tail_runs(seq, validate(seq).n):
+                if end == start:
+                    continue
+                basis = component(i, start)
+                tail = list(ideals_module._persistent_factor(basis))
+                fold = ideals_module._factor_list(basis)
+                assert tail in (fold, [-c for c in fold]), (i, start)
+                assert len(tail) == value + 1
+                ours, theirs = _RootData(tail), _RootData(fold)
+                assert (ours.partition, ours.points) == (theirs.partition, theirs.points)
+                checked += 1
+        assert checked > 1000
+
+    def test_tail_of_a_run_of_one_is_not_the_factor(self):
+        # (x^2, y^2) has sequence (1, 2, 1) and run (2, 2, 1): the last row
+        # is x^2, whose tail x is no factor of y^2
+        basis = component(ideal("x^2", "y^2"), 2)
+        assert list(ideals_module._persistent_factor(basis)) == [0, 1]
+        assert ideals_module._factor_list(basis) == [1]
+
+    def test_skip_path_reads_the_factor_off_the_last_row(self):
+        """Past the top generator degree, once the sequence persists,
+        ``component`` writes the degree asked for as the multiples of h read
+        off the degree below, building none of the degrees between."""
+        for texts in (("x^2 - 3*x*y",), ("x^3", "x^2*y - 5*x*y^2"), ("2*x*y^2 + 3*y^3",)):
+            i = ideal(*texts, truncate=40)
+            seq = hilbert_samuel(i)
+            assert seq[-1] == seq[-2]
+            top = max(i._components)
+            basis = component(i, 30)
+            assert basis == reference_component(i, 30)
+            assert max(d for d in i._components if d != 30) == top
+
     def test_verify_factor_structure(self):
         # a component is the multiples of its own GCD exactly in a run
         power = ideal("x^2", truncate=5)
@@ -526,6 +577,52 @@ class TestIdealText:
         for text in ("x^101\ny^101\n", "x^100\ny^100\ntruncate: 2000\n"):
             with pytest.raises(ParseError, match="at most 199 is supported"):
                 parse_ideal_text(text)
+
+    def test_generators_are_indexed_by_degree(self):
+        forms = [F("x^2"), F("3/2*x*y"), F("y^3 - x*y^2"), F("x^5")]
+        built = GradedIdeal(forms, 4)
+        from_lists = GradedIdeal._of_lists([_scaled(f.coeffs) for f in forms], 4)
+        parsed = parse_ideal_text("x^2\n3/2*x*y\ny^3 - x*y^2\nx^5\ntruncate: 4\n")
+        for i in (built, from_lists, parsed):
+            assert i._by_degree == {2: [[0, 0, 1], [0, 3, 0]], 3: [[1, -1, 0, 0]],
+                                    5: [[0, 0, 0, 0, 0, 1]]}
+            assert i._top_degree == 3
+        assert GradedIdeal([], 3)._by_degree == {}
+        assert GradedIdeal([], 3)._top_degree == 0
+
+    def test_generator_at_the_truncation_is_no_top_degree(self):
+        i = parse_ideal_text("x^5\ntruncate: 3\n")
+        assert i._top_degree == 0
+        assert hilbert_samuel(i) == (1, 2, 3)
+        assert parse_ideal_text("x^2\ny^3\ntruncate: 3\n")._top_degree == 2
+
+    def test_row_reduced_limit_matches_the_generator_scan(self):
+        """``_check_row_reduced`` refuses exactly what the scan of every
+        generator below the truncation, kept here as the reference, bounds
+        past ``MAX_ROW_REDUCED``."""
+        def refused(ideal):
+            try:
+                ideals_module._check_row_reduced(ideal, ParseError)
+            except ParseError:
+                return True
+            return False
+
+        def reference(ideal):
+            t = ideal.truncation
+            e = max((len(v) - 1 for v, _ in ideal._lists if t is None or len(v) <= t),
+                    default=0)
+            return (2 * e if t is None else min(t, 2 * e + 1)) > ideals_module.MAX_ROW_REDUCED
+
+        seen = set()
+        for degrees in ((), (1,), (99,), (100,), (101,), (100, 101), (1, 150), (250,),
+                        (99, 100, 199, 200, 201)):
+            for t in (None, 1, 99, 100, 101, 150, 199, 200, 201, 202, 250, 2000):
+                if t is None and not degrees:
+                    continue
+                i = GradedIdeal._of_lists([([0] * d + [1], 1) for d in degrees], t)
+                assert refused(i) == reference(i), (degrees, t)
+                seen.add(refused(i))
+        assert seen == {True, False}
 
     def test_unreadable_truncation_is_a_parse_error(self):
         with pytest.raises(ParseError, match="truncation degree on line 2"):

@@ -10,14 +10,16 @@ Root data is also compared on forms with coefficients up to 10^40 over
 10^20, and on products of rational linear factors with an irreducible
 cubic, whose squarefree layers of degree 3 or more are solved p-adically.
 The integer Euclid is compared with the ``Fraction`` Euclid it replaced,
-kept here as the reference, and with sympy.
+kept here as the reference, and with sympy, and Yun's squarefree layers
+with ``sqf_list``'s, on squarefree lists of degree 3-20 and on products
+with repeated factors.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsfinite import (
@@ -28,8 +30,8 @@ from hsfinite import (
     parse_form,
     rational_root_points,
 )
-from hsfinite.forms import (_divide, _exact_quotient, _gcd, _monic_form, _primitive,
-                            _scaled, _trim)
+from hsfinite.forms import (_convolve, _divide, _exact_quotient, _gcd, _monic_form,
+                            _primitive, _scaled, _squarefree, _trim)
 from test_forms import kernel_quotient
 
 sympy = pytest.importorskip("sympy")
@@ -294,3 +296,61 @@ def test_integer_gcd_matches_fraction_euclid_and_sympy(pair):
     expected = sympy.gcd(sym(f).subs(y, 1), sym(g).subs(y, 1))
     ratio = sympy.cancel(sum(c * x ** i for i, c in enumerate(core)) / expected)
     assert ratio != 0 and not ratio.free_symbols
+
+
+def sqf_layers(p):
+    """sympy's squarefree layers of an integer list, ascending powers, as
+    {multiplicity: primitive list with a positive lead}."""
+    _, factors = sympy.sqf_list(sympy.Poly(p[::-1], x))
+    return {mult: _primitive([int(c) for c in factor.all_coeffs()[::-1]])
+            for factor, mult in factors}
+
+
+@st.composite
+def squarefree_lists(draw):
+    """Primitive squarefree lists of degree 3-20: products of distinct
+    rational linear factors, or random lists that sympy finds squarefree.
+    Past degree 16 ``_gcd`` tries its modular test first."""
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                           max_denominator=10 ** 3),
+                              min_size=3, max_size=20, unique=True))
+        p = [1]
+        for t in roots:
+            p = _convolve(p, [-t.numerator, t.denominator])
+    else:
+        degree = draw(st.integers(3, 20))
+        p = draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=degree + 1,
+                          max_size=degree + 1).filter(lambda q: q[-1]))
+        assume(sympy.Poly(p[::-1], x).is_sqf)
+    return _primitive(p)
+
+
+@st.composite
+def repeated_factor_lists(draw):
+    """Primitive products of powers of random lists of degree 1-3, so some
+    layer has a multiplicity of 2 or 3; degrees reach past 16."""
+    p = [1]
+    for degree, mult in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                      min_size=1, max_size=4)
+                             .filter(lambda fs: any(m > 1 for _, m in fs))):
+        factor = draw(st.lists(st.integers(-50, 50), min_size=degree + 1,
+                               max_size=degree + 1).filter(lambda q: q[-1]))
+        for _ in range(mult):
+            p = _convolve(p, factor)
+    return _primitive(p)
+
+
+@EXAMPLES
+@given(squarefree_lists())
+def test_squarefree_list_is_its_one_layer(p):
+    assert sqf_layers(p) == {1: p}
+    assert _squarefree(p) == [(p, 1)]
+
+
+@EXAMPLES
+@given(repeated_factor_lists())
+def test_squarefree_layers_match_sqf_list(p):
+    layers = _squarefree(p)
+    assert [mult for _, mult in layers] == sorted({mult for _, mult in layers})
+    assert {mult: layer for layer, mult in layers} == sqf_layers(p)
