@@ -5,14 +5,14 @@ carrying one ideal onto the other, so the tester works in three layers:
 
 1. Structural invariants (all Galois-stable, so valid over the closure):
    the sequence itself, the multiplicity partition of each run's common
-   factor, pairwise GCD partitions of those factors, the power-pairing root
-   pattern in the first degree with a 1-dimensional quotient, and pencil
-   discriminant patterns where a component is 2-dimensional after factor
-   removal.  Any difference is a certified non-isomorphism.  They are read
-   off the primitive integer rows of the components as integer coefficient
-   lists, up to scale, and no ``Fraction`` form is built on the way to the
-   root data; the public ``common_factor``, ``gcd_forms`` and
-   ``power_pairing`` wrap the same helpers.
+   factor, the power-pairing root pattern in the first degree with a
+   1-dimensional quotient, and pencil discriminant patterns where a
+   component is 2-dimensional after factor removal.  Any difference is a
+   certified non-isomorphism.  They are read off the primitive integer rows
+   of the components as integer coefficient lists, up to scale, and no
+   ``Fraction`` form is built on the way to the root data; the public
+   ``common_factor``, ``gcd_forms`` and ``power_pairing`` wrap the same
+   helpers.
 
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices on the rational root points carried by the invariant
@@ -25,11 +25,11 @@ carrying one ideal onto the other, so the tester works in three layers:
    sends every right point onto a left point of its signature, and at most
    800 maps are computed per pair.  The points are primitive integer pairs
    from ``_RootData`` on, sorted in the order of their ``Fraction`` forms
-   (``forms._point_key``), which ``marked_roles`` and
-   ``rational_root_points`` show.  Matrices equal up to scale share one
-   primitive key and are tried once.  Every candidate is verified before
-   being reported: each generator's image lies in the target's component
-   of its degree, which for ideals of one finite colength proves equality.
+   (``forms._point_key``), which ``rational_root_points`` shows.  Matrices
+   equal up to scale share one primitive key and are tried once.  Every
+   candidate is verified before being reported: each generator's image
+   lies in the target's component of its degree, which for ideals of one
+   finite colength proves equality.
    The check stays in the integers: each key maps the ideal's integer
    generator lists one at a time by the Horner kernel of
    ``forms.substitute`` and stops at the first image off the
@@ -53,7 +53,6 @@ from .forms import (
     LinearChange,
     _convolve,
     _exact_quotient,
-    _normalize_point,
     _point_key,
     _point_map_matrix,
     _primitive_key,
@@ -189,7 +188,6 @@ class StructuralInvariant:
 
     sequence: tuple
     run_data: tuple
-    pairwise_gcd: tuple
     theta_pattern: tuple | None
     pencil_patterns: tuple
 
@@ -197,7 +195,6 @@ class StructuralInvariant:
         ("sequence", "sequence"),
         ("theta-pattern", "theta_pattern"),
         ("run-data", "run_data"),
-        ("pairwise-gcd", "pairwise_gcd"),
         ("pencil-pattern", "pencil_patterns"),
     )
 
@@ -240,24 +237,11 @@ class _Analysis:
                           {pt: lines[pt] for pt in sorted(lines, key=_point_key)}))
         return roles
 
-    @property
-    def marked_roles(self):
-        """``integer_roles`` with each point normalized to (1, t) or (0, 1)."""
-        return [(tag, {_normalize_point(pt): mult for pt, mult in pts.items()})
-                for tag, pts in self.integer_roles]
-
 
 def _analyze(ideal: GradedIdeal) -> _Analysis:
     """Each form on the way to ``_RootData`` is an integer list, a multiple
     of the monic form its public counterpart returns; the partitions and
-    points do not depend on that scale.
-
-    The pairwise gcds of the run factors need no gcd.  Let h_d be the gcd
-    of I_d, nonzero from degree n on.  For f in I_d, x*f and y*f lie in
-    I_(d+1), so h_(d+1) divides both, hence their gcd f; so h_(d+1)
-    divides h_d.  The run factors thus form a divisibility chain, each
-    dividing every earlier one, and gcd(f_i, f_j) for i < j is f_j up to a
-    unit: its partition is the one in ``run_data[j]``."""
+    points do not depend on that scale."""
     if ideal._analysis is not None:
         return ideal._analysis
     seq = hilbert_samuel(ideal)
@@ -274,7 +258,6 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
             run_roots.append((len(run_data), roots))
             part = roots.partition
         run_data.append((start, end, value, part))
-    pair_gcds = [later[3] for _, later in itertools.combinations(run_data, 2)]
     # theta is the power pairing in the first degree m >= 1 with t_m = 1
     theta_roots = _RootData(_pairing_list(ideal, seq.index(1, 1))) if 1 in seq[1:] else None
     pencil_patterns = []
@@ -298,7 +281,6 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
     invariant = StructuralInvariant(
         sequence=seq,
         run_data=tuple(run_data),
-        pairwise_gcd=tuple(pair_gcds),
         theta_pattern=None if theta_roots is None else theta_roots.partition,
         pencil_patterns=tuple(pencil_patterns),
     )

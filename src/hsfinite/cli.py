@@ -265,10 +265,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

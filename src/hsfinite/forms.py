@@ -143,21 +143,8 @@ class LinearChange:
     def determinant(self) -> int | Fraction:
         return self.a * self.d - self.b * self.c
 
-    def inverse(self) -> "LinearChange":
-        det = self.determinant
-        return LinearChange(Fraction(self.d, det), Fraction(-self.b, det),
-                            Fraction(-self.c, det), Fraction(self.a, det))
-
     def matrix(self):
         return ((self.a, self.b), (self.c, self.d))
-
-    @classmethod
-    def identity(cls) -> "LinearChange":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def swap(cls) -> "LinearChange":
-        return cls(0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------

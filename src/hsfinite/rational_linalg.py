@@ -14,9 +14,8 @@ with a positive pivot.  That scaling is unique, so the integer rows are as
 canonical as the grid: span equality is a literal comparison of them
 instead of a pair of containment checks.  Callers that continue the
 arithmetic (the next graded component, the common factor of a component)
-read them and never leave the integers; the unit-pivot ``Fraction`` grid
-``rows`` is built only for a caller that reads it, by ``forms._form_of``,
-and ``_integer_row`` scales a ``Fraction`` row by ``forms._scaled``.
+read them and never leave the integers; ``_integer_row`` scales a
+``Fraction`` input row by ``forms._scaled``.
 
 Membership needs no elimination: ``RowBasis.annihilator`` reads one integer
 functional per free column off the integer rows, and together they cut out
@@ -29,7 +28,7 @@ import functools
 from bisect import bisect_right
 from math import gcd, lcm
 
-from .forms import _form_of, _scaled
+from .forms import _scaled
 
 
 def _integer_row(vec):
@@ -58,8 +57,8 @@ class RowBasis:
     right, pivot columns cleared above and below.  Row count equals rank.
 
     The basis is stored as ``integer_rows``, each row as the primitive
-    integer row with a positive pivot, and ``pivots``, their pivot columns.
-    ``rows``, the unit-pivot ``Fraction`` grid, is built on first read.  The
+    integer row with a positive pivot, and ``pivots``, their pivot columns;
+    the unit-pivot grid is each integer row divided by its pivot entry.  The
     constructor takes the integer rows and pivots of an RREF grid
     unchecked.  Two bases are equal when their column counts and integer
     rows are."""
@@ -68,11 +67,6 @@ class RowBasis:
         self.ncols = ncols
         self.integer_rows = integer_rows
         self.pivots = pivots
-
-    @functools.cached_property
-    def rows(self) -> tuple:
-        return tuple(_form_of(row, row[col]).coeffs
-                     for row, col in zip(self.integer_rows, self.pivots))
 
     @functools.cached_property
     def annihilator(self) -> tuple:

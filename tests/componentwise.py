@@ -10,9 +10,17 @@ row-reduced from every monomial multiple of every generator, with no memo;
 from the truncation degree on it is the whole space.  A monomial multiple
 x^i * y^j * g of a form g is its coefficient tuple with i zeros in front
 and j behind, so no product is computed.
+
+The ``Fraction`` views that only tests read are built here too, from the
+integer data the package keeps: the unit-pivot grid of a ``RowBasis``, the
+inverse of a ``LinearChange`` and the role points of an analysis
+normalized to (1, t) or (0, 1).
 """
 
-from hsfinite import rref
+from fractions import Fraction
+
+from hsfinite import LinearChange, rref
+from hsfinite.forms import _normalize_point
 
 MAX_DEGREE = 64
 
@@ -49,3 +57,24 @@ def componentwise_equal(a, b):
         if basis.rank == d + 1:
             return True
     raise AssertionError("no full component below degree %d" % MAX_DEGREE)
+
+
+def fraction_rows(basis):
+    """The unit-pivot ``Fraction`` grid of an RREF basis: each primitive
+    integer row divided by its pivot entry."""
+    return tuple(tuple(Fraction(a, row[col]) for a in row)
+                 for row, col in zip(basis.integer_rows, basis.pivots))
+
+
+def inverse(change):
+    """The inverse substitution of a ``LinearChange``, in ``Fraction``s."""
+    det = change.determinant
+    return LinearChange(Fraction(change.d, det), Fraction(-change.b, det),
+                        Fraction(-change.c, det), Fraction(change.a, det))
+
+
+def marked_roles(analysis):
+    """The ``integer_roles`` of an analysis with each point normalized to
+    (1, t) or (0, 1), as the witness tests and the golden lines read them."""
+    return [(tag, {_normalize_point(pt): mult for pt, mult in pts.items()})
+            for tag, pts in analysis.integer_roles]

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from componentwise import marked_roles
 from hsfinite import (
     LinearChange,
     SingularChange,
@@ -117,9 +118,9 @@ def _role_matchings(roles_left, roles_right):
 def _reference_candidate_changes(analysis_left, analysis_right):
     """The candidate stream on the normalized ``Fraction`` points, each
     left-to-right point map tried as its adjugate."""
-    yield LinearChange.identity()
-    yield LinearChange.swap()
-    seen = {LinearChange.identity().matrix(), LinearChange.swap().matrix()}
+    yield LinearChange(1, 0, 0, 1)
+    yield LinearChange(0, 1, 1, 0)
+    seen = {((1, 0), (0, 1)), ((0, 1), (1, 0))}
     budget = 800
 
     def emit(matrix):
@@ -131,8 +132,8 @@ def _reference_candidate_changes(analysis_left, analysis_right):
             budget -= 1
             yield change
 
-    for pins in _role_matchings(analysis_left.marked_roles,
-                                analysis_right.marked_roles):
+    for pins in _role_matchings(marked_roles(analysis_left),
+                                marked_roles(analysis_right)):
         if not pins:
             continue
         ps = [p for p, _ in pins]
@@ -249,7 +250,7 @@ def _padded_verdict(left, right):
     given have equal invariants."""
     a_left, a_right = _analyze(left), _analyze(right)
     stream = _reference_candidate_changes(a_left, a_right)
-    if _role_matchings(a_left.marked_roles, a_right.marked_roles) == [[]]:
+    if _role_matchings(marked_roles(a_left), marked_roles(a_right)) == [[]]:
         stream = itertools.chain(stream, _palette_guesses())
     for change in stream:
         if equal_ideals(substitute_ideal(left, change), right):
@@ -264,7 +265,7 @@ def test_each_candidate_carries_right_pins_onto_left_pins():
     keys = 0
     for left, right in _transformed_catalog_pairs():
         a_left, a_right = _analyze(left), _analyze(right)
-        matchings = _role_matchings(a_left.marked_roles, a_right.marked_roles)
+        matchings = _role_matchings(marked_roles(a_left), marked_roles(a_right))
         stream = _candidate_changes(a_left, a_right)
         for a, b, c, d in itertools.islice(stream, 2, None):
             m = ((a, b), (c, d))
@@ -276,11 +277,10 @@ def test_each_candidate_carries_right_pins_onto_left_pins():
 
 def _simple_points(*points):
     """An analysis stand-in whose one role holds simple points, as the
-    integer roles the stream reads and the ``Fraction`` roles the reference
-    reads."""
+    integer roles the stream reads; the reference reads them through
+    ``marked_roles``."""
     return SimpleNamespace(
-        integer_roles=[(("run", 0), {_primitive_point(*p): 1 for p in points})],
-        marked_roles=[(("run", 0), {_normalize_point(p): 1 for p in points})])
+        integer_roles=[(("run", 0), {_primitive_point(*p): 1 for p in points})])
 
 
 @pytest.mark.parametrize("fourth, keys", [((1, 3), 0), ((1, -1), 8)])
@@ -293,7 +293,7 @@ def test_pins_past_the_third_are_checked(fourth, keys):
     stream = list(_candidate_changes(left, right))
     assert [LinearChange(*key) for key in stream] == \
         list(_reference_candidate_changes(left, right))
-    matchings = _role_matchings(left.marked_roles, right.marked_roles)
+    matchings = _role_matchings(marked_roles(left), marked_roles(right))
     assert len(stream) == 2 + keys
     for a, b, c, d in stream[2:]:
         m = ((a, b), (c, d))
@@ -432,8 +432,9 @@ def _generic_panel_pairs():
 def test_integer_roles_are_the_fraction_roles():
     """The stream reads the roles as primitive integer points.  Mapped
     through ``_normalize_point`` they are the roles built in ``Fraction``
-    arithmetic, dict order included, and so is ``marked_roles``: the order
-    of the points sets the order of the matchings and so of the keys."""
+    arithmetic, dict order included, and so is ``marked_roles`` of them,
+    which the golden lines print: the order of the points sets the order
+    of the matchings and so of the keys."""
     analyses = roles = 0
     for pair in itertools.chain(_iso_digest_pairs(), _generic_panel_pairs()):
         for case in pair:
@@ -446,7 +447,7 @@ def test_integer_roles_are_the_fraction_roles():
             normalized = [(tag, [(_normalize_point(p), m) for p, m in points.items()])
                           for tag, points in analysis.integer_roles]
             assert normalized == expected, case
-            assert _ordered(analysis.marked_roles) == expected, case
+            assert _ordered(marked_roles(analysis)) == expected, case
             analyses += 1
             roles += sum(len(points) > 1 for _, points in expected)
     # 294 + 84 pairs, and many roles of more than one point, whose order counts
@@ -462,7 +463,7 @@ def test_no_pinned_point_tries_identity_and_swap_only():
     left = _ideal("-8*x^2 + 4*x*y + 3*y^2", "truncate: 3")
     right = _ideal("-148*x^2 + 424*x*y - 228*y^2", "truncate: 3")
     a_left, a_right = _analyze(left), _analyze(right)
-    assert _role_matchings(a_left.marked_roles, a_right.marked_roles) == [[]]
+    assert _role_matchings(marked_roles(a_left), marked_roles(a_right)) == [[]]
     assert list(_candidate_changes(a_left, a_right)) == [(1, 0, 0, 1), (0, 1, 1, 0)]
     assert are_isomorphic(left, right).kind == "unknown"
 
@@ -475,7 +476,7 @@ def test_one_pin_still_padded_from_the_palette():
     right = _ideal("x^2 + 4*x*y + 4*y^2", "truncate: 3")
     a_left, a_right = _analyze(left), _analyze(right)
     assert [len(pins) for pins in
-            _role_matchings(a_left.marked_roles, a_right.marked_roles)] == [1]
+            _role_matchings(marked_roles(a_left), marked_roles(a_right))] == [1]
     verdict = are_isomorphic(left, right)
     assert verdict.kind == "isomorphic"
     assert verdict.witness == LinearChange(1, 2, 1, 0)
@@ -507,8 +508,8 @@ def test_generic_panel_verdicts_match_the_padded_stream(draw, lost):
                 got = are_isomorphic(left, right)
                 padded = _padded_verdict(left, right)
                 a_left, a_right = _analyze(left), _analyze(right)
-                pinless = _role_matchings(a_left.marked_roles,
-                                          a_right.marked_roles) == [[]]
+                pinless = _role_matchings(marked_roles(a_left),
+                                          marked_roles(a_right)) == [[]]
                 unpinned += pinless
                 if (got.kind, got.witness) != padded:
                     assert pinless and got.kind == "unknown", (left, right)

@@ -267,8 +267,7 @@ class TestStructuralInvariant:
         entry = next(e for e in normal_forms(label) if e.provenance == "chain x | x^2*y")
         inv = _analyze(entry.ideal).invariant
         parts = [run[3] for run in inv.run_data]
-        assert parts == [(2, 1), (1,)]
-        assert inv.pairwise_gcd == ((1,),)  # x divides x^2*y
+        assert parts == [(2, 1), (1,)]  # x divides x^2*y
 
     def test_long_run_of_ones_builds_up_to_persistence(self):
         # (x*y, x^3) truncated at 33: t_3 = t_4 = 1 past the generator degree
@@ -317,12 +316,12 @@ class TestStructuralInvariant:
         ("pyramid", StructuralInvariant(
             sequence=PYRAMID,
             run_data=tuple((d, d, 79 - d, ()) for d in range(40, 79)),
-            pairwise_gcd=((),) * 741, theta_pattern=(1,) * 78, pencil_patterns=())),
+            theta_pattern=(1,) * 78, pencil_patterns=())),
         ("plateau", StructuralInvariant(
             sequence=PLATEAU,
             run_data=((30, 89, 30, (1,) * 30),)
             + tuple((d, d, 119 - d, ()) for d in range(90, 119)),
-            pairwise_gcd=((),) * 435, theta_pattern=(1,) * 118, pencil_patterns=())),
+            theta_pattern=(1,) * 118, pencil_patterns=())),
     ])
     def test_long_sampled_sequences_analyse_quickly(self, pair, expected):
         if pair == "pyramid":  # a sample against its image under [[1, 1], [0, 1]]
@@ -551,9 +550,12 @@ class TestSampler:
     @given(st.sampled_from([e for c in range(3, 13) for e in enumerate_sequences(c)]),
            st.integers(0, 10 ** 6))
     def test_run_factors_form_a_divisibility_chain(self, entries, seed):
-        """The gcd h_d of I_d divides x*f and y*f for each f in I_(d-1), so
-        h_d divides h_(d-1): every run factor divides each earlier one,
-        which ``_analyze`` reads its pairwise gcds from."""
+        """The run factors form a divisibility chain.  Let h_d be the gcd
+        of I_d, nonzero from degree n on.  For f in I_d, x*f and y*f lie in
+        I_(d+1), so h_(d+1) divides both, hence their gcd f; so h_(d+1)
+        divides h_d.  Each run factor thus divides every earlier one, and
+        gcd(f_i, f_j) for i < j is f_j up to a unit: a pairwise gcd of run
+        factors is no invariant beyond ``run_data``."""
         ideal = sample_ideal(entries, seed)
         factors = [_factor_list(component(ideal, start))
                    for start, _, _ in tail_runs(entries, validate(entries).n)]

@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and no private
-helper of the package is left unread.
+helper or class member of the package is left unread.
 
 No linter ships with the package, so this scans every module of
 ``src/hsfinite`` and ``tests`` with ``ast``.  A name counts as used when it
@@ -9,10 +9,13 @@ re-exports.  A module-level private name (``_...``) of ``src/hsfinite``
 must be read somewhere in the package outside its own definition; reads
 from tests do not count, so a helper that only tests call is dead code.
 The same holds for every name the package ``__init__`` exports, unless the
-benchmark's tracer wraps it by name (``bench/tracing.LAYERS``).
+benchmark's tracer wraps it by name (``bench/tracing.LAYERS``), and for
+every method and property defined in a class body of the package, which
+must be read as an attribute.
 """
 
 import ast
+import importlib
 import importlib.util
 import os
 
@@ -154,3 +157,36 @@ def test_every_export_is_read():
     assert exports and not unread, \
         "exported names nothing in the package reads: %s" % ", ".join(unread)
     assert not UNREAD_EXPORTS & read, "the package reads a listed exception"
+
+
+def overrides(module, cls_name, name):
+    """Does the method ``name`` of the package class override one of a base
+    class, which the base's own code may call?"""
+    cls = getattr(importlib.import_module("hsfinite." + module[:-3]), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def test_every_class_member_is_read():
+    """Every method and property (``cached_property`` too) defined in a
+    class body of ``src/hsfinite``, private classes included, is read as an
+    attribute somewhere in the package outside its own definition.  Dunders
+    are exempt, and so is a method that overrides a base class's; dataclass
+    fields are not covered.  Reads from tests do not count."""
+    members = []
+    reads = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append(node)
+            if isinstance(node, ast.ClassDef):
+                members += [(name, node.name, member) for member in node.body
+                            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (member.name.startswith("__")
+                                     and member.name.endswith("__"))]
+    unread = []
+    for module, cls_name, member in members:
+        own = {id(node) for node in ast.walk(member)}
+        if not any(read.attr == member.name and id(read) not in own for read in reads) \
+                and not overrides(module, cls_name, member.name):
+            unread.append("%s.%s (%s:%d)" % (cls_name, member.name, module, member.lineno))
+    assert not unread, "class members nothing in the package reads: %s" % ", ".join(unread)

@@ -11,7 +11,9 @@ of the component, divided by the common factor by long division in
 ``Fraction`` arithmetic, and the discriminant c1^2 - 4*c2*c0 of the member
 a*p + b*q multiplied out from its coefficients, linear forms in (a, b).
 Partitions and points do not depend on the scale of a form, so the two
-must agree exactly.
+must agree exactly.  The partition of ``gcd_forms`` of each pair of run
+factors must be the later run's, by the divisibility chain the sampler's
+tests prove, which is why the invariant holds no pairwise gcds.
 
 The second half pins the ``Fraction`` contract of the forms the package
 hands back: the benchmark's independent oracle reads forms as tuples of
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from componentwise import fraction_rows, marked_roles
 from hsfinite import (
     GradedIdeal,
     LinearChange,
@@ -82,8 +85,10 @@ def _times(l1, l2):
 
 
 def reference_analysis(ideal):
-    """(invariant, roles) from the public Fraction functions, in the order
-    and shape of ``_analyze(ideal).invariant`` and ``.marked_roles``."""
+    """(invariant, roles, pairwise) from the public Fraction functions: the
+    first two in the order and shape of ``_analyze(ideal).invariant`` and
+    ``marked_roles``, then the partition of ``gcd_forms`` of each pair of
+    run factors, in the order of ``itertools.combinations``."""
     seq = hilbert_samuel(ideal)
     nc = validate(seq).n
     run_data, factors, roles = [], [], []
@@ -116,7 +121,7 @@ def reference_analysis(ideal):
         h = common_factor(ideal, d)
         if h.degree != d - 2:  # the members divided by h are not quadratics
             continue
-        p, q = (_long_divide(row, h.coeffs) for row in component(ideal, d).rows)
+        p, q = (_long_divide(row, h.coeffs) for row in fraction_rows(component(ideal, d)))
         # member a*p + b*q has the coefficients c_k = p_k*a + q_k*b
         l0, l1, l2 = zip(p, q)
         disc = binary_form([s - 4 * t for s, t in zip(_times(l1, l1), _times(l2, l0))])
@@ -127,9 +132,8 @@ def reference_analysis(ideal):
             line = _point(-c1, 2 * c2) if c2 else _point(-2 * c0, c1)
             lines[line] = lines.get(line, 0) + mult
         roles.append((("pencil", d), lines))
-    invariant = StructuralInvariant(seq, tuple(run_data), tuple(pairwise), theta,
-                                    tuple(patterns))
-    return invariant, roles
+    invariant = StructuralInvariant(seq, tuple(run_data), theta, tuple(patterns))
+    return invariant, roles, pairwise
 
 
 def _rational_change(rng):
@@ -159,18 +163,24 @@ def differential_ideals():
 def test_integer_layer_matches_the_fraction_functions():
     forms, transforms, samples = differential_ideals()
     assert (len(forms), len(transforms)) == (294, 294) and len(samples) >= 90
-    with_theta = with_pencil = with_roles = 0
+    with_theta = with_pencil = with_roles = chained = 0
     for case in forms + transforms + samples:
         # a fresh copy, so that neither side reads the other's memo
         twin = GradedIdeal(case.generators, case.truncation)
-        invariant, roles = reference_analysis(twin)
+        invariant, roles, pairwise = reference_analysis(twin)
         assert _analyze(case).invariant == invariant, case
-        assert _analyze(case).marked_roles == roles, case
+        assert marked_roles(_analyze(case)) == roles, case
+        # the run factors form a divisibility chain: each pairwise gcd is
+        # the later factor, so it adds nothing to ``run_data``
+        assert pairwise == [later[3] for _, later in
+                            itertools.combinations(invariant.run_data, 2)], case
+        chained += len(pairwise)
         with_theta += invariant.theta_pattern is not None
         with_pencil += bool(invariant.pencil_patterns)
         with_roles += any(points for _, points in roles)
     # every path of the integer layer is exercised many times over
     assert with_theta > 500 and with_pencil > 40 and with_roles > 600
+    assert chained > 400
 
 
 _ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-10 ** 30, 10 ** 30))
