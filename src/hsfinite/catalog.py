@@ -83,6 +83,9 @@ from .sequences import (HSSequence, TypeLabel, row_dimension, sequence_for_label
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One normal-form ideal of a catalog row, with the provenance text
+    that names its shape."""
+
     label: TypeLabel
     ideal: GradedIdeal
     provenance: str
@@ -290,6 +293,9 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
 
 @dataclass(frozen=True)
 class IsoVerdict:
+    """Verdict of ``are_isomorphic``: an isomorphic pair carries its
+    witness, a distinguished pair the first invariant field that differs."""
+
     kind: str                      # "isomorphic" | "distinguished" | "unknown"
     witness: LinearChange | None = None
     field: str | None = None
@@ -422,6 +428,9 @@ def _carries_into(left: GradedIdeal, right: GradedIdeal):
 
 @dataclass(frozen=True)
 class CatalogReport:
+    """Output of ``verify_catalog``: the entries, their sequence checks, the
+    pairwise verdicts and the classes they join into."""
+
     label: TypeLabel
     entries: list
     sequence_ok: list

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage, 2 parse or I/O error, 3 domain error
 (invalid sequence, not Artinian, no catalog), 4 sampling failure.
-``--json`` switches every command but ``diagram`` to machine output; all
-output is deterministic (no timestamps, sorted keys).  ``main`` parses
+``--json`` switches every command but ``diagram`` to machine output,
+exactly ``json.dumps(payload, indent=2, sort_keys=True)``; all output is
+deterministic (no timestamps, sorted keys).  Output files are written as
+UTF-8 bytes straight to a file descriptor.  ``main`` parses
 every command line with one full parser, built on its first call and kept
 for the process, so help, usage and errors always come from that parser.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .catalog import are_isomorphic, sample_ideal, verify_catalog
 from .errors import DomainError, InvalidParameters, ParseError, SamplingFailed
@@ -46,8 +48,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _json_text(value, newline="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values the
+    commands print: dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool`` and ``None``; any other type raises ``TypeError``.  The
+    stdlib's C encoder cannot indent, and its Python encoder yields every
+    piece up a chain of generators; this joins each container's items
+    once, which also keeps no list of small pieces for the whole text.
+    ``newline`` is the line break plus the indentation of ``value``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # a key that is not a str raises TypeError here
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+             for key in sorted(value)]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
 def _emit_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _read_ideal(path):
@@ -59,14 +97,22 @@ def _read_ideal(path):
     return parse_ideal_text(text)
 
 
+# the flags and mode of ``open(path, "wb")``
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def _write_text(path, text):
     """Write ``text`` to ``path`` as its UTF-8 bytes, newlines untranslated,
-    so a file has the same bytes on every platform.  The one unbuffered raw
-    write is repeated on what is left, as a raw write may be short."""
+    so a file has the same bytes on every platform.  The bytes go straight
+    to the file descriptor, with no file object and no ``fstat``; a write
+    may be short, so it is repeated on what is left."""
     data = memoryview(text.encode("utf-8"))
-    with open(path, "wb", buffering=0) as handle:
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
         while data:
-            data = data[handle.write(data):]
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _label_payload(label):
@@ -150,7 +196,7 @@ def cmd_catalog(args):
         _write_text(path, "# %s\n%s" % (entry["provenance"], entry["ideal"]))
         paths.append(path)
     report_path = os.path.join(args.out, "report.json")
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = _json_text(data)
     _write_text(report_path, text + "\n")
     if args.json:
         print(text)

@@ -45,6 +45,9 @@ from .errors import InhomogeneousInput, ParseError, SingularChange, parse_natura
 
 @dataclass(frozen=True)
 class BinaryForm:
+    """Homogeneous form in x and y; ``coeffs[i]`` is the coefficient of
+    x^i*y^(d - i), d being the degree."""
+
     coeffs: tuple
 
     @property

@@ -31,6 +31,8 @@ from .errors import (InvalidColength, InvalidParameters, InvalidSequence, ParseE
 
 @dataclass(frozen=True)
 class HSSequence:
+    """A validated Hilbert-Samuel sequence, its entries t_0, t_1, ..."""
+
     entries: tuple
 
     @property

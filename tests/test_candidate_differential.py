@@ -432,9 +432,8 @@ def _generic_panel_pairs():
 def test_integer_roles_are_the_fraction_roles():
     """The stream reads the roles as primitive integer points.  Mapped
     through ``_normalize_point`` they are the roles built in ``Fraction``
-    arithmetic, dict order included, and so is ``marked_roles`` of them,
-    which the golden lines print: the order of the points sets the order
-    of the matchings and so of the keys."""
+    arithmetic, dict order included: the order of the points sets the
+    order of the matchings and so of the keys."""
     analyses = roles = 0
     for pair in itertools.chain(_iso_digest_pairs(), _generic_panel_pairs()):
         for case in pair:
@@ -447,7 +446,6 @@ def test_integer_roles_are_the_fraction_roles():
             normalized = [(tag, [(_normalize_point(p), m) for p, m in points.items()])
                           for tag, points in analysis.integer_roles]
             assert normalized == expected, case
-            assert _ordered(marked_roles(analysis)) == expected, case
             analyses += 1
             roles += sum(len(points) > 1 for _, points in expected)
     # 294 + 84 pairs, and many roles of more than one point, whose order counts

@@ -1,15 +1,18 @@
 """Command-line behavior: golden outputs, exit codes, JSON schemas."""
 
-import io
 import json
 import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hsfinite import format_ideal, parse_ideal_text, sample_ideal, validate
+from hsfinite import (classify, enumerate_sequences, format_ideal, parse_ideal_text,
+                      sample_ideal, validate, verify_catalog)
 from hsfinite import cli
 from hsfinite.cli import MAX_SAMPLE_COUNT, main
 from hsfinite.ideals import MAX_ROW_REDUCED, MAX_TRUNCATION
@@ -19,6 +22,12 @@ try:
     import jsonschema
 except ImportError:  # pragma: no cover
     jsonschema = None
+
+# any code point, lone surrogates included, with the ones JSON escapes
+# (quotes, backslashes, controls) and non-BMP ones drawn often
+_JSON_STRINGS = st.text(st.characters(exclude_categories=())
+                        | st.sampled_from('"\\\x00\x08\x1f\x7f')
+                        | st.characters(min_codepoint=0x10000))
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 SCHEMA_DIR = os.path.join(SRC_DIR, "hsfinite", "schemas")
@@ -279,24 +288,39 @@ class TestCatalog:
         self.check_files(tmp_path / "b", out)
 
     def test_short_raw_writes_are_completed(self, capsys, tmp_path, monkeypatch):
-        # a raw write may write fewer bytes than it is given
+        # a descriptor write may write fewer bytes than it is given
         writes = []
+        real_write = os.write
 
-        class ShortWrites(io.FileIO):
-            def write(self, data):
-                writes.append(len(data))
-                return super().write(data[:7])
+        def short_write(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data[:7])
 
-        def short_open(path, mode, buffering):
-            assert (mode, buffering) == ("wb", 0)
-            return ShortWrites(path, mode)
+        def no_file_object(*args, **kwargs):
+            raise AssertionError("catalog opened a file object")
 
-        monkeypatch.setattr(cli, "open", short_open, raising=False)
+        monkeypatch.setattr(os, "write", short_write)
+        monkeypatch.setattr(cli, "open", no_file_object, raising=False)
         code, out, _ = run(capsys, "catalog", "1,2,2,1", "--out", str(tmp_path / "s"),
                            "--json")
         assert code == 0
         self.check_files(tmp_path / "s", out)
         assert len(writes) > len(out) // 7
+
+    def test_longer_files_are_rewritten_to_the_new_bytes(self, capsys, tmp_path):
+        out_dir = tmp_path / "again"
+        out_dir.mkdir()
+        for name in ("report.json", "entry_1.ideal", "entry_5.ideal"):
+            (out_dir / name).write_bytes(b"stale\n" * 4000)
+        code, out, _ = run(capsys, "catalog", "1,2,2,1", "--out", str(out_dir), "--json")
+        assert code == 0
+        self.check_files(out_dir, out)
+
+    def test_directory_in_place_of_a_file_is_an_io_error(self, capsys, tmp_path):
+        report = tmp_path / "d" / "report.json"
+        report.mkdir(parents=True)
+        assert run(capsys, "catalog", "1,2,1", "--out", str(tmp_path / "d"), "--json") == (
+            2, "", "error: [Errno 21] Is a directory: %r\n" % str(report))
 
     def test_json_mirror(self, capsys, tmp_path):
         code, out, _ = run(capsys, "catalog", "1,2,1", "--out",
@@ -476,6 +500,67 @@ class TestSample:
         payload = json.loads(out)
         assert payload["sequence"] == [1, 2, 1]
         check_schema(payload, "sample")
+
+
+def _json_reference(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestJsonText:
+    """``cli._json_text`` prints what ``json.dumps(value, indent=2,
+    sort_keys=True)`` prints, byte for byte."""
+
+    def test_every_catalog_report(self):
+        reports = 0
+        for colength in range(3, 17):
+            for entries in enumerate_sequences(colength):
+                label = classify(validate(entries))
+                if label.finite:
+                    data = verify_catalog(label).to_dict()
+                    assert cli._json_text(data) == _json_reference(data), entries
+                    reports += 1
+        assert reports == 119
+
+    def test_every_command_payload(self, capsys, tmp_path, monkeypatch):
+        payloads = []
+        real = cli._json_text
+
+        def recording(value, newline="\n"):
+            if newline == "\n":  # a whole payload, not a nested value
+                payloads.append(value)
+            return real(value, newline)
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        a = write(tmp_path, "a.ideal", "x^2\nx*y^2 + y^3\ntruncate: 4\n")
+        b = write(tmp_path, "b.ideal", "x^2\ny^3\ntruncate: 4\n")
+        c = write(tmp_path, "c.ideal", "x*y\ny^3\ntruncate: 4\n")
+        for argv in (["hs", a], ["classify", "1,2,2,1"], ["classify", "1,2,3,2,1"],
+                     ["enumerate", "--max-colength", "7"], ["iso", a, b], ["iso", a, c],
+                     ["sample", "1,2,3,1", "--count", "2", "--out", str(tmp_path / "s")],
+                     ["catalog", "1,2,2,1", "--out", str(tmp_path / "c")]):
+            assert run(capsys, *argv, "--json")[0] == 0, argv
+        assert len(payloads) == 8
+        for value in payloads:
+            assert real(value) == _json_reference(value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.integers(-10 ** 400, 10 ** 400) | _JSON_STRINGS,
+        lambda children: st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(_JSON_STRINGS, children),
+        max_leaves=40))
+    @example({})
+    @example([[], {}, ()])
+    @example({"": {"\\": ['"', "\x00\x1f\x7f\u2028", "\U0001f600\ud800"]}})
+    def test_nested_values(self, value):
+        assert cli._json_text(value) == _json_reference(value)
+
+    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1}, {1: "a"},
+                                       {"a": [None, Fraction(3)]}, {("a",): 1}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestUsageAndDeterminism:

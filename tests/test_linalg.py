@@ -167,15 +167,18 @@ def _matrices(draw):
 def test_rref_matches_fraction_gauss_jordan(case):
     width, rows = case
     basis = rref(rows, ncols=width)
-    assert fraction_rows(basis) == _reference_rref(rows, width)
-    # each integer row is primitive, has a positive pivot and is the
-    # Fraction row times that pivot
-    assert len(basis.integer_rows) == basis.rank
-    for ints, row, col in zip(basis.integer_rows, fraction_rows(basis), basis.pivots):
+    reference = _reference_rref(rows, width)
+    # each integer row is the reference's unit-pivot row scaled to a
+    # primitive integer row, whose pivot is then positive
+    assert len(basis.integer_rows) == basis.rank == len(reference)
+    for ints, row, col in zip(basis.integer_rows, reference, basis.pivots):
         assert all(type(a) is int for a in ints)
-        assert math.gcd(*ints) == 1
-        assert ints[col] > 0
-        assert [ints[col] * c for c in row] == list(ints)
+        assert next(i for i, c in enumerate(row) if c) == col and row[col] == 1
+        scale = math.lcm(*(c.denominator for c in row))
+        numerators = [int(c * scale) for c in row]
+        content = math.gcd(*numerators)
+        assert list(ints) == [a // content for a in numerators]
+        assert math.gcd(*ints) == 1 and ints[col] > 0
 
 
 def _reference_contains(basis, vec):
