@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage, 2 parse or I/O error, 3 domain error
-(invalid sequence, not Artinian, no catalog), 4 sampling failure.
+(invalid sequence, not Artinian, no catalog), 4 sampling failure.  A
+reader that closes standard output early, as ``| head -1`` does, ends the
+command quietly with exit code 0: no error line, and the output it did
+not read is dropped.
 ``--json`` switches every command but ``diagram`` to machine output,
 exactly ``json.dumps(payload, indent=2, sort_keys=True)``; all output is
 deterministic (no timestamps, sorted keys).  Output files are written as
@@ -310,7 +313,17 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note advises: the exit's own flush
+        # writes what is left to os.devnull, so no error is printed there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -164,10 +164,10 @@ def _extend(memo: dict, d: int, rows) -> RowBasis:
         return rref(rows, ncols=d + 1)
     lower = memo[d - 1]
     led = {p + 1 for p in memo[d - 2].pivots} if d - 2 in memo else ()
-    rows = list(rows) + [row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
-                         if p not in led]
-    base = RowBasis(d + 1, integer_rows=tuple((0,) + row for row in lower.integer_rows),
-                    pivots=tuple(p + 1 for p in lower.pivots))
+    rows = [*rows, *[row + (0,) for row, p in zip(lower.integer_rows, lower.pivots)
+                     if p not in led]]
+    base = RowBasis(d + 1, integer_rows=tuple([(0,) + row for row in lower.integer_rows]),
+                    pivots=tuple([p + 1 for p in lower.pivots]))
     return rref(rows, base=base)
 
 
@@ -175,9 +175,12 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     """The sequence t_d = dim K[x,y]_d / I_d, trailing zeros removed.
 
     Components are built upward until the first full one (see ``component``)
-    or until the sequence persists.  Past the highest generator degree e
-    below the truncation, I_d = S_1 * I_(d-1), and for a nonzero V in S_(d-1)
-    dim S_1 * V >= dim V + 1, with equality only when V = h * S_(d-1-deg h)
+    or until the sequence persists.  The walk stops before the truncation
+    degree D: I_D is the whole space, so t_D = 0, and it builds no full
+    component (``component`` still builds one when asked for degree D).
+    Past the highest generator degree e below the truncation,
+    I_d = S_1 * I_(d-1), and for a nonzero V in S_(d-1) dim S_1 * V >=
+    dim V + 1, with equality only when V = h * S_(d-1-deg h)
     (Gotzmann persistence in two variables, *Math. Z.* 158, 1978).  So once
     d > e and t_d = t_(d-1), t stays constant up to the truncation, and
     those components are not built.  Without a truncation this cannot
@@ -203,6 +206,8 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
     ts = []
     prev_rank = 0
     for d in range(bound + 2):
+        if d == ideal.truncation:
+            break  # I_D is the whole space: t_D = 0, and its basis is not built
         r = component(ideal, d).rank
         if prev_rank > 0 and r < prev_rank + 1:
             raise AssertionError("component ranks stalled at degree %d" % d)

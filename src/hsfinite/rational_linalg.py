@@ -7,15 +7,16 @@ far, which may start from a ``base`` already reduced, and a nonzero
 remainder clears its pivot column from the basis rows; every combined row
 is divided by its content (cf. Bareiss, *Math. Comp.* 1968).  A caller that
 knows most of a row space already, such as the next graded component, hands
-that part in as the base and inserts only the rest.
+that part in as the base and inserts only the rest.  ``rref`` reads its
+rows in one pass, scaling each to integers and checking its width.
 
 A ``RowBasis`` keeps each row of the RREF grid as the primitive integer row
-with a positive pivot.  That scaling is unique, so the integer rows are as
-canonical as the grid: span equality is a literal comparison of them
-instead of a pair of containment checks.  Callers that continue the
-arithmetic (the next graded component, the common factor of a component)
-read them and never leave the integers; ``_integer_row`` scales a
-``Fraction`` input row by ``forms._scaled``.
+with a positive pivot, and its ``rank`` as a plain attribute.  That scaling
+is unique, so the integer rows are as canonical as the grid: span equality
+is a literal comparison of them instead of a pair of containment checks.
+Callers that continue the arithmetic (the next graded component, the
+common factor of a component) read them and never leave the integers;
+``_integer_row`` scales a ``Fraction`` input row by ``forms._scaled``.
 
 Membership needs no elimination: ``RowBasis.annihilator`` reads one integer
 functional per free column off the integer rows, and together they cut out
@@ -59,14 +60,16 @@ class RowBasis:
     The basis is stored as ``integer_rows``, each row as the primitive
     integer row with a positive pivot, and ``pivots``, their pivot columns;
     the unit-pivot grid is each integer row divided by its pivot entry.  The
-    constructor takes the integer rows and pivots of an RREF grid
-    unchecked.  Two bases are equal when their column counts and integer
+    constructor, the class's only one, takes the integer rows and pivots of
+    an RREF grid unchecked and sets ``rank``, their count, as a plain
+    attribute.  Two bases are equal when their column counts and integer
     rows are."""
 
     def __init__(self, ncols: int, integer_rows: tuple, pivots: tuple):
         self.ncols = ncols
         self.integer_rows = integer_rows
         self.pivots = pivots
+        self.rank = len(integer_rows)
 
     @functools.cached_property
     def annihilator(self) -> tuple:
@@ -81,10 +84,6 @@ class RowBasis:
                                   for row, col in zip(self.integer_rows, self.pivots)
                                   if row[f])
             for f in range(self.ncols) if f not in pivots)
-
-    @property
-    def rank(self) -> int:
-        return len(self.integer_rows)
 
     def __eq__(self, other):
         if not isinstance(other, RowBasis):
@@ -115,21 +114,28 @@ def rref(rows, ncols: int | None = None, base: RowBasis | None = None) -> RowBas
     ``base`` is given; otherwise it is inferred and every row must have that
     length.
     """
-    mat = [_integer_row(r) for r in rows]
-    if base is not None:
-        width = base.ncols
-    elif mat:
-        width = len(mat[0])
-    elif ncols is None:
-        raise ValueError("rref of no rows needs an explicit column count")
-    else:
-        width = ncols
-    if ncols is not None and ncols != width:
+    # one pass scales each row and checks its width: the base or else the
+    # first row sets the width, and a declared ncols that differs from it is
+    # reported before a zero width, and a zero width before ragged rows
+    width = ncols if base is None else base.ncols
+    if base is not None and ncols is not None and ncols != width:
         raise ValueError("declared column count %d != row length %d" % (ncols, width))
+    mat = []
+    for row in rows:
+        row = _integer_row(row)
+        if len(row) != width:
+            if mat or base is not None:
+                raise ValueError("rows must have length >= 1" if width < 1
+                                 else "ragged input: row lengths differ")
+            if width is not None:
+                raise ValueError("declared column count %d != row length %d"
+                                 % (ncols, len(row)))
+            width = len(row)
+        mat.append(row)
+    if width is None:
+        raise ValueError("rref of no rows needs an explicit column count")
     if mat and width < 1:
         raise ValueError("rows must have length >= 1")
-    if any(len(r) != width for r in mat):
-        raise ValueError("ragged input: row lengths differ")
 
     basis = list(base.integer_rows) if base is not None else []
     pivots = list(base.pivots) if base is not None else []
@@ -140,8 +146,10 @@ def rref(rows, ncols: int | None = None, base: RowBasis | None = None) -> RowBas
                 g = gcd(f, b[p])
                 q, f = b[p] // g, f // g
                 row = [q * a - f * c for a, c in zip(row, b)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is None:
+        for col, a in enumerate(row):
+            if a:
+                break
+        else:
             continue
         row = _primitive_row(row, col)
         lead = row[col]

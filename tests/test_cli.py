@@ -42,13 +42,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(**env):
+    """The environment of a child process that imports this checkout's
+    ``hsfinite``, with the given variables set."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])), **env)
+
+
 def run_process(*argv, timeout=10, env=()):
     """``python -m hsfinite.cli`` in a child process, with a time limit and
     the given environment variables set."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])), **dict(env))
     return subprocess.run([sys.executable, "-m", "hsfinite.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=child_env(**dict(env)),
+                          timeout=timeout)
 
 
 def write(tmp_path, name, text):
@@ -224,6 +230,30 @@ class TestEnumerate:
             assert done.stdout == ""
             assert "at most %d" % MAX_COLENGTH in done.stderr
             assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_reader_closing_early_is_a_quiet_exit(self, mode):
+        # like `| head -1`: the child's output (about 580 KB as JSON, 130 KB
+        # as text) outgrows the pipe, so a write fails once the reader closes
+        with subprocess.Popen(
+                [sys.executable, "-m", "hsfinite.cli", "enumerate",
+                 "--max-colength", "30", *mode],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=30)
+        assert first in (b"{\n", b"(1, 2)  dim 0  finite  T1(n=2)\n")
+        assert code == 0
+        assert err == b""
+
+    def test_closed_stdout_is_a_quiet_exit(self):
+        # started with descriptor 1 closed, Python sets sys.stdout to None
+        # and print writes nothing
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m hsfinite.cli enumerate --colength 6 >&-',
+             sys.executable], capture_output=True, env=child_env(), timeout=30)
+        assert (done.returncode, done.stderr) == (0, b"")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--colength", "7", "--json")

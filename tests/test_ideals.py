@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from componentwise import fraction_rows, inverse, multiples_basis, reference_component
 from hsfinite import ideals as ideals_module
 from hsfinite.forms import BinaryForm, _form_gcd, _RootData, _scaled
+from hsfinite.rational_linalg import identity_basis
 from hsfinite.sequences import tail_runs
 from hsfinite import (
     EmptyComponent,
@@ -219,6 +220,21 @@ class TestHilbertSamuel:
         assert len(line._components) <= 3
         # a degree asked for later is still built
         assert component(line, 9) == reference_component(line, 9)
+
+    @pytest.mark.parametrize("texts, truncate, seq", [
+        (("x^2", "y^2"), 3, (1, 2, 1)),
+        (("x^5", "y^5"), 8, (1, 2, 3, 4, 5, 4, 3, 2)),
+        ((), 4, (1, 2, 3, 4)),
+    ])
+    def test_walk_stops_before_the_truncation(self, texts, truncate, seq):
+        # the sequence runs to the truncation D without persisting; I_D is
+        # the whole space, so no basis of degree D or more is built, and one
+        # asked for later is still the identity
+        case = ideal(*texts, truncate=truncate)
+        assert hilbert_samuel(case) == seq
+        assert max(case._components) == truncate - 1
+        assert component(case, truncate) == identity_basis(truncate + 1)
+        assert component(case, truncate + 2) == identity_basis(truncate + 3)
 
     def test_degree_past_persistence_is_one_reduction(self):
         # I_d = x * S_(d-1) past the persistence degree 2, so degree 300 is

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,34 @@ def test_hand_reduced_example():
     assert basis.rank == 2
 
 
+# (rows, ncols, error): each check of rref's input, in the order they are
+# made: the width comes from the first row, and a declared ncols that
+# differs from it is reported before a zero width, a zero width before
+# ragged rows
+_BAD_INPUTS = (
+    ([], None, "rref of no rows needs an explicit column count"),
+    ([[1, 2]], 3, "declared column count 3 != row length 2"),
+    ([[1, 2], [1, 2, 3]], 3, "declared column count 3 != row length 2"),
+    ([[Fraction(1, 2), 1]], 1, "declared column count 1 != row length 2"),
+    ([[1]], 0, "declared column count 0 != row length 1"),
+    ([[]], None, "rows must have length >= 1"),
+    ([[]], 0, "rows must have length >= 1"),
+    ([[], [1]], None, "rows must have length >= 1"),
+    ([[1, 2], [1]], None, "ragged input: row lengths differ"),
+    ([[1, 2], [1]], 2, "ragged input: row lengths differ"),
+    ([[1, 2], [Fraction(1, 3), 2, 3]], None, "ragged input: row lengths differ"),
+)
+
+
 def test_ragged_input_rejected():
-    with pytest.raises(ValueError):
-        rref([[1, 2], [1]])
+    for rows, ncols, error in _BAD_INPUTS:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(error)):
+            rref(rows, ncols=ncols)
+    # Fraction rows are scaled to the same integer rows as their multiples
+    scaled = rref([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5, 7)]])
+    assert scaled == rref([[3, 2], [0, 5]])
+    assert scaled.integer_rows == ((1, 0), (0, 1))
+    assert rref([[Fraction(2, 3), Fraction(4, 3), 2]], ncols=3).integer_rows == ((1, 2, 3),)
 
 
 def test_empty_input_needs_ncols():
@@ -261,9 +287,23 @@ def test_rref_with_a_base_matches_rref_of_all_rows(case):
 
 
 def test_rref_with_a_base_checks_the_width():
+    # the base sets the width: a declared ncols that differs is reported
+    # before any row is read, and a row of another width is ragged
     base = rref([[1, 2, 3]])
-    with pytest.raises(ValueError, match="declared column count"):
-        rref([], ncols=2, base=base)
-    with pytest.raises(ValueError, match="ragged"):
-        rref([[1, 2]], base=base)
+    for rows, ncols, error in (
+            ([], 2, "declared column count 2 != row length 3"),
+            ([[1, 2]], 2, "declared column count 2 != row length 3"),
+            ([[1, 2]], None, "ragged input: row lengths differ"),
+            ([[1, 2, 3], [1, 2, 3, 4]], 3, "ragged input: row lengths differ"),
+            ([[Fraction(1, 2), 1]], None, "ragged input: row lengths differ")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(error)):
+            rref(rows, ncols=ncols, base=base)
+    # a zero-width base takes no rows, not even empty ones
+    empty = rref([], ncols=0)
+    assert empty.rank == 0 and rref([], base=empty) == empty
+    for rows in ([[]], [[1]]):
+        with pytest.raises(ValueError, match="^rows must have length >= 1$"):
+            rref(rows, base=empty)
+    # a Fraction row is scaled before it is inserted into the base
+    assert rref([[Fraction(1, 2), 0, 0]], ncols=3, base=base) == rref([[1, 2, 3], [1, 0, 0]])
 
