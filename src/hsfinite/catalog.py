@@ -223,37 +223,47 @@ class _Analysis:
         the points primitive integer pairs (``forms._primitive_point``)."""
         roles = [(("run", i), dict(roots.points)) for i, roots in self.run_roots]
         if self.theta_roots is not None:
-            pts = {}
-            for (a0, b0), mult in self.theta_roots.points:
-                line_root = _primitive_point(-b0, a0)
-                pts[line_root] = pts.get(line_root, 0) + mult
-            roles.append((("theta",), pts))
-        for degree, (disc, reduced) in sorted(self.pencil_roots.items()):
-            lines = {}
-            for (a0, b0), mult in disc.points:
-                # the member at a root of disc is (u*x + v*y)^2 up to scale:
-                # its coefficients are v^2, 2uv, u^2 and its point is (-v : u)
-                c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
-                pt = _primitive_point(*((-c1, 2 * c2) if c2 else (-2 * c0, c1)))
-                lines[pt] = lines.get(pt, 0) + mult
+            # the root (a : b) of the pairing is the line point (-b : a)
+            roles.append((("theta",), {_primitive_point(-b0, a0): mult
+                                       for (a0, b0), mult in self.theta_roots.points}))
+        for degree, (disc, reduced) in self.pencil_roots.items():
+            # the member at a root of disc is (u*x + v*y)^2 up to scale:
+            # its coefficients are v^2, 2uv, u^2 and its point is (-v : u)
+            lines = {_primitive_point(*((-c1, 2 * c2) if c2 else (-2 * c0, c1))): mult
+                     for (a0, b0), mult in disc.points
+                     for c0, c1, c2 in [[a0 * p + b0 * q for p, q in zip(*reduced)]]}
             roles.append((("pencil", degree),
                           {pt: lines[pt] for pt in sorted(lines, key=_point_key)}))
         return roles
 
 
 def _analyze(ideal: GradedIdeal) -> _Analysis:
-    """Each form on the way to ``_RootData`` is an integer list, a multiple
+    """The invariants in one pass over the tail runs, each read at a run's
+    start d: the component I_d and its factor, for a run of two or more
+    the last row's tail (the run persists, see ``_factor_list``) and the
+    gcd fold otherwise; theta, when the run's value is 1; and a pencil,
+    when the run has length one, I_d has rank 2 and its factor degree
+    d - 2.  No other degree holds one of them:
+
+    - theta lives at the first m >= 1 with t_m = 1, the start of its run,
+      as t_i = i + 1 >= 2 below n and the tail never rises;
+    - a rank-2 degree d inside or at the end of a longer run is h * S_1
+      with deg h = d - 1 (Gotzmann, see ``hilbert_samuel``), so its members
+      divided by h are linear, never quadratics.
+
+    Each form on the way to ``_RootData`` is an integer list, a multiple
     of the monic form its public counterpart returns; the partitions and
     points do not depend on that scale."""
     if ideal._analysis is not None:
         return ideal._analysis
     seq = hilbert_samuel(ideal)
-    nc = HSSequence(seq).n  # components below it are zero
     run_data = []
     run_roots = []
-    for start, end, value in tail_runs(seq, nc):
+    theta_roots = None
+    pencil_patterns = []
+    pencil_roots = {}
+    for start, end, value in tail_runs(seq, HSSequence(seq).n):
         basis = component(ideal, start)
-        # a run of two or more persists, so no gcd: see ``_factor_list``
         factor = _persistent_factor(basis) if end > start else _factor_list(basis)
         part = ()
         if len(factor) > 1:
@@ -261,26 +271,16 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
             run_roots.append((len(run_data), roots))
             part = roots.partition
         run_data.append((start, end, value, part))
-    # theta is the power pairing in the first degree m >= 1 with t_m = 1
-    theta_roots = _RootData(_pairing_list(ideal, seq.index(1, 1))) if 1 in seq[1:] else None
-    pencil_patterns = []
-    pencil_roots = {}
-    for d in range(nc, len(seq)):
-        if d + 1 - seq[d] != 2:  # the rank, read off the sequence
-            continue
-        if d + 1 < len(seq) and seq[d + 1] == seq[d]:
-            continue  # h * S_1 with deg h = d - 1, persistent: no quadratics
-        basis = component(ideal, d)
-        h = _factor_list(basis)
-        if len(h) != d - 1:  # the members divided by h are not quadratics
-            continue
-        # row = core * q * y^k for a quadratic q; exact by Gauss's lemma
-        core = _trim(list(h))
-        reduced = [_exact_quotient(row[:len(core) + 2], core)
-                   for row in basis.integer_rows]
-        disc = _RootData(_discriminant(*reduced))
-        pencil_patterns.append((d, disc.partition))
-        pencil_roots[d] = (disc, reduced)
+        if value == 1:
+            theta_roots = _RootData(_pairing_list(ideal, start))
+        if end == start and basis.rank == 2 and len(factor) == start - 1:
+            # row = core * q * y^k for a quadratic q; exact by Gauss's lemma
+            core = _trim(list(factor))
+            reduced = [_exact_quotient(row[:len(core) + 2], core)
+                       for row in basis.integer_rows]
+            disc = _RootData(_discriminant(*reduced))
+            pencil_patterns.append((start, disc.partition))
+            pencil_roots[start] = (disc, reduced)
     invariant = StructuralInvariant(
         sequence=seq,
         run_data=tuple(run_data),

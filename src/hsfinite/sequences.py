@@ -43,10 +43,6 @@ class HSSequence:
                 return i
         return len(self.entries)
 
-    @property
-    def colength(self) -> int:
-        return sum(self.entries)
-
     def __str__(self):
         return format_sequence(self.entries)
 

@@ -272,12 +272,30 @@ class TestStructuralInvariant:
     def test_long_run_of_ones_builds_up_to_persistence(self):
         # (x*y, x^3) truncated at 33: t_3 = t_4 = 1 past the generator degree
         # 3, so the sequence persists from degree 4 and no component above it
-        # is built, neither by the sequence nor by the pencil scan
+        # is built, neither by the sequence nor by the invariants
         label = label_for((1, 2, 2) + (1,) * 30)
         entry = next(e for e in normal_forms(label) if e.provenance == "pair (x*y, x^3)")
         fresh = GradedIdeal(entry.ideal.generators, entry.ideal.truncation)
         assert _analyze(fresh).invariant.sequence == (1, 2, 2) + (1,) * 30
         assert max(fresh._components) == 4
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inherited_sequence_builds_nothing_past_the_last_run_start(self, seed):
+        # a substituted sample inherits its sequence, so only ``_analyze``
+        # builds the image's components, and it reads every invariant at a
+        # tail-run start: the rank-2 end of the run of 2s of (1, 2, 2, 2),
+        # degree 3, holds no pencil and is not built
+        change = LinearChange(2, 1, 1, 1)
+        image = substitute_ideal(sample_ideal((1, 2, 2, 2), seed), change)
+        _analyze(image)
+        assert sorted(image._components) == [0, 1, 2]
+        for colength in range(3, 12):
+            for entries in enumerate_sequences(colength):
+                image = substitute_ideal(sample_ideal(entries, seed), change)
+                _analyze(image)
+                runs = tail_runs(entries, validate(entries).n)
+                last = runs[-1][0] if runs else -1
+                assert all(d <= last for d in image._components), entries
 
     def test_invariant_under_substitution(self):
         rng = random.Random(22)

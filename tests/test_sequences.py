@@ -24,7 +24,7 @@ class TestValidate:
     def test_accepts_table_shapes(self):
         seq = validate((1, 2, 3, 1))
         assert seq.n == 3
-        assert seq.colength == 7
+        assert sum(seq.entries) == 7
 
     def test_rejects_tail_increase(self):
         with pytest.raises(InvalidSequence):
