@@ -9,7 +9,10 @@ holds for an all-zero tuple built directly.
 Root data over the algebraic closure is computed without ever materializing a
 root: squarefree decomposition (Yun's algorithm, valid in characteristic 0)
 delivers the multiplicity structure, and only *rational* roots are ever
-extracted as points, from the same squarefree layers.
+extracted as points, from the same squarefree layers.  Yun's loop ends as
+soon as the degree not yet in a layer decides the last one, so a power of
+one linear form costs a single gcd, and a pass that finds no layer divides
+nothing.
 
 The form operations are thin wrappers over one kernel of integer
 coefficient-list operations; the 2x2 matrices of linear changes live here
@@ -434,10 +437,20 @@ def _gcd(p, q):
 
 def _squarefree(p):
     """Yun's squarefree decomposition of a primitive integer list: list of
-    (primitive squarefree layer, mult) with p = prod layer^mult.  Every gcd
-    is primitive and divides exactly, so every quotient stays an integer
-    list.  A squarefree p, whose gcd with p' is constant, is its one layer
-    at once; a large one is proved so by ``_gcd``'s modular test."""
+    (primitive squarefree layer, mult) with p = prod layer^mult, by
+    increasing mult.  Every gcd is primitive and divides exactly, so every
+    quotient stays an integer list.
+
+    Pass i starts from c, the product of the distinct roots of multiplicity
+    i or more, and ``left``, the degree of p not yet in a layer, which is
+    the sum of those roots' multiplicities.  Each of the deg c roots has
+    multiplicity at least i, so two cases end the loop with c the last
+    layer: a linear c is one root of multiplicity ``left``, and
+    ``left == i * deg c`` makes every multiplicity exactly i.  A squarefree
+    p, whose gcd with p' is constant, is the second case at i = 1 and is
+    its one layer at once; a large one is proved so by ``_gcd``'s modular
+    test.  A pass whose gcd(c, d) is constant holds no root of
+    multiplicity i and divides nothing."""
     if _deg(p) < 1:
         return []
     # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
@@ -454,14 +467,19 @@ def _squarefree(p):
     c = _exact_quotient(p, g)
     d = _minus_deriv(_exact_quotient(dp, g), c)
     out = []
+    left = _deg(p)
     i = 1
-    while _deg(c) > 0:
-        s = _gcd(c, d) if d else c
+    # d is zero only when every root of c has multiplicity i, the second stop
+    while _deg(c) > 1 and left != i * _deg(c):
+        s = _gcd(c, d)
         if _deg(s) > 0:
             out.append((s, i))
-        c = _exact_quotient(c, s)
-        d = _minus_deriv(_exact_quotient(d, s) if d else [], c)
+            left -= i * _deg(s)
+            c = _exact_quotient(c, s)
+            d = _exact_quotient(d, s)
+        d = _minus_deriv(d, c)
         i += 1
+    out.append((c, left // _deg(c)))
     return out
 
 

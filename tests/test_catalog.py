@@ -43,6 +43,7 @@ from hsfinite.catalog import _analyze, _discriminant
 from hsfinite.forms import _exact_quotient, _RootData, _scaled, _trim
 from hsfinite.ideals import _factor_list
 from hsfinite.sequences import TypeLabel, tail_runs
+from test_forms import kernel_calls
 
 F = parse_form
 
@@ -351,6 +352,33 @@ class TestStructuralInvariant:
         assert _analyze(left).invariant == _analyze(right).invariant == expected
         assert are_isomorphic(left, right).kind == "unknown"
         assert time.perf_counter() - start < 10
+
+    def test_root_data_work_is_pinned(self, monkeypatch):
+        # the benchmark's tracer wraps public names only, so the kernel work
+        # under the invariants is counted here: the 294 normal forms up to
+        # colength 16 and their images under x -> 2x + y, y -> x + y, read
+        # back from text so that no component or analysis is cached.  Yun's
+        # loop stops once the degree left decides the last layer and never
+        # divides by a constant gcd; running every pass up to the highest
+        # multiplicity made 396 / 476 and 1416 / 3176 calls
+        change = LinearChange(2, 1, 1, 1)
+        bases, images = [], []
+        for colength in range(3, 17):
+            for entries in enumerate_sequences(colength):
+                label = label_for(entries)
+                if label.finite:
+                    for entry in normal_forms(label):
+                        bases.append(format_ideal(entry.ideal))
+                        images.append(format_ideal(substitute_ideal(entry.ideal, change)))
+        assert len(bases) == 294
+        calls = kernel_calls(monkeypatch)
+        for texts, gcds, divides in ((bases, 318, 290), (images, 630, 1335)):
+            ideals = [parse_ideal_text(text) for text in texts]
+            for log in calls.values():
+                log.clear()
+            for ideal in ideals:
+                _analyze(ideal)
+            assert len(calls["_gcd"]) <= gcds and len(calls["_divide"]) <= divides
 
 
 class TestAreIsomorphic:

@@ -552,3 +552,33 @@ class TestModularSquarefree:
         assert forms_module._gcd(points, wide) == [1]
         assert forms_module._gcd(square, wide) == forms_module._primitive(wide)
         assert calls == [4, 18, 7, 4, 18, 7]
+
+
+def kernel_calls(monkeypatch):
+    """{name: list of argument tuples}, filled by wrappers around the
+    kernel's ``_gcd`` and ``_divide`` as they are called."""
+    calls = {"_gcd": [], "_divide": []}
+    for name, log in calls.items():
+        real = getattr(forms_module, name)
+        monkeypatch.setattr(forms_module, name,
+                            lambda *args, real=real, log=log: log.append(args) or real(*args))
+    return calls
+
+
+def test_yun_stops_once_the_degree_left_decides(monkeypatch):
+    # (3 + 2t)^12: c = p / gcd(p, p') is linear, so its one root carries
+    # the whole degree and no pass of the loop runs; A * B^5 finds A at
+    # pass 1, and the linear B left is the last layer, with the 5 of the
+    # degree still unassigned; neither is divided by a constant gcd
+    calls = kernel_calls(monkeypatch)
+    power = [1]
+    for _ in range(12):
+        power = forms_module._convolve(power, [3, 2])
+    assert forms_module._squarefree(power) == [([3, 2], 12)]
+    assert len(calls["_gcd"]) == 1  # the gcd with the derivative
+    a, b = [1, 1, 1], [-1, 2]
+    gap = a
+    for _ in range(5):
+        gap = forms_module._convolve(gap, b)
+    assert forms_module._squarefree(gap) == [(a, 1), (b, 5)]
+    assert calls["_divide"] and all(len(q) > 1 for _, q in calls["_divide"])

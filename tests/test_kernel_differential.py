@@ -11,15 +11,17 @@ Root data is also compared on forms with coefficients up to 10^40 over
 cubic, whose squarefree layers of degree 3 or more are solved p-adically.
 The integer Euclid is compared with the ``Fraction`` Euclid it replaced,
 kept here as the reference, and with sympy, and Yun's squarefree layers
-with ``sqf_list``'s, on squarefree lists of degree 3-20 and on products
-with repeated factors.
+with ``sqf_list``'s, on squarefree lists of degree 3-20, on products
+with factors repeated up to 8 times, gaps between the multiplicities
+among them, and on powers of a linear list up to the 12th.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hsfinite import (
@@ -328,12 +330,19 @@ def squarefree_lists(draw):
 
 @st.composite
 def repeated_factor_lists(draw):
-    """Primitive products of powers of random lists of degree 1-3, so some
-    layer has a multiplicity of 2 or 3; degrees reach past 16."""
+    """Primitive products of powers up to the 8th of random lists of degree
+    1-3, so some layer has a multiplicity of 2 or more and multiplicities
+    with gaps, as in A * B^5, are common; or one linear list to a power up
+    to the 12th.  Degrees reach past 16, and Yun's loop meets both of its
+    stops and passes that find no layer."""
+    if draw(st.integers(0, 3)) == 0:
+        shapes = [(1, draw(st.integers(2, 12)))]
+    else:
+        shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 8)),
+                               min_size=1, max_size=4)
+                      .filter(lambda fs: any(m > 1 for _, m in fs)))
     p = [1]
-    for degree, mult in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                                      min_size=1, max_size=4)
-                             .filter(lambda fs: any(m > 1 for _, m in fs))):
+    for degree, mult in shapes:
         factor = draw(st.lists(st.integers(-50, 50), min_size=degree + 1,
                                max_size=degree + 1).filter(lambda q: q[-1]))
         for _ in range(mult):
@@ -350,6 +359,7 @@ def test_squarefree_list_is_its_one_layer(p):
 
 @EXAMPLES
 @given(repeated_factor_lists())
+@example(functools.reduce(_convolve, [[-1, 2]] * 5, [1, 1, 1]))  # A * B^5
 def test_squarefree_layers_match_sqf_list(p):
     layers = _squarefree(p)
     assert [mult for _, mult in layers] == sorted({mult for _, mult in layers})
