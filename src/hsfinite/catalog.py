@@ -53,15 +53,14 @@ from .forms import (
     LinearChange,
     _convolve,
     _exact_quotient,
+    _parse_list,
     _point_key,
     _point_map_matrix,
     _primitive_key,
     _primitive_point,
     _RootData,
-    _scaled,
     _substitution,
     _trim,
-    parse_form,
 )
 from .ideals import (
     MAX_ROW_REDUCED,
@@ -163,7 +162,7 @@ def normal_forms(label: TypeLabel) -> list:
         gens = []
         for (start, _, _), texts in zip(runs, run_texts):
             for text in texts:
-                factor, den = _scaled(parse_form(text.format(a=b - 1, b=b)).coeffs)
+                factor, den = _parse_list(text.format(a=b - 1, b=b))
                 gens += [(v, den) for v in _shifts(factor, start + 1 - len(factor))]
         entry = CatalogEntry(target, GradedIdeal._of_lists(gens, len(seq)),
                              why.format(a=b - 1, b=b))

@@ -15,24 +15,23 @@ one linear form costs a single gcd, and a pass that finds no layer divides
 nothing.
 
 The form operations are thin wrappers over one kernel of integer
-coefficient-list operations; the 2x2 matrices of linear changes live here
-too.  Products, substitutions (``_substitution``, shared with the witness
-search in ``catalog``, which maps one form by homogeneous Horner in
-O(degree^2)), division, gcds (``_form_gcd``) and squarefree decomposition
-run on integer lists, Euclid as Brown's primitive remainder sequence, and
-``_RootData`` reads an integer list, so the invariant layer in ``catalog``
-never builds a form.  Integers and ``Fraction`` values meet in two places:
+coefficient-list operations, beside the 2x2 matrices of linear changes.
+Products, substitutions (``_substitution``, homogeneous Horner in
+O(degree^2), shared with the witness search in ``catalog``), division,
+gcds (``_form_gcd``) and squarefree decomposition run on integer lists,
+Euclid as Brown's primitive remainder sequence, and ``_RootData`` reads an
+integer list.  Integers and ``Fraction`` values meet in two places:
 ``_scaled`` turns exact scalars into an integer list over a common
 denominator, refusing any value that is not an ``int`` or a ``Fraction``
 (``_exact``), and ``_form_of`` builds the form of an integer list over a
-denominator, sharing one ``Fraction`` constant per integer in [-256, 256].
-The text parser ``_parse_list`` reads an integer list over the lcm of the
-``num/den`` terms' denominators and builds no ``Fraction``; ``parse_form``
-is ``_form_of`` that list, and ``ideals.parse_ideal_text`` keeps the list
-and builds no form.  The printer ``_format_list`` writes an integer list
-over a denominator, reducing each coefficient by a gcd: ``format_form`` is
-``_format_list`` of ``_scaled``, and ``ideals.format_ideal`` prints the
-lists it keeps, again with no ``Fraction``.
+denominator, sharing one ``Fraction`` per integer in [-256, 256].  Text
+has one reader, ``_parse_list``, which gives an integer list over the lcm
+of the ``num/den`` terms' denominators; ``parse_form`` is ``_form_of`` of
+it, and ``ideals.parse_ideal_text`` and ``catalog.normal_forms`` keep it.
+The printer ``_format_list`` writes an integer list over a denominator,
+reducing each coefficient by a gcd; ``format_form`` is ``_format_list`` of
+``_scaled``, and ``ideals`` prints its generators and the ``NotArtinian``
+common factor with it.  So no command builds a form or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ class BinaryForm:
 ZERO = BinaryForm(())
 
 
-# most coefficients are small integers; a Fraction is immutable, so one serves all
+# one immutable Fraction serves each small integer: no command builds a form, but the
+# generic benchmark reads every sample's: without this it peaked at 33 MB RSS, not 30
 _SMALL = {n: Fraction(n) for n in range(-256, 257)}
 
 
@@ -446,11 +446,12 @@ def _squarefree(p):
     the sum of those roots' multiplicities.  Each of the deg c roots has
     multiplicity at least i, so two cases end the loop with c the last
     layer: a linear c is one root of multiplicity ``left``, and
-    ``left == i * deg c`` makes every multiplicity exactly i.  A squarefree
-    p, whose gcd with p' is constant, is the second case at i = 1 and is
-    its one layer at once; a large one is proved so by ``_gcd``'s modular
-    test.  A pass whose gcd(c, d) is constant holds no root of
-    multiplicity i and divides nothing."""
+    ``left == i * deg c`` (where d = 0) makes every multiplicity exactly i.  At
+    i = 1, ``left`` = deg p > deg c, so a power of one linear form ends it
+    before p' / g is computed for d.  A squarefree p, whose gcd with p' is
+    constant, is its one layer at once; a large one is proved so by
+    ``_gcd``'s modular test.  A pass whose gcd(c, d) is constant holds no
+    root of multiplicity i and divides nothing."""
     if _deg(p) < 1:
         return []
     # the common linear and quadratic inputs need no gcd: a*x^2 + b*x + c
@@ -465,19 +466,17 @@ def _squarefree(p):
     if len(g) == 1:
         return [(p, 1)]
     c = _exact_quotient(p, g)
-    d = _minus_deriv(_exact_quotient(dp, g), c)
     out = []
     left = _deg(p)
     i = 1
-    # d is zero only when every root of c has multiplicity i, the second stop
     while _deg(c) > 1 and left != i * _deg(c):
+        d = _minus_deriv(_exact_quotient(dp, g) if i == 1 else d, c)
         s = _gcd(c, d)
         if _deg(s) > 0:
             out.append((s, i))
             left -= i * _deg(s)
             c = _exact_quotient(c, s)
             d = _exact_quotient(d, s)
-        d = _minus_deriv(d, c)
         i += 1
     out.append((c, left // _deg(c)))
     return out

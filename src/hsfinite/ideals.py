@@ -194,8 +194,10 @@ def hilbert_samuel(ideal: GradedIdeal) -> tuple:
         if not ideal._lists:
             raise NotArtinian("no generators and no truncation")
         g = reduce(_form_gcd, [v for v, _ in ideal._lists])
-        if len(g) > 1:
-            raise NotArtinian("not Artinian: common factor %s" % format_form(_monic_form(g)))
+        if len(g) > 1:  # named monic: a lone generator is its own g, of either sign
+            lead = next(c for c in reversed(g) if c)
+            raise NotArtinian("not Artinian: common factor %s" % _format_list(
+                [c if lead > 0 else -c for c in g], abs(lead)))
     last = ideal._top_degree
     # I_d is full by the truncation.  Without one, the generators have no
     # common factor, so I_last, spanned by their multiples, holds two coprime

@@ -358,9 +358,10 @@ class TestStructuralInvariant:
         # under the invariants is counted here: the 294 normal forms up to
         # colength 16 and their images under x -> 2x + y, y -> x + y, read
         # back from text so that no component or analysis is cached.  Yun's
-        # loop stops once the degree left decides the last layer and never
-        # divides by a constant gcd; running every pass up to the highest
-        # multiplicity made 396 / 476 and 1416 / 3176 calls
+        # loop stops once the degree left decides the last layer, never
+        # divides by a constant gcd, and divides p' by gcd(p, p') only when
+        # a pass runs; running every pass up to the highest multiplicity
+        # made 396 / 476 and 1416 / 3176 calls
         change = LinearChange(2, 1, 1, 1)
         bases, images = [], []
         for colength in range(3, 17):
@@ -372,7 +373,7 @@ class TestStructuralInvariant:
                         images.append(format_ideal(substitute_ideal(entry.ideal, change)))
         assert len(bases) == 294
         calls = kernel_calls(monkeypatch)
-        for texts, gcds, divides in ((bases, 318, 290), (images, 630, 1335)):
+        for texts, gcds, divides in ((bases, 318, 260), (images, 630, 1121)):
             ideals = [parse_ideal_text(text) for text in texts]
             for log in calls.values():
                 log.clear()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -764,3 +765,66 @@ class TestOneCommandParser:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+
+class TestNoCommandBuildsAForm:
+    """Between its input text and its output a command holds integer
+    lists only: with ``forms._form_of``, the one builder of a form from
+    integers, refused in every module that binds it, every command prints
+    and writes what it prints and writes with nothing refused."""
+
+    NOPIN = ("-8*x^2 + 4*x*y + 3*y^2\ntruncate: 3\n",
+             "-148*x^2 + 424*x*y - 228*y^2\ntruncate: 3\n")
+
+    def commands(self, tmp_path):
+        out = str(tmp_path / "out")
+        a = write(tmp_path, "a.ideal", "x^2\nx*y^2 + y^3\ntruncate: 4\n")
+        b = write(tmp_path, "b.ideal", "x^2\ny^3\ntruncate: 4\n")
+        c = write(tmp_path, "c.ideal", "x*y\ny^3\ntruncate: 4\n")
+        p, q = (write(tmp_path, name, text) for name, text in zip("pq", self.NOPIN))
+        factor = write(tmp_path, "factor.ideal", "x*y\nx^2*y + x*y^2\n")
+        lone = write(tmp_path, "lone.ideal", "-3/2*x^2\n")
+        commands = [["catalog", seq, "--json", "--out", out]
+                    for seq in ("1,2,3,2,1,1", "1,2,2,1", "1,2,3,3,2,2,1,1")]
+        for left, right in ((a, b), (a, c), (p, q)):
+            commands += [["iso", left, right], ["iso", left, right, "--json"]]
+        return commands + [
+            ["hs", factor], ["hs", lone], ["hs", a, "--json"],
+            ["sample", "1,2,3,1", "--count", "2", "--out", out], ["sample", "1,2,2,1", "--json"],
+            ["classify", "1,2,3,2,1,1"], ["enumerate", "--colength", "6"],
+            ["diagram", "1,2,3,2,1,1"]]
+
+    @staticmethod
+    def outcomes(capsys, tmp_path, commands):
+        got = []
+        out = tmp_path / "out"
+        for argv in commands:
+            shutil.rmtree(out, ignore_errors=True)
+            try:
+                result = run(capsys, *argv)
+            except AssertionError as exc:  # a refused form, raised through main
+                result = ("raised", str(exc))
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+            got.append((argv[0], result, files))
+        return got
+
+    def test_outputs_are_unchanged_with_forms_refused(self, capsys, tmp_path, monkeypatch):
+        from hsfinite import forms, parse_form
+
+        monkeypatch.chdir(tmp_path)  # sample writes to the working directory by default
+        commands = self.commands(tmp_path)
+        expected = self.outcomes(capsys, tmp_path, commands)
+        assert [result[0] for _, result, _ in expected] == [0] * 9 + [3, 3] + [0] * 6
+        assert expected[9][1][2] == "error: not Artinian: common factor x*y\n"
+        assert expected[10][1][2] == "error: not Artinian: common factor x^2\n"
+
+        def refused(p, den):
+            raise AssertionError("a form was built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hsfinite" and \
+                    getattr(module, "_form_of", None) is forms._form_of:
+                monkeypatch.setattr(module, "_form_of", refused)
+        with pytest.raises(AssertionError, match="a form was built"):
+            parse_form("x")
+        assert self.outcomes(capsys, tmp_path, commands) == expected

@@ -567,15 +567,18 @@ def kernel_calls(monkeypatch):
 
 def test_yun_stops_once_the_degree_left_decides(monkeypatch):
     # (3 + 2t)^12: c = p / gcd(p, p') is linear, so its one root carries
-    # the whole degree and no pass of the loop runs; A * B^5 finds A at
-    # pass 1, and the linear B left is the last layer, with the 5 of the
-    # degree still unassigned; neither is divided by a constant gcd
+    # the whole degree and no pass of the loop runs, nor is p' divided by
+    # the gcd for it; A * B^5 finds A at pass 1, and the linear B left is
+    # the last layer, with the 5 of the degree still unassigned; neither
+    # is divided by a constant gcd
     calls = kernel_calls(monkeypatch)
     power = [1]
     for _ in range(12):
         power = forms_module._convolve(power, [3, 2])
     assert forms_module._squarefree(power) == [([3, 2], 12)]
     assert len(calls["_gcd"]) == 1  # the gcd with the derivative
+    # the gcd's one remainder, and p divided by the gcd
+    assert len(calls["_divide"]) == 2
     a, b = [1, 1, 1], [-1, 2]
     gap = a
     for _ in range(5):

@@ -11,13 +11,15 @@ from tests do not count, so a helper that only tests call is dead code.
 The same holds for every name the package ``__init__`` exports, unless the
 benchmark's tracer wraps it by name (``bench/tracing.LAYERS``), and for
 every method and property defined in a class body of the package, which
-must be read as an attribute.
+must be read as an attribute on a receiver that can be of its class: not
+on ``cli``'s argparse namespace, and on ``self`` only along inheritance.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import textwrap
 
 import pytest
 
@@ -166,27 +168,143 @@ def overrides(module, cls_name, name):
     return any(name in vars(base) for base in cls.__mro__[1:])
 
 
-def test_every_class_member_is_read():
-    """Every method and property (``cached_property`` too) defined in a
-    class body of ``src/hsfinite``, private classes included, is read as an
-    attribute somewhere in the package outside its own definition.  Dunders
-    are exempt, and so is a method that overrides a base class's; dataclass
-    fields are not covered.  Reads from tests do not count."""
+def _attribute_reads(tree):
+    """(node, receiver, class, function) for every attribute read in a
+    module: the receiver is the name the attribute is read on (``self``,
+    ``args``, ...) or None for any other expression, the class the
+    innermost class body around the read or None, and the function the
+    module-level function around it or None."""
+    reads = []
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            reads.append((node, receiver, cls, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function)
+
+    visit(tree, None, None)
+    return reads
+
+
+def _ancestors(trees):
+    """{class name: the names of its base classes, transitively} over the
+    classes defined in ``trees``; a base defined elsewhere ends a chain."""
+    bases = {node.name: {b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))}
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def up(name, seen):
+        for base in bases.get(name, ()):
+            if base not in seen:
+                seen.add(base)
+                up(base, seen)
+        return seen
+
+    return {name: up(name, set()) for name in bases}
+
+
+def unread_members(trees, overrides=lambda module, cls_name, name: False):
+    """The methods and properties of the classes in ``trees`` ({module file
+    name: ast}) that nothing reads, as "Class.member (module:line)".  A
+    read ``r.m`` outside the member's own definition counts for ``C.m``
+    only when r can be a C: a read on ``args``, the argparse namespace of
+    a ``cmd_*`` function of ``cli.py``, never counts, and one on ``self``
+    or ``cls`` only inside C or a class related to it by inheritance.
+    Dunders are exempt, and so is a member for which ``overrides(module,
+    class name, member name)`` holds."""
+    ancestors = _ancestors(trees)
     members = []
     reads = []
-    for name, tree in package_trees():
+    for module, tree in trees.items():
+        reads += [(module, *read) for read in _attribute_reads(tree)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.append(node)
             if isinstance(node, ast.ClassDef):
-                members += [(name, node.name, member) for member in node.body
+                members += [(module, node.name, member) for member in node.body
                             if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not (member.name.startswith("__")
                                      and member.name.endswith("__"))]
+
+    def may_be(owner, module, receiver, cls, function):
+        if module == "cli.py" and receiver == "args" and (function or "").startswith("cmd_"):
+            return False
+        if receiver in ("self", "cls"):
+            return cls is not None and (cls == owner or owner in ancestors[cls]
+                                        or cls in ancestors[owner])
+        return True
+
     unread = []
     for module, cls_name, member in members:
         own = {id(node) for node in ast.walk(member)}
-        if not any(read.attr == member.name and id(read) not in own for read in reads) \
+        if not any(node.attr == member.name and id(node) not in own
+                   and may_be(cls_name, where, *context)
+                   for where, node, *context in reads) \
                 and not overrides(module, cls_name, member.name):
             unread.append("%s.%s (%s:%d)" % (cls_name, member.name, module, member.lineno))
+    return unread
+
+
+def test_every_class_member_is_read():
+    """Every method and property (``cached_property`` too) defined in a
+    class body of ``src/hsfinite``, private classes included, is read as an
+    attribute somewhere in the package outside its own definition, on a
+    receiver that can be of its class (see ``unread_members``).  Dunders
+    are exempt, and so is a method that overrides a base class's; dataclass
+    fields are not covered.  Reads from tests do not count."""
+    unread = unread_members(dict(package_trees()), overrides)
     assert not unread, "class members nothing in the package reads: %s" % ", ".join(unread)
+
+
+def _snippet(text):
+    return ast.parse(textwrap.dedent(text))
+
+
+def test_a_namespace_read_is_no_read():
+    # a property read only as an argparse destination of the same name is
+    # flagged; read on any other value, it counts
+    sequences = _snippet("""
+        class HSSequence:
+            @property
+            def colength(self):
+                return 0
+    """)
+    cli = _snippet("""
+        def cmd_enumerate(args):
+            return args.colength
+    """)
+    assert unread_members({"sequences.py": sequences, "cli.py": cli}) == \
+        ["HSSequence.colength (sequences.py:4)"]
+    catalog = _snippet("""
+        def size(seq):
+            return seq.colength
+    """)
+    assert unread_members({"sequences.py": sequences, "cli.py": cli,
+                           "catalog.py": catalog}) == []
+
+
+def test_a_self_read_counts_only_along_inheritance():
+    # Child reads its base's ``shared`` and Base reads its subclass's
+    # ``hook``; Stranger's ``self.lone`` names a member of an unrelated class
+    tree = _snippet("""
+        class Base:
+            def shared(self):
+                return self.hook
+        class Child(Base):
+            @property
+            def hook(self):
+                return self.shared
+        class Lone:
+            def lone(self):
+                return 0
+        class Stranger:
+            def ask(self):
+                return self.lone
+        def use(stranger):
+            return stranger.ask
+    """)
+    assert unread_members({"catalog.py": tree}) == ["Lone.lone (catalog.py:10)"]
