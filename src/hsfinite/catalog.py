@@ -16,10 +16,15 @@ carrying one ideal onto the other, so the tester works in three layers:
 
 2. A bounded witness search over exact substitutions: candidates are
    integer matrices on the rational root points carried by the invariant
-   forms.  Each point has a signature, its (role, multiplicity) pairs,
-   which a substitution keeps.  Each candidate maps an injective triple of
-   right points onto the first three left points of the same signatures,
-   since a substitution moves the roots of a form by its inverse, padded
+   forms.  ``_analyze`` keeps one role table, ``_Analysis.roles``: a
+   (tag, ``_RootData``, line) record for each run factor, theta and pencil
+   discriminant it meets, ``line`` taking a root to its point on the line
+   (itself, its dual point, the point of its square member).  Each point has
+   a signature, its (role index, multiplicity) pairs, which a substitution
+   keeps; ``_Analysis.signatures`` builds them once per ideal.  Each
+   candidate maps an injective triple of right points onto the first three
+   left points of the same signatures, since a substitution moves the
+   roots of a form by its inverse, padded
    from a fixed point palette when there are only one or two points; with
    none, only the identity and the swap are tried.  A map is kept when it
    sends every right point onto a left point of its signature, and at most
@@ -34,7 +39,8 @@ carrying one ideal onto the other, so the tester works in three layers:
    generator lists one at a time by the Horner kernel of
    ``forms.substitute`` and stops at the first image off the
    target's component, found by its complement functionals
-   (``RowBasis.annihilator``) in O(d^2) with no elimination.
+   (``RowBasis.annihilator``) in O(d^2) with no elimination
+   (``ideals._carries_into``).
    A ``LinearChange`` is built only for the witness reported.
 
 3. Unknown, when neither side resolves the pair.  Irrational root
@@ -59,12 +65,12 @@ from .forms import (
     _primitive_key,
     _primitive_point,
     _RootData,
-    _substitution,
     _trim,
 )
 from .ideals import (
     MAX_ROW_REDUCED,
     GradedIdeal,
+    _carries_into,
     _check_row_reduced,
     _extend,
     _factor_list,
@@ -75,7 +81,7 @@ from .ideals import (
     format_ideal,
     hilbert_samuel,
 )
-from .rational_linalg import contains, rref
+from .rational_linalg import rref
 from .sequences import (HSSequence, TypeLabel, row_dimension, sequence_for_label,
                         tail_runs, validate)
 
@@ -207,33 +213,33 @@ class StructuralInvariant:
         return None
 
 
+def _square_point(reduced, a, b):
+    """The line point of a root (a : b) of a pencil's discriminant: the
+    member a*p + b*q of the reduced pair (p, q) is (u*x + v*y)^2 up to
+    scale, its coefficients v^2, 2uv, u^2 and its point (-v : u)."""
+    c0, c1, c2 = [a * p + b * q for p, q in zip(*reduced)]
+    return _primitive_point(*((-c1, 2 * c2) if c2 else (-2 * c0, c1)))
+
+
 @dataclass(frozen=True)
 class _Analysis:
-    """Invariant plus the exact rational root data behind it."""
+    """Invariant plus the role table behind it: a (tag, _RootData, line)
+    record per role, ``line`` taking a root point to a primitive line point."""
 
     invariant: StructuralInvariant
-    run_roots: list                 # [(run index, _RootData), ...]
-    theta_roots: _RootData | None
-    pencil_roots: dict              # {degree: (disc _RootData, members)}
+    roles: list
 
     @functools.cached_property
-    def integer_roles(self):
-        """Ordered (tag, {point: multiplicity}) pairs of rational root data,
-        the points primitive integer pairs (``forms._primitive_point``)."""
-        roles = [(("run", i), dict(roots.points)) for i, roots in self.run_roots]
-        if self.theta_roots is not None:
-            # the root (a : b) of the pairing is the line point (-b : a)
-            roles.append((("theta",), {_primitive_point(-b0, a0): mult
-                                       for (a0, b0), mult in self.theta_roots.points}))
-        for degree, (disc, reduced) in self.pencil_roots.items():
-            # the member at a root of disc is (u*x + v*y)^2 up to scale:
-            # its coefficients are v^2, 2uv, u^2 and its point is (-v : u)
-            lines = {_primitive_point(*((-c1, 2 * c2) if c2 else (-2 * c0, c1))): mult
-                     for (a0, b0), mult in disc.points
-                     for c0, c1, c2 in [[a0 * p + b0 * q for p, q in zip(*reduced)]]}
-            roles.append((("pencil", degree),
-                          {pt: lines[pt] for pt in sorted(lines, key=_point_key)}))
-        return roles
+    def signatures(self):
+        """{point: signature} over the rational role points, a point's
+        signature being its (role index, multiplicity) pairs; a substitution
+        keeps them."""
+        signatures = {}
+        for index, (_, roots, line) in enumerate(self.roles):
+            for root, mult in roots.points:
+                pt = line(*root)
+                signatures[pt] = signatures.get(pt, ()) + ((index, mult),)
+        return signatures
 
 
 def _analyze(ideal: GradedIdeal) -> _Analysis:
@@ -257,21 +263,24 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
         return ideal._analysis
     seq = hilbert_samuel(ideal)
     run_data = []
-    run_roots = []
-    theta_roots = None
+    theta_pattern = None
     pencil_patterns = []
-    pencil_roots = {}
+    roles = []
     for start, end, value in tail_runs(seq, HSSequence(seq).n):
         basis = component(ideal, start)
         factor = _persistent_factor(basis) if end > start else _factor_list(basis)
         part = ()
         if len(factor) > 1:
             roots = _RootData(factor)
-            run_roots.append((len(run_data), roots))
+            # its roots are primitive pairs, points of the line already
+            roles.append((("run", len(run_data)), roots, lambda u, v: (u, v)))
             part = roots.partition
         run_data.append((start, end, value, part))
         if value == 1:
-            theta_roots = _RootData(_pairing_list(ideal, start))
+            theta = _RootData(_pairing_list(ideal, start))
+            theta_pattern = theta.partition
+            # the root (a : b) of the pairing is the line point (-b : a)
+            roles.append((("theta",), theta, lambda a, b: _primitive_point(-b, a)))
         if end == start and basis.rank == 2 and len(factor) == start - 1:
             # row = core * q * y^k for a quadratic q; exact by Gauss's lemma
             core = _trim(list(factor))
@@ -279,14 +288,10 @@ def _analyze(ideal: GradedIdeal) -> _Analysis:
                        for row in basis.integer_rows]
             disc = _RootData(_discriminant(*reduced))
             pencil_patterns.append((start, disc.partition))
-            pencil_roots[start] = (disc, reduced)
-    invariant = StructuralInvariant(
-        sequence=seq,
-        run_data=tuple(run_data),
-        theta_pattern=None if theta_roots is None else theta_roots.partition,
-        pencil_patterns=tuple(pencil_patterns),
-    )
-    ideal._analysis = _Analysis(invariant, run_roots, theta_roots, pencil_roots)
+            roles.append((("pencil", start), disc, functools.partial(_square_point, reduced)))
+    invariant = StructuralInvariant(seq, tuple(run_data), theta_pattern,
+                                    tuple(pencil_patterns))
+    ideal._analysis = _Analysis(invariant, roles)
     return ideal._analysis
 
 
@@ -322,16 +327,6 @@ def format_change(change: LinearChange) -> str:
 _PALETTE = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1))
 
 
-def _signatures(roles):
-    """{point: signature} over the rational role points, a point's signature
-    being its (role index, multiplicity) pairs; a substitution keeps them."""
-    signatures = {}
-    for index, (_, pts) in enumerate(roles):
-        for pt, mult in pts.items():
-            signatures[pt] = signatures.get(pt, ()) + ((index, mult),)
-    return signatures
-
-
 def _keeps_signatures(m, right, left):
     """Does the point map m send every right point onto a left point of its
     signature?"""
@@ -356,10 +351,10 @@ def _candidate_changes(analysis_left, analysis_right):
     800 point maps are computed."""
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
-    left = _signatures(analysis_left.integer_roles)
+    left = analysis_left.signatures
     if not left:
         return
-    right = _signatures(analysis_right.integer_roles)
+    right = analysis_right.signatures
     if sorted(left.values()) != sorted(right.values()):
         return
     seen = {(1, 0, 0, 1), (0, 1, 1, 0)}
@@ -400,29 +395,6 @@ def are_isomorphic(left: GradedIdeal, right: GradedIdeal) -> IsoVerdict:
         if carries(key):
             return IsoVerdict("isomorphic", witness=LinearChange(*key))
     return IsoVerdict("unknown")
-
-
-# the images of an integer list under the identity key and the swap key
-_KNOWN_IMAGES = {(1, 0, 0, 1): lambda p: p, (0, 1, 1, 0): lambda p: p[::-1]}
-
-
-def _carries_into(left: GradedIdeal, right: GradedIdeal):
-    """The test ``are_isomorphic`` runs on each candidate key (a, b, c, d):
-    is every generator of ``left`` of degree below ``len(seq)`` mapped into
-    ``right``?  For ideals of one sequence this is ``equal_ideals`` of the
-    image and ``right``, by its proof.  The generators are read as their
-    integer lists, and each key stops at the first image outside ``right``.
-    The identity maps a list to itself and the swap x <-> y to its reverse,
-    so neither is built by ``_substitution``."""
-    below = len(hilbert_samuel(left))
-    lists = [v for v, _ in left._lists if len(v) <= below]
-
-    def carries(key):
-        image = _KNOWN_IMAGES.get(key) or _substitution(*key)
-        return all(contains(component(right, len(p) - 1), image(p))
-                   for p in lists)
-
-    return carries
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ An ideal is a list of nonzero homogeneous generators plus an optional
 truncation degree D, which adjoins every form of degree >= D (the power of
 the maximal ideal (x, y)^D).  Each generator is held as an integer
 coefficient list with a positive denominator: ideals are read from text,
-sampled and substituted as such lists, which the components, the sequence,
-``equal_ideals`` and the witness check in ``catalog`` read directly, and
-the ``BinaryForm`` generators are built only when first read.  Graded
+sampled and substituted as such lists, which the components, the sequence
+and the containment test ``_carries_into`` (of ``equal_ideals`` and of the
+witness check in ``catalog``) read directly, and the ``BinaryForm``
+generators are built only when first read.  Graded
 components are row spaces, column i holding x^i y^(d-i) as in
 ``BinaryForm.coeffs``, built on demand and memoized; past the degree where
 the sequence persists, a component is written down as the multiples of the
@@ -302,6 +303,29 @@ def substitute_ideal(ideal: GradedIdeal, change) -> GradedIdeal:
     return image
 
 
+# the images of an integer list under the identity key and the swap key
+_KNOWN_IMAGES = {(1, 0, 0, 1): lambda p: p, (0, 1, 1, 0): lambda p: p[::-1]}
+
+
+def _carries_into(left: GradedIdeal, right: GradedIdeal):
+    """The containment test on a key (a, b, c, d): is every generator of
+    ``left`` of degree below ``len(seq)`` mapped by the key into ``right``?
+    For ideals of one sequence this is equality of the image and ``right``
+    (see ``equal_ideals``).  The generators are read as their integer lists,
+    and each key stops at the first image outside ``right``.  The identity
+    maps a list to itself and the swap x <-> y to its reverse, so neither is
+    built by ``_substitution``."""
+    below = len(hilbert_samuel(left))
+    lists = [v for v, _ in left._lists if len(v) <= below]
+
+    def carries(key):
+        image = _KNOWN_IMAGES.get(key) or _substitution(*key)
+        return all(contains(component(right, len(p) - 1), image(p))
+                   for p in lists)
+
+    return carries
+
+
 def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
     """Equality proved by containment: the sequences agree and every
     generator of ``left`` lies in the component of ``right`` of its degree.
@@ -313,11 +337,8 @@ def equal_ideals(left: GradedIdeal, right: GradedIdeal) -> bool:
     memoized, so checking many candidate images against one ``right`` builds
     its components once.
     """
-    seq = hilbert_samuel(left)
-    if seq != hilbert_samuel(right):
-        return False
-    return all(contains(component(right, len(v) - 1), v)
-               for v, _ in left._lists if len(v) <= len(seq))
+    return (hilbert_samuel(left) == hilbert_samuel(right)
+            and _carries_into(left, right)((1, 0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ and j behind, so no product is computed.
 
 The ``Fraction`` views that only tests read are built here too, from the
 integer data the package keeps: the unit-pivot grid of a ``RowBasis``, the
-inverse of a ``LinearChange`` and the role points of an analysis
+quotient of two forms by long division, the inverse of a ``LinearChange``
+and the role points of an analysis, read off its role table and
 normalized to (1, t) or (0, 1).
 """
 
 from fractions import Fraction
 
 from hsfinite import LinearChange, rref
-from hsfinite.forms import _normalize_point
+from hsfinite.forms import _normalize_point, _point_key
 
 MAX_DEGREE = 64
 
@@ -59,6 +60,23 @@ def componentwise_equal(a, b):
     raise AssertionError("no full component below degree %d" % MAX_DEGREE)
 
 
+def long_divide(f, h):
+    """f / h for the coefficient tuples of forms, h dividing f: the power
+    of x in h is divided out, then the quotient is read off from the x^0
+    end, one Fraction division per coefficient."""
+    a = next(i for i, c in enumerate(h) if c)
+    assert not any(f[:a])
+    rest, h = [Fraction(c) for c in f[a:]], h[a:]
+    quotient = []
+    for k in range(len(rest) - len(h) + 1):
+        c = rest[k] / h[0]
+        quotient.append(c)
+        for i, v in enumerate(h):
+            rest[k + i] -= c * v
+    assert not any(rest)
+    return quotient
+
+
 def fraction_rows(basis):
     """The unit-pivot ``Fraction`` grid of an RREF basis: each primitive
     integer row divided by its pivot entry."""
@@ -73,8 +91,21 @@ def inverse(change):
                         Fraction(-change.c, det), Fraction(change.a, det))
 
 
+# the order of the roles in ``marked_roles``: the runs, then theta, then the
+# pencils, whichever degree ``_analyze`` met them at
+_ROLE_ORDER = {"run": 0, "theta": 1, "pencil": 2}
+
+
 def marked_roles(analysis):
-    """The ``integer_roles`` of an analysis with each point normalized to
-    (1, t) or (0, 1), as the witness tests and the golden lines read them."""
-    return [(tag, {_normalize_point(pt): mult for pt, mult in pts.items()})
-            for tag, pts in analysis.integer_roles]
+    """The role points of an analysis, (tag, {point: multiplicity}) pairs
+    with each line point normalized to (1, t) or (0, 1), as the witness
+    tests and the golden lines read them: the runs, then theta, then the
+    pencils; the run and theta points in the order of their roots, each
+    pencil's in ``_point_key`` order."""
+    roles = []
+    for tag, roots, line in sorted(analysis.roles, key=lambda role: _ROLE_ORDER[role[0][0]]):
+        points = [(line(*root), mult) for root, mult in roots.points]
+        if tag[0] == "pencil":
+            points.sort(key=lambda item: _point_key(item[0]))
+        roles.append((tag, {_normalize_point(pt): mult for pt, mult in points}))
+    return roles

@@ -28,13 +28,17 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from componentwise import marked_roles
+from componentwise import long_divide, marked_roles
 from hsfinite import (
     LinearChange,
     SingularChange,
     are_isomorphic,
     classify,
+    common_factor,
+    component,
     enumerate_sequences,
     equal_ideals,
     normal_forms,
@@ -43,9 +47,10 @@ from hsfinite import (
     substitute_ideal,
     validate,
 )
-from hsfinite.catalog import _analyze, _candidate_changes, _carries_into
+from hsfinite.catalog import _analyze, _candidate_changes
 from hsfinite.forms import (_adjugate, _normalize_point, _point_key, _point_map_matrix,
                             _primitive_point)
+from hsfinite.ideals import _carries_into
 
 _REFERENCE_PALETTE = tuple(_normalize_point(p) for p in (
     (0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 1)))
@@ -276,11 +281,13 @@ def test_each_candidate_carries_right_pins_onto_left_pins():
 
 
 def _simple_points(*points):
-    """An analysis stand-in whose one role holds simple points, as the
-    integer roles the stream reads; the reference reads them through
-    ``marked_roles``."""
+    """An analysis stand-in whose one role holds simple points: the
+    signatures the stream reads, and the role record from which the
+    reference reads them through ``marked_roles``."""
+    pts = [(_primitive_point(*p), 1) for p in points]
     return SimpleNamespace(
-        integer_roles=[(("run", 0), {_primitive_point(*p): 1 for p in points})])
+        signatures={pt: ((0, 1),) for pt, _ in pts},
+        roles=[(("run", 0), SimpleNamespace(points=pts), lambda u, v: (u, v))])
 
 
 @pytest.mark.parametrize("fourth, keys", [((1, 3), 0), ((1, -1), 8)])
@@ -372,32 +379,41 @@ def _fraction_points(roots):
     return sorted((_normalize_point(p), mult) for p, mult in roots.points)
 
 
-def _reference_roles(analysis):
-    """The marked roles rebuilt in ``Fraction`` arithmetic: the run points
-    as sorted ``Fraction`` points, the theta points as the dual points of
-    the pairing's roots, and each pencil's lines computed from the
-    ``Fraction`` roots of its discriminant and sorted as tuples."""
-    roles = [(("run", i), dict(_fraction_points(roots))) for i, roots in analysis.run_roots]
-    if analysis.theta_roots is not None:
-        pts = {}
-        for (a0, b0), mult in _fraction_points(analysis.theta_roots):
-            line = _normalize_point((-b0, a0))
-            pts[line] = pts.get(line, 0) + mult
-        roles.append((("theta",), pts))
-    for degree, (disc, reduced) in sorted(analysis.pencil_roots.items()):
-        lines = {}
-        for (a0, b0), mult in _fraction_points(disc):
-            c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
-            line = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
-            lines[line] = lines.get(line, 0) + mult
-        roles.append((("pencil", degree), dict(sorted(lines.items()))))
+def _reference_roles(ideal, analysis):
+    """The role points rebuilt in ``Fraction`` arithmetic from the root data
+    of ``analysis.roles``: the run points as ``Fraction`` points, the theta
+    points as the dual points of the pairing's roots, and each pencil's
+    lines from the ``Fraction`` roots of its discriminant, the members built
+    on the pencil's quadratics, read off the component's integer rows
+    divided by the monic ``common_factor``."""
+    roles = []
+    for tag, roots, _ in analysis.roles:
+        points = {}
+        if tag[0] == "pencil":
+            h = common_factor(ideal, tag[1])
+            reduced = [long_divide(row, h.coeffs)
+                       for row in component(ideal, tag[1]).integer_rows]
+        for (a0, b0), mult in _fraction_points(roots):
+            if tag[0] == "run":
+                line = (a0, b0)
+            elif tag[0] == "theta":
+                line = _normalize_point((-b0, a0))
+            else:
+                c0, c1, c2 = (a0 * p + b0 * q for p, q in zip(*reduced))
+                line = _normalize_point((-c1, 2 * c2) if c2 else (-2 * c0, c1))
+            points[line] = points.get(line, 0) + mult
+        roles.append((tag, points))
     return roles
 
 
-def _ordered(roles):
-    """Roles with each point dict as its list of items, so that comparing
-    them compares the dict order too."""
-    return [(tag, list(points.items())) for tag, points in roles]
+def _reference_signatures(roles):
+    """{point: signature} of roles in the order of the role table, each
+    signature its (role index, multiplicity) pairs."""
+    signatures = {}
+    for index, (_, points) in enumerate(roles):
+        for pt, mult in points.items():
+            signatures[pt] = signatures.get(pt, ()) + ((index, mult),)
+    return signatures
 
 
 def _iso_digest_pairs():
@@ -430,30 +446,56 @@ def _generic_panel_pairs():
 
 
 def test_integer_roles_are_the_fraction_roles():
-    """The stream reads the roles as primitive integer points.  Mapped
-    through ``_normalize_point`` they are the roles built in ``Fraction``
-    arithmetic, dict order included: the order of the points sets the
-    order of the matchings and so of the keys."""
+    """The stream reads the signatures of the role points as primitive
+    integer points.  Mapped through ``_normalize_point`` they are the
+    signatures of the roles built in ``Fraction`` arithmetic."""
     analyses = roles = 0
     for pair in itertools.chain(_iso_digest_pairs(), _generic_panel_pairs()):
         for case in pair:
             analysis = _analyze(case)
-            expected = _ordered(_reference_roles(analysis))
-            for _, points in analysis.integer_roles:
-                for u, v in points:
-                    assert type(u) is int and type(v) is int
-                    assert math.gcd(u, v) == 1 and (u or v) > 0
-            normalized = [(tag, [(_normalize_point(p), m) for p, m in points.items()])
-                          for tag, points in analysis.integer_roles]
-            assert normalized == expected, case
+            reference = _reference_roles(case, analysis)
+            for u, v in analysis.signatures:
+                assert type(u) is int and type(v) is int
+                assert math.gcd(u, v) == 1 and (u or v) > 0
+            normalized = {_normalize_point(p): signature
+                          for p, signature in analysis.signatures.items()}
+            assert normalized == _reference_signatures(reference), case
             analyses += 1
-            roles += sum(len(points) > 1 for _, points in expected)
-    # 294 + 84 pairs, and many roles of more than one point, whose order counts
+            roles += sum(len(points) > 1 for _, points in reference)
+    # 294 + 84 pairs, and many roles of more than one point
     assert analyses == 2 * (294 + 84) and roles > 400
 
 
 def _ideal(*lines):
     return parse_ideal_text("\n".join(lines) + "\n")
+
+
+# the pools of the equivariance property: every normal form of colength
+# 3-12, and the valid sequences of colength 3-12 to sample at seeds 0-3
+_NORMAL_FORM_POOL = [entry.ideal
+                     for colength in range(3, 13)
+                     for entries in enumerate_sequences(colength)
+                     if (label := classify(validate(entries))).finite
+                     for entry in normal_forms(label)]
+_SEQUENCE_POOL = [entries for colength in range(3, 13)
+                  for entries in enumerate_sequences(colength)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(_NORMAL_FORM_POOL),
+                 st.builds(sample_ideal, st.sampled_from(_SEQUENCE_POOL), st.integers(0, 3))),
+       st.tuples(*[st.integers(-5, 5)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+@example(_ideal("x^2", "y^2", "truncate: 3"), (1, 2, 3, 4))
+@example(_ideal("x^2", "x*y", "truncate: 3"), (2, -1, 1, 3))
+def test_signatures_move_with_the_change(ideal, key):
+    """A substitution sigma = [[a, b], [c, d]] moves the roots of every role
+    form by its inverse: the signatures of sigma . I are those of I with each
+    point (u, v) moved to (d*u - b*v : -c*u + a*v), role indices included."""
+    a, b, c, d = key
+    image = substitute_ideal(ideal, LinearChange(a, b, c, d))
+    moved = {_primitive_point(d * u - b * v, -c * u + a * v): signature
+             for (u, v), signature in _analyze(ideal).signatures.items()}
+    assert _analyze(image).signatures == moved
 
 
 def test_no_pinned_point_tries_identity_and_swap_only():

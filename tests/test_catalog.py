@@ -452,18 +452,21 @@ class TestAreIsomorphic:
     def test_identity_and_swap_keys_are_not_substituted(self, monkeypatch):
         # the identity maps each generator list to itself and the swap to
         # its reverse, so neither key reaches the Horner kernel
-        import hsfinite.catalog as cat
+        # (``substitute_ideal`` builds its images by the same kernel, so the
+        # keys are counted while the verdicts alone run)
+        import hsfinite.ideals as ideals
 
-        keys = []
-        real = cat._substitution
-        monkeypatch.setattr(cat, "_substitution", lambda *key: keys.append(key) or real(*key))
         base = GradedIdeal([F("x^2"), F("x*y^2 + y^3")], truncation=4)
         pairs = [(base, base),
                  (base, substitute_ideal(base, LinearChange(0, 1, 1, 0))),
                  (base, substitute_ideal(base, LinearChange(3, 0, -1, 1))),
                  (GradedIdeal([F("x^2"), F("y^2")], truncation=3),
                   GradedIdeal([F("x*y"), F("x^2 - y^2")], truncation=3))]
+        keys = []
+        real = ideals._substitution
+        monkeypatch.setattr(ideals, "_substitution", lambda *key: keys.append(key) or real(*key))
         verdicts = [are_isomorphic(a, b) for a, b in pairs]
+        monkeypatch.undo()
         assert [v.kind for v in verdicts] == ["isomorphic"] * 3 + ["unknown"]
         assert [v.witness.matrix() for v in verdicts[:2]] == [((1, 0), (0, 1)),
                                                               ((0, 1), (1, 0))]

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from componentwise import fraction_rows, marked_roles
+from componentwise import fraction_rows, long_divide, marked_roles
 from hsfinite import (
     GradedIdeal,
     LinearChange,
@@ -58,23 +58,6 @@ from hsfinite.sequences import tail_runs
 def _point(u, v):
     """The projective point (u : v) as (1, v/u) or (0, 1)."""
     return (Fraction(1), Fraction(v) / u) if u else (Fraction(0), Fraction(1))
-
-
-def _long_divide(f, h):
-    """f / h for the coefficient tuples of forms, h dividing f: the power
-    of x in h is divided out, then the quotient is read off from the x^0
-    end, one Fraction division per coefficient."""
-    a = next(i for i, c in enumerate(h) if c)
-    assert not any(f[:a])
-    rest, h = [Fraction(c) for c in f[a:]], h[a:]
-    quotient = []
-    for k in range(len(rest) - len(h) + 1):
-        c = rest[k] / h[0]
-        quotient.append(c)
-        for i, v in enumerate(h):
-            rest[k + i] -= c * v
-    assert not any(rest)
-    return quotient
 
 
 def _times(l1, l2):
@@ -121,7 +104,7 @@ def reference_analysis(ideal):
         h = common_factor(ideal, d)
         if h.degree != d - 2:  # the members divided by h are not quadratics
             continue
-        p, q = (_long_divide(row, h.coeffs) for row in fraction_rows(component(ideal, d)))
+        p, q = (long_divide(row, h.coeffs) for row in fraction_rows(component(ideal, d)))
         # member a*p + b*q has the coefficients c_k = p_k*a + q_k*b
         l0, l1, l2 = zip(p, q)
         disc = binary_form([s - 4 * t for s, t in zip(_times(l1, l1), _times(l2, l0))])
