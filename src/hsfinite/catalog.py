@@ -25,7 +25,8 @@ carrying one ideal onto the other, so the tester works in three layers:
    candidate maps an injective triple of right points onto the first three
    left points of the same signatures, since a substitution moves the
    roots of a form by its inverse, padded
-   from a fixed point palette when there are only one or two points; with
+   from a fixed point palette when there are only one or two points, so
+   each map is built on three distinct points a side; with
    none, only the identity and the swap are tried.  A map is kept when it
    sends every right point onto a left point of its signature, and at most
    800 maps are computed per pair.  The points are primitive integer pairs
@@ -45,6 +46,9 @@ carrying one ideal onto the other, so the tester works in three layers:
 
 3. Unknown, when neither side resolves the pair.  Irrational root
    configurations land here by design: no numerics, no false certificates.
+
+``normal_forms`` checks a label against the bounds of ``parse_ideal_text``
+before it builds a normal form, so ``hs`` reads every file ``catalog`` writes.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ class CatalogEntry:
     """One normal-form ideal of a catalog row, with the provenance text
     that names its shape."""
 
-    label: TypeLabel
     ideal: GradedIdeal
     provenance: str
 
@@ -147,8 +150,10 @@ def normal_forms(label: TypeLabel) -> list:
 
     The lists follow the normal-form analysis per row; they are complete but
     not guaranteed minimal, so verify_catalog computes the deduplicated class
-    count afterwards.  Every ideal is truncated at the sequence length, and
-    one that ``parse_ideal_text`` would refuse makes the label refused.
+    count afterwards.  Every ideal is truncated at the sequence length and
+    has its generators at run starts, one at the last start b, so the label
+    is refused before any text is formatted when ``parse_ideal_text`` would
+    refuse one of them.
     """
     if not label.finite:
         raise NoCatalog("no catalog for an infinite-type sequence")
@@ -158,10 +163,9 @@ def normal_forms(label: TypeLabel) -> list:
     if label.dimension != dimension:
         raise InvalidParameters("%s has dimension %d, not %d"
                                 % (label, dimension, label.dimension))
-    nc = validate(seq).n
-    target = TypeLabel(kind, label.dimension, label.params, nc)
-    runs = tail_runs(seq, nc)
+    runs = tail_runs(seq, HSSequence(seq).n)
     b = runs[-1][0] if runs else 0
+    _check_row_reduced(b, len(seq), InvalidParameters)
     single_one = kind == "T7" and label.param_dict()["l"] == 1
     entries = []
     for why, *run_texts in _NORMAL_FORMS["T7, l=1" if single_one else kind]:
@@ -170,10 +174,8 @@ def normal_forms(label: TypeLabel) -> list:
             for text in texts:
                 factor, den = _parse_list(text.format(a=b - 1, b=b))
                 gens += [(v, den) for v in _shifts(factor, start + 1 - len(factor))]
-        entry = CatalogEntry(target, GradedIdeal._of_lists(gens, len(seq)),
-                             why.format(a=b - 1, b=b))
-        _check_row_reduced(entry.ideal, InvalidParameters)
-        entries.append(entry)
+        entries.append(CatalogEntry(GradedIdeal._of_lists(gens, len(seq)),
+                                    why.format(a=b - 1, b=b)))
     return entries
 
 
@@ -348,7 +350,8 @@ def _candidate_changes(analysis_left, analysis_right):
     are fewer than three points, and kept only if it sends every right
     point onto a left point of its signature.  With no point, padding would
     only guess at PGL(2, Q), so nothing past the swap is tried.  At most
-    800 point maps are computed."""
+    800 point maps are computed, each on three distinct points a side, as
+    the padding avoids both sides' points."""
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
     left = analysis_left.signatures
@@ -373,7 +376,7 @@ def _candidate_changes(analysis_left, analysis_right):
                 return
             budget -= 1
             m = _point_map_matrix((*qs, *extra_r), (*ps, *extra_l))
-            if m is None or not _keeps_signatures(m, right, left):
+            if not _keeps_signatures(m, right, left):
                 continue
             key = _primitive_key(m)
             if key not in seen:

@@ -87,10 +87,6 @@ def _json_text(value, newline="\n"):
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
-def _emit_json(payload):
-    print(_json_text(payload))
-
-
 def _read_ideal(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -131,19 +127,17 @@ def _label_payload(label):
 def cmd_hs(args):
     seq = hilbert_samuel(_read_ideal(args.path))
     if args.json:
-        _emit_json({"sequence": list(seq)})
+        print(_json_text({"sequence": list(seq)}))
     else:
         print(format_sequence(seq))
-    return EXIT_OK
 
 
 def cmd_classify(args):
     seq = validate(parse_sequence_text(args.sequence))
     label = classify(seq)
     if args.json:
-        _emit_json(_label_payload(label))
-        return EXIT_OK
-    if label.finite:
+        print(_json_text(_label_payload(label)))
+    elif label.finite:
         params = "" if not label.params else \
             "(%s)" % ", ".join("%s=%d" % kv for kv in label.params)
         print("finite, %s%s, dim %d" % (label.kind, params, label.dimension))
@@ -151,7 +145,6 @@ def cmd_classify(args):
             print("canonical n = %d" % label.canonical_n)
     else:
         print("infinite, dim %d" % label.dimension)
-    return EXIT_OK
 
 
 def cmd_enumerate(args):
@@ -166,7 +159,7 @@ def cmd_enumerate(args):
             label = classify(validate(entries))
             rows.append((entries, label))
     if args.json:
-        _emit_json({
+        print(_json_text({
             "colengths": colengths,
             "rows": [
                 {
@@ -178,14 +171,13 @@ def cmd_enumerate(args):
                 }
                 for entries, label in rows
             ],
-        })
-        return EXIT_OK
+        }))
+        return
     for entries, label in rows:
         verdict = "finite" if label.finite else "infinite"
         name = str(label) if label.finite else "-"
         print("%s  dim %d  %s  %s" % (format_sequence(entries),
                                       label.dimension, verdict, name))
-    return EXIT_OK
 
 
 def cmd_catalog(args):
@@ -203,13 +195,12 @@ def cmd_catalog(args):
     _write_text(report_path, text + "\n")
     if args.json:
         print(text)
-        return EXIT_OK
+        return
     for path in paths:
         print("wrote %s" % path)
     print("classes: %d (unknown pairs: %d)" %
           (report.class_count, len(report.unknown_pairs)))
     print("report: %s" % report_path)
-    return EXIT_OK
 
 
 def cmd_iso(args):
@@ -217,10 +208,9 @@ def cmd_iso(args):
     right = _read_ideal(args.right)
     verdict = are_isomorphic(left, right)
     if args.json:
-        _emit_json(verdict.to_dict())
+        print(_json_text(verdict.to_dict()))
     else:
         print(str(verdict))
-    return EXIT_OK
 
 
 def cmd_diagram(args):
@@ -229,7 +219,6 @@ def cmd_diagram(args):
     height = max(entries)
     for level in range(height, 0, -1):
         print("".join("#" if t >= level else " " for t in entries).rstrip())
-    return EXIT_OK
 
 
 def cmd_sample(args):
@@ -246,11 +235,10 @@ def cmd_sample(args):
                                                            args.seed + i, format_ideal(ideal)))
         paths.append(path)
     if args.json:
-        _emit_json({"sequence": list(seq.entries), "files": paths})
+        print(_json_text({"sequence": list(seq.entries), "files": paths}))
     else:
         for path in paths:
             print("wrote %s" % path)
-    return EXIT_OK
 
 
 def build_parser():
@@ -313,10 +301,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a reader gone early shows here, not at exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # as the Python docs' SIGPIPE note advises: the exit's own flush
         # writes what is left to os.devnull, so no error is printed there

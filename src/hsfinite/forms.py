@@ -157,6 +157,7 @@ class LinearChange:
 # 2x2 matrices as nested tuples of ints.  A projective map matters only up
 # to a nonzero scalar, so no entry is divided: points are primitive integer
 # pairs, inverses are adjugates, and ``_primitive_key`` fixes the scale.
+# A point map takes three distinct points a side, so it is invertible.
 # ---------------------------------------------------------------------------
 
 
@@ -176,27 +177,17 @@ def _adjugate(m):
 
 
 def _basis_matrix(p1, p2, p3):
-    """Columns on p1 and p2 that sum to a point on p3, or None unless the
-    three points are distinct.  The columns are scaled by the Cramer
-    numerators of p3 in the basis p1, p2."""
-    det = p1[0] * p2[1] - p1[1] * p2[0]
-    if det == 0:
-        return None
+    """Columns on p1 and p2 that sum to a point on p3, for three distinct
+    points, scaled by the Cramer numerators of p3 in the basis p1, p2."""
     lam = p3[0] * p2[1] - p3[1] * p2[0]
     mu = p1[0] * p3[1] - p1[1] * p3[0]
-    if lam == 0 or mu == 0:
-        return None
     return ((lam * p1[0], mu * p2[0]), (lam * p1[1], mu * p2[1]))
 
 
 def _point_map_matrix(ps, qs):
-    """The projective map sending three points to three points, up to a
-    nonzero scalar, or None."""
-    P = _basis_matrix(*ps)
-    Q = _basis_matrix(*qs)
-    if P is None or Q is None:
-        return None
-    return _mat_mul(Q, _adjugate(P))
+    """The projective map sending three distinct points to three distinct
+    points, up to a nonzero scalar."""
+    return _mat_mul(_basis_matrix(*qs), _adjugate(_basis_matrix(*ps)))
 
 
 def _normalize_point(uv):

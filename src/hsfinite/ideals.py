@@ -361,15 +361,17 @@ MAX_TRUNCATION = 2000
 MAX_ROW_REDUCED = 200
 
 
-def _check_row_reduced(ideal: GradedIdeal, error) -> None:
-    """Raise ``error`` when ``hilbert_samuel`` may row-reduce a component of
-    degree ``MAX_ROW_REDUCED`` or more, by the bound derived above it."""
-    e = ideal._top_degree
-    t = ideal.truncation
+def _check_row_reduced(e: int, t: int | None, error) -> None:
+    """Raise ``error`` unless ``hilbert_samuel`` row-reduces no component of
+    degree ``MAX_ROW_REDUCED`` or more, by the bound derived above it for
+    the highest generator degree e below the truncation t, and t, if any,
+    is between 1 and ``MAX_TRUNCATION``."""
     reduced = 2 * e if t is None else min(t, 2 * e + 1)
     if reduced > MAX_ROW_REDUCED:
         raise error("the sequence may need components up to degree %d; "
                     "at most %d is supported" % (reduced - 1, MAX_ROW_REDUCED - 1))
+    if t is not None and not 1 <= t <= MAX_TRUNCATION:
+        raise error("truncation degree must be between 1 and %d" % MAX_TRUNCATION)
 
 
 def parse_ideal_text(text: str) -> GradedIdeal:
@@ -387,9 +389,6 @@ def parse_ideal_text(text: str) -> GradedIdeal:
                 raise ParseError("line %d: duplicate truncate directive" % lineno)
             body = rest[1:].strip()
             truncation = parse_natural(body, "the truncation degree on line %d" % lineno)
-            if not 1 <= truncation <= MAX_TRUNCATION:
-                raise ParseError("line %d: truncation degree must be between 1 and %d"
-                                 % (lineno, MAX_TRUNCATION))
             continue
         cs, den = _parse_list(line)
         if not any(cs):
@@ -400,7 +399,7 @@ def parse_ideal_text(text: str) -> GradedIdeal:
     if not generators and truncation is None:
         raise ParseError("ideal file needs at least one generator or a truncate line")
     ideal = GradedIdeal._of_lists(generators, truncation)
-    _check_row_reduced(ideal, ParseError)
+    _check_row_reduced(ideal._top_degree, truncation, ParseError)
     return ideal
 
 

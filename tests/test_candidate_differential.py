@@ -145,7 +145,7 @@ def _reference_candidate_changes(analysis_left, analysis_right):
         qs = [q for _, q in pins]
         if len(pins) >= 3:
             m = _point_map_matrix(tuple(ps[:3]), tuple(qs[:3]))
-            if m is not None and all(_maps_point(m, p, q) for p, q in pins):
+            if all(_maps_point(m, p, q) for p, q in pins):
                 yield from emit(m)
             continue
         free_left = [p for p in _REFERENCE_PALETTE if p not in ps]
@@ -159,8 +159,6 @@ def _reference_candidate_changes(analysis_left, analysis_right):
                 break
             m = _point_map_matrix(tuple(ps + list(extra_l))[:3],
                                   tuple(qs + list(extra_r))[:3])
-            if m is None:
-                continue
             if not all(_maps_point(m, p, q) for p, q in pins):
                 continue
             yield from emit(m)
@@ -244,9 +242,7 @@ def _palette_guesses():
     64 pairs of palette triples, each right triple mapped onto the left one."""
     triples = itertools.permutations(_REFERENCE_PALETTE, 3)
     for extra_l, extra_r in itertools.islice(itertools.product(triples, repeat=2), 64):
-        m = _point_map_matrix(extra_l, extra_r)
-        if m is not None:
-            yield _reference_primitive_change(_adjugate(m))
+        yield _reference_primitive_change(_adjugate(_point_map_matrix(extra_l, extra_r)))
 
 
 def _padded_verdict(left, right):
@@ -341,6 +337,46 @@ def test_thirty_points_compute_at_most_800_point_maps(monkeypatch):
     right = _simple_points(*((2 * u + v, u + v) for u, v in points))
     keys = list(_candidate_changes(left, right))
     assert len(calls) == 800 and keys[:2] == [(1, 0, 0, 1), (0, 1, 1, 0)]
+
+
+def _verified_catalog_pairs():
+    """The pairs ``verify_catalog`` compares up to colength 16: every two
+    normal forms of one label."""
+    for colength in range(3, 17):
+        for entries in enumerate_sequences(colength):
+            label = classify(validate(entries))
+            if label.finite:
+                yield from itertools.combinations([e.ideal for e in normal_forms(label)], 2)
+
+
+def test_point_maps_are_built_on_distinct_points(monkeypatch):
+    """Each point map takes three pairwise distinct points a side, so it is
+    invertible: the left points are distinct signature keys, the right
+    triple is injective and the palette padding avoids both sides' points.
+    Checked on every map of the streams of the 330 catalog pairs up to
+    colength 16, of the generic panel and of seven simple points, the one
+    case here whose right triples could repeat a point; the check leaves
+    each stream unchanged."""
+    pairs = [(_analyze(left), _analyze(right)) for left, right in
+             itertools.chain(_verified_catalog_pairs(), _generic_panel_pairs())]
+    points = [(1, 0), (0, 1), *((1, k) for k in range(1, 6))]
+    pairs.append((_simple_points(*points),
+                  _simple_points(*((2 * u + v, u + v) for u, v in points))))
+    calls = []
+
+    def checking(ps, qs):
+        for side in (ps, qs):
+            assert len(side) == 3 and all(
+                p[0] * q[1] != p[1] * q[0] for p, q in itertools.combinations(side, 2)), \
+                (ps, qs)
+        calls.append(None)
+        return _point_map_matrix(ps, qs)
+
+    monkeypatch.setattr("hsfinite.catalog._point_map_matrix", checking)
+    checked = [list(_candidate_changes(*pair)) for pair in pairs]
+    monkeypatch.undo()
+    assert checked == [list(_candidate_changes(*pair)) for pair in pairs]
+    assert len(pairs) == 330 + 84 + 1 and calls
 
 
 def test_catalog_pairs_with_equal_invariants():

@@ -387,6 +387,37 @@ class TestCatalog:
             code, out, _ = run(capsys, "hs", str(out_dir / name))
             assert (code, out) == (0, "(%s)\n" % seq.replace(",", ", "))
 
+    @pytest.mark.parametrize("seq", [
+        ",".join(str(t) for t in range(1, MAX_TRUNCATION + 2)),
+        "1,2" + ",1" * (MAX_TRUNCATION + 1),
+    ], ids=["T1", "T5"])
+    def test_entry_files_past_the_truncation_limit_refused(self, tmp_path, seq):
+        # the entries are truncated at the sequence length, past the
+        # truncation hs reads, though their generators are of degree 1 at most
+        out_dir = tmp_path / "long"
+        done = run_process("catalog", seq, "--out", str(out_dir))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == ("error: truncation degree must be between 1 and %d\n"
+                               % MAX_TRUNCATION)
+        assert not out_dir.exists()
+
+    def test_entry_file_at_the_truncation_limit_read_back(self, capsys, tmp_path):
+        seq = ",".join(str(t) for t in range(1, MAX_TRUNCATION + 1))
+        out_dir = tmp_path / "t1"
+        assert run(capsys, "catalog", seq, "--out", str(out_dir))[0] == 0
+        code, out, _ = run(capsys, "hs", str(out_dir / "entry_1.ideal"))
+        assert (code, out) == (0, "(%s)\n" % seq.replace(",", ", "))
+
+    def test_templates_past_the_exponent_limit_refused_by_the_bound(self, tmp_path):
+        # T7 with l = 1 and its run of 1s at b = 1103: the texts would read
+        # x^1103, past the exponent limit, but the label is refused first
+        out_dir = tmp_path / "t7"
+        done = run_process("catalog", "1,2,3" + ",2" * 1100 + ",1", "--out", str(out_dir))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == ("error: the sequence may need components up to degree "
+                               "1103; at most %d is supported\n" % (MAX_ROW_REDUCED - 1))
+        assert not out_dir.exists()
+
 
 class TestIso:
     def test_distinguished(self, capsys, tmp_path):

@@ -618,7 +618,8 @@ class TestIdealText:
         past ``MAX_ROW_REDUCED``."""
         def refused(ideal):
             try:
-                ideals_module._check_row_reduced(ideal, ParseError)
+                ideals_module._check_row_reduced(ideal._top_degree, ideal.truncation,
+                                                 ParseError)
             except ParseError:
                 return True
             return False
