@@ -402,19 +402,34 @@ def are_isomorphic(left: GradedIdeal, right: GradedIdeal) -> IsoVerdict:
 
 @dataclass(frozen=True)
 class CatalogReport:
-    """Output of ``verify_catalog``: the entries, their sequence checks, the
-    pairwise verdicts and the classes they join into."""
+    """Output of ``verify_catalog``: the entries, their sequence checks and
+    the pairwise verdicts, off which the classes and unknown pairs are read."""
 
     label: TypeLabel
     entries: list
     sequence_ok: list
     pairwise: list            # (i, j, IsoVerdict)
-    classes: list             # sorted lists of entry indices
-    unknown_pairs: list
+
+    @functools.cached_property
+    def classes(self) -> list:
+        """The sorted lists of entry indices that isomorphic verdicts join:
+        each verdict (i, j) relabels the class of j as the class of i."""
+        cls = list(range(len(self.entries)))
+        for i, j, verdict in self.pairwise:
+            if verdict.kind == "isomorphic":
+                cls = [cls[i] if c == cls[j] else c for c in cls]
+        groups = {}
+        for index, c in enumerate(cls):
+            groups.setdefault(c, []).append(index)
+        return sorted(groups.values())
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    @property
+    def unknown_pairs(self) -> list:
+        return [[i, j] for i, j, verdict in self.pairwise if verdict.kind == "unknown"]
 
     def to_dict(self) -> dict:
         return {
@@ -438,35 +453,14 @@ class CatalogReport:
 
 
 def verify_catalog(label: TypeLabel) -> CatalogReport:
-    """Check every entry's sequence, fill the pairwise verdict matrix and
-    count classes (Unknown pairs stay separate but are flagged)."""
+    """Check every entry's sequence and decide each pair (i, j), i < j, in
+    lexicographic order; an Unknown pair joins no class but is listed."""
     entries = normal_forms(label)
     target = sequence_for_label(label)
     sequence_ok = [hilbert_samuel(e.ideal) == target for e in entries]
-    pairwise = []
-    parent = list(range(len(entries)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    unknown_pairs = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            verdict = are_isomorphic(entries[i].ideal, entries[j].ideal)
-            pairwise.append((i, j, verdict))
-            if verdict.kind == "isomorphic":
-                parent[find(i)] = find(j)
-            elif verdict.kind == "unknown":
-                unknown_pairs.append([i, j])
-    groups = {}
-    for i in range(len(entries)):
-        groups.setdefault(find(i), []).append(i)
-    classes = sorted(sorted(g) for g in groups.values())
-    return CatalogReport(label, entries, sequence_ok, pairwise, classes,
-                         unknown_pairs)
+    pairwise = [(i, j, are_isomorphic(entries[i].ideal, entries[j].ideal))
+                for i, j in itertools.combinations(range(len(entries)), 2)]
+    return CatalogReport(label, entries, sequence_ok, pairwise)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def _json_text(value, newline="\n"):
 
 
 def _read_ideal(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -138,9 +138,7 @@ def cmd_classify(args):
     if args.json:
         print(_json_text(_label_payload(label)))
     elif label.finite:
-        params = "" if not label.params else \
-            "(%s)" % ", ".join("%s=%d" % kv for kv in label.params)
-        print("finite, %s%s, dim %d" % (label.kind, params, label.dimension))
+        print("finite, %s, dim %d" % (label, label.dimension))
         if label.params:
             print("canonical n = %d" % label.canonical_n)
     else:

@@ -2,9 +2,10 @@
 
 DomainError subclasses signal mathematically meaningful refusals (the CLI maps
 them to exit code 3), ParseError covers malformed text input (exit code 2) and
-SamplingFailed is the one retry-budget failure (exit code 4).  Every parser
-reads its digit runs through ``parse_natural``, so only the ASCII digits 0-9
-count, at most ``MAX_DIGITS`` of them, and none leaks a ValueError.
+SamplingFailed is the one retry-budget failure (exit code 4).  A number in
+any input is a run of ASCII digits 0-9, at most ``MAX_DIGITS`` of them, and
+none leaks a ValueError: each parser reads its runs through ``parse_natural``,
+but ``forms._number`` reads one of at most 640 digits with ``int()``.
 """
 
 

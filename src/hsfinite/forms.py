@@ -112,8 +112,6 @@ def binary_form(coeffs) -> BinaryForm:
 
 def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Product form; degrees add and the integer lists convolve."""
-    if f.is_zero or g.is_zero:
-        return ZERO
     p, den_f = _scaled(f.coeffs)
     q, den_g = _scaled(g.coeffs)
     return _form_of(_convolve(p, q), den_f * den_g)

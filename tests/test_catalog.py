@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from componentwise import componentwise_equal, multiples_basis, reference_component
 from hsfinite import (
+    CatalogReport,
     GradedIdeal,
+    IsoVerdict,
     LinearChange,
     NoCatalog,
     SamplingFailed,
@@ -503,6 +505,24 @@ class TestVerifyCatalog:
                 assert componentwise_equal(
                     substitute_ideal(report.entries[i].ideal, v.witness),
                     report.entries[j].ideal)
+
+    @pytest.mark.parametrize("size,isomorphic,unknown,classes", [
+        # (0, 2) and (1, 2) join 0 and 1 past their Unknown pair; no catalog
+        # label up to colength 16 joins a class through such a chain
+        (3, [(0, 2), (1, 2)], [(0, 1)], [[0, 1, 2]]),
+        # a verdict joins the whole classes of its two entries
+        (4, [(0, 1), (2, 3), (1, 3)], [], [[0, 1, 2, 3]]),
+        (5, [(1, 3), (0, 4)], [(2, 4)], [[0, 4], [1, 3], [2]]),
+    ])
+    def test_classes_and_unknown_pairs_are_read_off_the_verdicts(
+            self, size, isomorphic, unknown, classes):
+        kinds = dict.fromkeys(isomorphic, "isomorphic") | dict.fromkeys(unknown, "unknown")
+        pairwise = [(i, j, IsoVerdict(kinds.get((i, j), "distinguished")))
+                    for i, j in itertools.combinations(range(size), 2)]
+        report = CatalogReport(label_for((1, 2, 1)), [None] * size, [True] * size, pairwise)
+        assert report.classes == classes
+        assert report.class_count == len(classes)
+        assert report.unknown_pairs == [list(pair) for pair in unknown]
 
     def test_report_is_frozen(self):
         report = verify_catalog(label_for((1, 2, 1)))

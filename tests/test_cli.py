@@ -121,6 +121,25 @@ class TestHs:
         assert err.startswith("error: cannot read %s as UTF-8 text" % path)
         assert err.count("\n") == 1
 
+    def test_leading_byte_order_mark(self, capsys, tmp_path):
+        # as Windows Notepad saves UTF-8: the mark is dropped, not parsed
+        path = tmp_path / "bom.ideal"
+        path.write_bytes(b"\xef\xbb\xbfx^2\ny^2\ntruncate: 3\n")
+        assert run(capsys, "hs", str(path)) == (0, "(1, 2, 1)\n", "")
+
+    @pytest.mark.parametrize("text,line", [
+        ("x^2\n\ufeffy^2\ntruncate: 3\n", "'\\ufeffy^2'"),
+        ("\ufeff\ufeffx^2\ny^2\n", "'\\ufeffx^2'"),
+        ("x^2\ufeff\ny^2\n", "'x^2\\ufeff'"),
+    ])
+    def test_byte_order_mark_past_the_start_is_a_parse_error(self, capsys, tmp_path,
+                                                             text, line):
+        path = tmp_path / "bom.ideal"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run(capsys, "hs", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected ") and err.endswith(" in %s\n" % line)
+
     def test_missing_file(self, capsys, tmp_path):
         # an I/O error is exit code 2 with one error line, no traceback
         path = str(tmp_path / "nope.ideal")
@@ -436,6 +455,14 @@ class TestIso:
         a = write(tmp_path, "a.ideal", "x^2\ny^2\ntruncate: 3\n")
         b = write(tmp_path, "b.ideal", "x*y\nx^2 - y^2\ntruncate: 3\n")
         assert run(capsys, "iso", a, b) == (0, "Unknown\n", "")
+
+    def test_leading_byte_order_mark(self, capsys, tmp_path):
+        plain = write(tmp_path, "plain.ideal", "x^2\ny^2\ntruncate: 3\n")
+        marked = tmp_path / "bom.ideal"
+        marked.write_bytes(b"\xef\xbb\xbfx^2\ny^2\ntruncate: 3\n")
+        for a, b in ((plain, str(marked)), (str(marked), plain)):
+            code, out, err = run(capsys, "iso", a, b)
+            assert (code, err) == (0, "") and out.startswith("Isomorphic")
 
     def test_lines_at_the_truncation_limit(self, tmp_path):
         # sequences of 2000 ones: the invariants and the witness check read

@@ -18,6 +18,7 @@ from hsfinite import (
     IsoVerdict,
     LinearChange,
     ParseError,
+    ZERO,
     SingularChange,
     binary_form,
     format_change,
@@ -175,6 +176,13 @@ class TestArithmetic:
             assert multiply(f, g) == multiply(g, f)
             assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
             assert multiply(f, g).degree == f.degree + g.degree
+
+    def test_multiply_by_zero_is_zero(self):
+        # no zero branch: an empty or all-zero list convolves to zeros,
+        # whose form is ZERO
+        for f, g in ((ZERO, F("x^2 - y^2")), (F("x*y"), ZERO), (ZERO, ZERO),
+                     (BinaryForm((0, 0)), F("x"))):
+            assert multiply(f, g) is ZERO
 
     def test_substitute_examples(self):
         swap = LinearChange(0, 1, 1, 0)

@@ -10,9 +10,11 @@ must be read somewhere in the package outside its own definition; reads
 from tests do not count, so a helper that only tests call is dead code.
 The same holds for every name the package ``__init__`` exports, unless the
 benchmark's tracer wraps it by name (``bench/tracing.LAYERS``), and for
-every method and property defined in a class body of the package, which
-must be read as an attribute on a receiver that can be of its class: not
-on ``cli``'s argparse namespace, and on ``self`` only along inheritance.
+every method, property and dataclass field defined in a class body of the
+package, which must be read as an attribute, or by ``getattr`` with its
+name, on a receiver that can be of its class: not on ``cli``'s argparse
+namespace, and on ``self`` only along inheritance.  A field is also read
+where its class body names it in a string, as a table of field names does.
 """
 
 import ast
@@ -169,11 +171,11 @@ def overrides(module, cls_name, name):
 
 
 def _attribute_reads(tree):
-    """(node, receiver, class, function) for every attribute read in a
-    module: the receiver is the name the attribute is read on (``self``,
-    ``args``, ...) or None for any other expression, the class the
-    innermost class body around the read or None, and the function the
-    module-level function around it or None."""
+    """(name, node, receiver, class, function) for every attribute read in
+    a module, ``getattr(r, "name")`` included: the receiver is the name the
+    attribute is read on (``self``, ``args``, ...) or None for any other
+    expression, the class the innermost class body around the read or
+    None, and the function the module-level function around it or None."""
     reads = []
 
     def visit(node, cls, function):
@@ -183,7 +185,13 @@ def _attribute_reads(tree):
             function = node.name
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             receiver = node.value.id if isinstance(node.value, ast.Name) else None
-            reads.append((node, receiver, cls, function))
+            reads.append((node.attr, node, receiver, cls, function))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str):
+            target = node.args[0]
+            receiver = target.id if isinstance(target, ast.Name) else None
+            reads.append((node.args[1].value, node, receiver, cls, function))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, function)
 
@@ -209,15 +217,40 @@ def _ancestors(trees):
     return {name: up(name, set()) for name in bases}
 
 
+def _is_dataclass(node):
+    """Is the class definition decorated with ``dataclass``, called or not?"""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _class_members(node):
+    """(name, node) for the methods and properties of a class body, and its
+    fields when it is a dataclass: the annotated names, each unless the
+    class body names it in a string constant."""
+    members = [(member.name, member) for member in node.body
+               if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    if _is_dataclass(node):
+        named = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+        members += [(member.target.id, member) for member in node.body
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                    and member.target.id not in named]
+    return members
+
+
 def unread_members(trees, overrides=lambda module, cls_name, name: False):
-    """The methods and properties of the classes in ``trees`` ({module file
-    name: ast}) that nothing reads, as "Class.member (module:line)".  A
-    read ``r.m`` outside the member's own definition counts for ``C.m``
-    only when r can be a C: a read on ``args``, the argparse namespace of
-    a ``cmd_*`` function of ``cli.py``, never counts, and one on ``self``
-    or ``cls`` only inside C or a class related to it by inheritance.
-    Dunders are exempt, and so is a member for which ``overrides(module,
-    class name, member name)`` holds."""
+    """The methods, properties and dataclass fields of the classes in
+    ``trees`` ({module file name: ast}) that nothing reads, as
+    "Class.member (module:line)".  A read ``r.m`` or ``getattr(r, "m")``
+    outside the member's own definition counts for ``C.m`` only when r can
+    be a C: a read on ``args``, the argparse namespace of a ``cmd_*``
+    function of ``cli.py``, never counts, and one on ``self`` or ``cls``
+    only inside C or a class related to it by inheritance.  A field named
+    in a string constant of its own class body counts as read.  Dunders are
+    exempt, and so is a member for which ``overrides(module, class name,
+    member name)`` holds."""
     ancestors = _ancestors(trees)
     members = []
     reads = []
@@ -225,10 +258,9 @@ def unread_members(trees, overrides=lambda module, cls_name, name: False):
         reads += [(module, *read) for read in _attribute_reads(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                members += [(module, node.name, member) for member in node.body
-                            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not (member.name.startswith("__")
-                                     and member.name.endswith("__"))]
+                members += [(module, node.name, name, member)
+                            for name, member in _class_members(node)
+                            if not (name.startswith("__") and name.endswith("__"))]
 
     def may_be(owner, module, receiver, cls, function):
         if module == "cli.py" and receiver == "args" and (function or "").startswith("cmd_"):
@@ -239,23 +271,23 @@ def unread_members(trees, overrides=lambda module, cls_name, name: False):
         return True
 
     unread = []
-    for module, cls_name, member in members:
+    for module, cls_name, name, member in members:
         own = {id(node) for node in ast.walk(member)}
-        if not any(node.attr == member.name and id(node) not in own
+        if not any(attr == name and id(node) not in own
                    and may_be(cls_name, where, *context)
-                   for where, node, *context in reads) \
-                and not overrides(module, cls_name, member.name):
-            unread.append("%s.%s (%s:%d)" % (cls_name, member.name, module, member.lineno))
+                   for where, attr, node, *context in reads) \
+                and not overrides(module, cls_name, name):
+            unread.append("%s.%s (%s:%d)" % (cls_name, name, module, member.lineno))
     return unread
 
 
 def test_every_class_member_is_read():
-    """Every method and property (``cached_property`` too) defined in a
-    class body of ``src/hsfinite``, private classes included, is read as an
-    attribute somewhere in the package outside its own definition, on a
-    receiver that can be of its class (see ``unread_members``).  Dunders
-    are exempt, and so is a method that overrides a base class's; dataclass
-    fields are not covered.  Reads from tests do not count."""
+    """Every method, property (``cached_property`` too) and dataclass field
+    defined in a class body of ``src/hsfinite``, private classes included,
+    is read as an attribute somewhere in the package outside its own
+    definition, on a receiver that can be of its class (see
+    ``unread_members``).  Dunders are exempt, and so is a method that
+    overrides a base class's.  Reads from tests do not count."""
     unread = unread_members(dict(package_trees()), overrides)
     assert not unread, "class members nothing in the package reads: %s" % ", ".join(unread)
 
@@ -308,3 +340,64 @@ def test_a_self_read_counts_only_along_inheritance():
             return stranger.ask
     """)
     assert unread_members({"catalog.py": tree}) == ["Lone.lone (catalog.py:10)"]
+
+
+def test_an_unread_dataclass_field_is_flagged():
+    # ``label`` is read only on the argparse namespace and ``spare`` not at
+    # all; ``ideal`` is read on an entry and ``provenance`` by getattr
+    catalog = _snippet("""
+        from dataclasses import dataclass
+        @dataclass(frozen=True)
+        class CatalogEntry:
+            ideal: object
+            provenance: str
+            label: str
+            spare: int = 0
+        def show(entry):
+            return entry.ideal, getattr(entry, "provenance")
+    """)
+    cli = _snippet("""
+        def cmd_catalog(args):
+            return args.label
+    """)
+    assert unread_members({"catalog.py": catalog, "cli.py": cli}) == \
+        ["CatalogEntry.label (catalog.py:7)", "CatalogEntry.spare (catalog.py:8)"]
+
+
+def test_a_field_named_in_its_class_body_is_read():
+    # a table of field names in the class body reads them, as
+    # ``StructuralInvariant._FIELD_ORDER`` does, but the same string outside
+    # it does not; an annotation in a class that is no dataclass is no field
+    tree = _snippet("""
+        import dataclasses
+        @dataclasses.dataclass
+        class Invariant:
+            sequence: tuple
+            pattern: tuple
+            _ORDER = ("sequence",)
+        class Plain:
+            loose: int
+        NAMES = ("pattern",)
+    """)
+    assert unread_members({"catalog.py": tree}) == ["Invariant.pattern (catalog.py:6)"]
+
+
+def test_a_self_read_of_a_field_counts_only_along_inheritance():
+    # a subclass reads ``pairwise`` on self; ``self.label`` in an unrelated
+    # class is no read of the field
+    tree = _snippet("""
+        from dataclasses import dataclass
+        @dataclass
+        class Report:
+            pairwise: list
+            label: str
+        class Full(Report):
+            def show(self):
+                return self.pairwise
+        class Stranger:
+            def ask(self):
+                return self.label
+        def use(report, stranger):
+            return report.show, stranger.ask
+    """)
+    assert unread_members({"catalog.py": tree}) == ["Report.label (catalog.py:6)"]
